@@ -6,38 +6,38 @@ the network as auxiliary features), subtask (detector events grant the
 same bonus, no auxiliary features), and an unshaped baseline. Parallel
 workers each own a private environment and network replica; the only
 shared object is the parameter block, read by snapshot and written by a
-lock-serialized Adam update.
+lock-serialized Adam update. A worker that raises stops the others at
+their next rollout, and the run fails.
 
 An instruction tracker holds the ordered command list with a progress
 pointer: satisfying the current instruction grants the bonus and advances
 the pointer, cycling back to the first instruction after the last.
+``EpisodeShaping`` is the one place a variant's bonus and aux features
+are computed, for training (``worker_loop``) and evaluation alike.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from . import env as E
-from .mem import CommandSpec, MemModel, mem_distance
+from .mem import NONSPATIAL_HIDDEN, CommandSpec, MemModel, mem_distance
 from .nn import (
     AdamState,
-    Conv2d,
     Dense,
-    Flatten,
     LSTM,
+    Model,
     ReLU,
     Sequential,
-    Tanh,
+    StateEncoder,
     adam_step,
     flatten_arrays,
     load_model,
-    param_count,
     save_model,
-    unflatten_into,
 )
 
 VARIANTS = ("narration", "subtask", "none", "random")
@@ -63,7 +63,6 @@ class AgentConfig:
     eval_interval: int = 50_000
     eval_episodes: int = 20
     eval_seed: int = 10_000
-    serialized_updates: bool = True
     env_factory: Callable[[int], object] | None = None  # tests can stub the env
 
     def validate(self) -> None:
@@ -79,35 +78,22 @@ class AgentConfig:
         return factory(seed)
 
 
-class AgentNet:
-    """Conv/dense trunk + LSTM core with action-id, x, y and value heads."""
+class AgentNet(Model):
+    """State encoder + dense trunk + LSTM core with action-id, x, y and value heads."""
 
     def __init__(self, rng: np.random.Generator | None = None, dtype=np.float32):
         if rng is None:
             rng = np.random.default_rng(0)
         self.dtype = dtype
-        h = (E.GRID - 5) // 2 + 1
-        h = (h - 3) // 2 + 1
-        conv_out = 16 * h * h
-        self.spatial_net = Sequential(
-            [
-                Conv2d(E.OBS_CHANNELS, 8, k=5, stride=2, rng=rng, dtype=dtype),
-                ReLU(),
-                Conv2d(8, 16, k=3, stride=2, rng=rng, dtype=dtype),
-                ReLU(),
-                Flatten(),
-            ]
-        )
-        self.nonspatial_net = Sequential([Dense(E.OBS_NONSPATIAL, 32, rng, dtype=dtype), Tanh()])
-        self.trunk = Sequential([Dense(conv_out + 32 + AUX_DIM, HIDDEN, rng, dtype=dtype), ReLU()])
+        self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng, dtype)
+        self.trunk = Sequential([Dense(self.encoder.out_dim + AUX_DIM, HIDDEN, rng, dtype=dtype), ReLU()])
         self.core = LSTM(HIDDEN, HIDDEN, rng, dtype=dtype)
         self.head_action = Dense(HIDDEN, E.N_ACTIONS, rng, dtype=dtype)
         self.head_x = Dense(HIDDEN, E.GRID, rng, dtype=dtype)
         self.head_y = Dense(HIDDEN, E.GRID, rng, dtype=dtype)
         self.head_value = Dense(HIDDEN, 1, rng, dtype=dtype)
-        self._modules = [
-            self.spatial_net,
-            self.nonspatial_net,
+        self.layers = [
+            *self.encoder.layers,
             self.trunk,
             self.core,
             self.head_action,
@@ -115,31 +101,9 @@ class AgentNet:
             self.head_y,
             self.head_value,
         ]
-        self._split = conv_out
-
-    # ------------------------------------------------------------- params
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for m in self._modules for a in m.param_arrays()]
-
-    def grad_arrays(self) -> list[np.ndarray]:
-        return [g for m in self._modules for g in m.grad_arrays()]
-
-    def zero_grads(self) -> None:
-        for m in self._modules:
-            m.zero_grads()
-
-    def get_flat(self) -> np.ndarray:
-        return flatten_arrays(self.param_arrays())
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        unflatten_into(flat, self.param_arrays())
-
-    def n_params(self) -> int:
-        return param_count(self.param_arrays())
 
     def spec(self) -> dict:
-        return {"kind": "agent-net", "modules": [m.spec() for m in self._modules]}
+        return {"kind": "agent-net", "modules": [m.spec() for m in self.layers]}
 
     def save(self, path) -> None:
         save_model(path, self.spec(), self.param_arrays())
@@ -157,14 +121,10 @@ class AgentNet:
     # ------------------------------------------------------------ forward
 
     def _features(self, spatial: np.ndarray, nonspatial: np.ndarray, aux: np.ndarray) -> np.ndarray:
-        sp = self.spatial_net.forward(spatial)
-        ns = self.nonspatial_net.forward(nonspatial)
-        return self.trunk.forward(np.concatenate([sp, ns, aux], axis=1))
+        return self.trunk.forward(self.encoder.forward(spatial, nonspatial, aux))
 
     def _backward_features(self, g: np.ndarray) -> None:
-        g = self.trunk.backward(g)
-        self.spatial_net.backward(g[:, : self._split])
-        self.nonspatial_net.backward(g[:, self._split : self._split + 32])
+        self.encoder.backward(self.trunk.backward(g))
 
     def act(
         self,
@@ -183,7 +143,7 @@ class AgentNet:
         logp_id = masked_log_softmax(logits, legal_mask)
         kind = sample_from_logp(logp_id, rng)
         logp = float(logp_id[kind])
-        if kind in (E.A_BUILD_DEPOT, E.A_BUILD_BARRACKS):
+        if kind in E.BUILD_KINDS:
             logp_x = masked_log_softmax(self.head_x.forward(h)[0], None)
             logp_y = masked_log_softmax(self.head_y.forward(h)[0], None)
             ax = sample_from_logp(logp_x, rng)
@@ -234,9 +194,7 @@ class Rollout:
     xs: np.ndarray  # (T,)
     ys: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,) shaped rewards actually optimized
-    env_rewards: np.ndarray  # (T,) raw environment rewards (logging)
     values: np.ndarray  # (T,) V(s_t) at collection time
-    logps: np.ndarray  # (T,)
     bootstrap: float  # V(s_T), 0 when terminal
     h0: np.ndarray
     c0: np.ndarray
@@ -292,7 +250,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     for t in range(t_len):
         adv = float(advantages[t])
         ret = float(returns[t])
-        build = rollout.kinds[t] in (E.A_BUILD_DEPOT, E.A_BUILD_BARRACKS)
+        build = rollout.kinds[t] in E.BUILD_KINDS
         heads = [(logits_id[t], rollout.masks[t], int(rollout.kinds[t]), g_id[t])]
         if build:
             heads.append((logits_x[t], None, int(rollout.xs[t]), g_x[t]))
@@ -334,7 +292,6 @@ class InstructionTracker:
     bonus: float = 1.0
     pointer: int = 0
     completions: int = 0
-    per_command: dict[int, int] = field(default_factory=dict)
 
     def reset(self) -> None:
         self.pointer = 0
@@ -345,14 +302,11 @@ class InstructionTracker:
 
     def advance(self) -> float:
         self.completions += 1
-        cid = self.commands[self.pointer].id
-        self.per_command[cid] = self.per_command.get(cid, 0) + 1
         self.pointer = (self.pointer + 1) % len(self.commands)
         return self.bonus
 
 
 def shape_narration(
-    mem: MemModel,
     state_vec: np.ndarray,
     tracker: InstructionTracker,
     tau: float,
@@ -371,6 +325,57 @@ def shape_subtask(events: frozenset[int], tracker: InstructionTracker) -> float:
     return 0.0
 
 
+class EpisodeShaping:
+    """One variant's shaping for the episode in play: bonus and aux features.
+
+    The narration variant judges the current instruction by embedding
+    distance on a private copy of the MEM and feeds the state and command
+    embeddings to the agent as aux features; the subtask variant judges it
+    by the env's detectors; ``none`` and ``random`` get no bonus and zero
+    aux features. Training and evaluation both shape through this object.
+    """
+
+    def __init__(self, config: AgentConfig, mem: MemModel | None, commands: list[CommandSpec] | None):
+        self.narration = config.variant == "narration"
+        self.tau = config.tau
+        self.tracker = None
+        if config.variant in ("narration", "subtask"):
+            self.tracker = InstructionTracker(commands, bonus=config.bonus)
+        if self.narration:
+            if mem is None or commands is None:
+                raise ValueError("narration variant needs a trained embedding model and commands")
+            self.mem = mem.copy()
+            self.command_vecs = np.stack([self.mem.encode_command(c) for c in commands])
+        self._zero_aux = np.zeros(AUX_DIM, dtype=np.float32)
+
+    def start(self, obs: E.Observation) -> None:
+        """Begin an episode at its first observation."""
+        if self.tracker:
+            self.tracker.reset()
+        if self.narration:
+            self.state_vec = self.mem.encode_state(obs)
+
+    def aux(self) -> np.ndarray:
+        """The agent's aux input for the current observation."""
+        if not self.narration:
+            return self._zero_aux
+        return np.concatenate([self.state_vec, self.command_vecs[self.tracker.pointer]]).astype(np.float32)
+
+    def bonus(self, obs: E.Observation, events: frozenset[int]) -> float:
+        """Shaping bonus for the step that led to ``obs`` with detector ``events``."""
+        if self.narration:
+            # satisfaction judged on the post-action observation
+            self.state_vec = self.mem.encode_state(obs)
+            return shape_narration(self.state_vec, self.tracker, self.tau, self.command_vecs)
+        if self.tracker:
+            return shape_subtask(events, self.tracker)
+        return 0.0
+
+    @property
+    def completions(self) -> int:
+        return self.tracker.completions if self.tracker else 0
+
+
 # ------------------------------------------------------------ shared state
 
 
@@ -382,36 +387,31 @@ class SharedParams:
         self._adam = AdamState(self._params.size, lr=config.lr)
         self._lock = threading.Lock()
         self._clip = config.grad_clip
-        self._serialized = config.serialized_updates
         self._eval_interval = config.eval_interval
         self.version = 0
         self.steps = 0
         self.total_steps = config.total_steps
+        self.failed = False  # set when any worker raises; stops the others
 
     def snapshot(self) -> tuple[np.ndarray, int]:
         with self._lock:
             return self._params.copy(), self.version
 
     def should_stop(self) -> bool:
-        return self.steps >= self.total_steps
-
-    def _apply(self, grads: np.ndarray, n_steps: int) -> list[int]:
-        norm = float(np.linalg.norm(grads))
-        if self._clip and norm > self._clip:
-            grads = grads * (self._clip / norm)
-        adam_step(self._params, grads, self._adam)
-        self.version += 1
-        before = self.steps
-        self.steps = before + n_steps
-        first = (before // self._eval_interval + 1) * self._eval_interval
-        return list(range(first, self.steps + 1, self._eval_interval))
+        return self.failed or self.steps >= self.total_steps
 
     def apply_gradients(self, grads: np.ndarray, n_steps: int) -> list[int]:
         """Returns the eval boundaries (step multiples) this update crossed."""
-        if self._serialized:
-            with self._lock:
-                return self._apply(grads, n_steps)
-        return self._apply(grads, n_steps)  # opt-in hogwild: racy by design
+        with self._lock:
+            norm = float(np.linalg.norm(grads))
+            if self._clip and norm > self._clip:
+                grads = grads * (self._clip / norm)
+            adam_step(self._params, grads, self._adam)
+            self.version += 1
+            before = self.steps
+            self.steps = before + n_steps
+            first = (before // self._eval_interval + 1) * self._eval_interval
+            return list(range(first, self.steps + 1, self._eval_interval))
 
 
 # ----------------------------------------------------------------- records
@@ -436,24 +436,6 @@ class EvalPoint:
     version: int
 
 
-RUN_RECORD_FIELDS = ("step", "worker", "episode", "env_score", "shaped_return", "instr_completions", "variant", "seed")
-
-
-def _zero_aux() -> np.ndarray:
-    return np.zeros(AUX_DIM, dtype=np.float32)
-
-
-def _narration_aux(state_vec: np.ndarray, cmd_vec: np.ndarray) -> np.ndarray:
-    return np.concatenate([state_vec, cmd_vec]).astype(np.float32)
-
-
-def clone_mem(mem: MemModel) -> MemModel:
-    """Private inference replica (layer caches are not thread-safe)."""
-    twin = MemModel(mem.word_embeddings, rng=None, embed_dim=mem.embed_dim)
-    twin.set_flat(mem.get_flat())
-    return twin
-
-
 def worker_loop(
     shared: SharedParams,
     config: AgentConfig,
@@ -467,32 +449,21 @@ def worker_loop(
     worker's update crossed an evaluation boundary.
     """
     config.validate()
-    narration = config.variant == "narration"
-    subtask = config.variant == "subtask"
-    if narration:
-        if mem is None or commands is None:
-            raise ValueError("narration variant needs a trained embedding model and commands")
-        mem = clone_mem(mem)
-        command_vecs = np.stack([mem.encode_command(c) for c in commands])
-    tracker = InstructionTracker(commands, bonus=config.bonus) if (narration or subtask) else None
-
+    shaping = EpisodeShaping(config, mem, commands)
     rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, worker_id)))
     net = AgentNet()
-    episode_idx = 0
-    env = config.make_env(config.base_seed + worker_id * 1_000_003 + episode_idx)
-    obs = env.observe()
-    h, c = net.zero_state()
-    if tracker:
-        tracker.reset()
-    shaped_return = 0.0
-    state_vec = mem.encode_state(obs) if narration else None
     t_len = config.rollout_len
 
-    def current_aux() -> np.ndarray:
-        if not narration:
-            return _zero_aux()
-        return _narration_aux(state_vec, command_vecs[tracker.pointer])
+    def new_episode(idx: int):
+        env = config.make_env(config.base_seed + worker_id * 1_000_003 + idx)
+        obs = env.observe()
+        shaping.start(obs)
+        return env, obs
 
+    episode_idx = 0
+    env, obs = new_episode(episode_idx)
+    h, c = net.zero_state()
+    shaped_return = 0.0
     while not shared.should_stop():
         params, _ = shared.snapshot()
         net.set_flat(params)
@@ -504,35 +475,25 @@ def worker_loop(
         axs = np.empty(t_len, dtype=np.int64)
         ays = np.empty(t_len, dtype=np.int64)
         rewards = np.empty(t_len, dtype=np.float32)
-        env_rewards = np.empty(t_len, dtype=np.float32)
         values = np.empty(t_len, dtype=np.float32)
-        logps = np.empty(t_len, dtype=np.float32)
         h0, c0 = h.copy(), c.copy()
         done = False
         t = 0
         while t < t_len:
-            aux_t = current_aux()
+            aux_t = shaping.aux()
             mask = env.legal_mask()
-            action, logp, value, (h, c) = net.act(obs, aux_t, h, c, mask, rng)
+            action, _, value, (h, c) = net.act(obs, aux_t, h, c, mask, rng)
             next_obs, env_r, done, events = env.step(action)
-            bonus = 0.0
-            if narration:
-                # satisfaction judged on the post-action observation
-                state_vec = mem.encode_state(next_obs)
-                bonus = shape_narration(mem, state_vec, tracker, config.tau, command_vecs)
-            elif subtask:
-                bonus = shape_subtask(events, tracker)
+            reward = env_r + shaping.bonus(next_obs, events)
             sp[t], ns[t], aux[t] = obs.spatial, obs.nonspatial, aux_t
             masks[t], kinds[t], axs[t], ays[t] = mask, action.kind, action.x, action.y
-            env_rewards[t] = env_r
-            rewards[t] = env_r + bonus
-            values[t], logps[t] = value, logp
-            shaped_return += env_r + bonus
+            rewards[t], values[t] = reward, value
+            shaped_return += reward
             obs = next_obs
             t += 1
             if done:
                 break
-        bootstrap = 0.0 if done else net.value_of(obs, current_aux(), h, c)
+        bootstrap = 0.0 if done else net.value_of(obs, shaping.aux(), h, c)
         rollout = Rollout(
             spatial=sp[:t],
             nonspatial=ns[:t],
@@ -542,9 +503,7 @@ def worker_loop(
             xs=axs[:t],
             ys=ays[:t],
             rewards=rewards[:t],
-            env_rewards=env_rewards[:t],
             values=values[:t],
-            logps=logps[:t],
             bootstrap=bootstrap,
             h0=h0,
             c0=c0,
@@ -561,19 +520,14 @@ def worker_loop(
                 episode=episode_idx,
                 env_score=float(env.score),
                 shaped_return=float(shaped_return),
-                instr_completions=tracker.completions if tracker else 0,
+                instr_completions=shaping.completions,
                 variant=config.variant,
                 seed=config.base_seed,
             )
             episode_idx += 1
-            env = config.make_env(config.base_seed + worker_id * 1_000_003 + episode_idx)
-            obs = env.observe()
+            env, obs = new_episode(episode_idx)
             h, c = net.zero_state()
-            if tracker:
-                tracker.reset()
             shaped_return = 0.0
-            if narration:
-                state_vec = mem.encode_state(obs)
 
 
 # -------------------------------------------------------------- evaluation
@@ -585,56 +539,41 @@ def evaluate_policy(
     mem: MemModel | None = None,
     commands: list[CommandSpec] | None = None,
 ) -> dict:
-    """Frozen-snapshot evaluation: fixed seeds, single-threaded, sampled policy."""
+    """Frozen-snapshot evaluation: fixed seeds, single-threaded, sampled policy.
+
+    Episode ``i`` plays env seed ``eval_seed + i`` with its own generator,
+    ``SeedSequence((eval_seed, i))``. The ``random`` variant ignores
+    ``params`` and plays ``env.random_legal_action`` with that generator:
+    uniform over legal action ids, build targets uniform over free cells,
+    the same baseline that plays the embedding dataset's self-play. It
+    reads the game state from the env's ``state`` (as ``env.Episode`` has).
+    """
     config.validate()
-    narration = config.variant == "narration"
-    subtask = config.variant == "subtask"
     random_variant = config.variant == "random"
     net = AgentNet()
     if not random_variant:
         net.set_flat(params)
-    if narration:
-        mem = clone_mem(mem)
-        command_vecs = np.stack([mem.encode_command(cmd) for cmd in commands])
-    tracker = InstructionTracker(commands, bonus=config.bonus) if (narration or subtask) else None
+    shaping = EpisodeShaping(config, mem, commands)
 
     scores, shaped, completions = [], [], []
     for i in range(config.eval_episodes):
         env = config.make_env(config.eval_seed + i)
         rng = np.random.default_rng(np.random.SeedSequence((config.eval_seed, i)))
         obs = env.observe()
-        state_vec = mem.encode_state(obs) if narration else None
+        shaping.start(obs)
         h, c = net.zero_state()
-        if tracker:
-            tracker.reset()
         total_shaped = 0.0
         done = False
         while not done:
-            if narration:
-                aux_t = _narration_aux(state_vec, command_vecs[tracker.pointer])
-            else:
-                aux_t = _zero_aux()
-            mask = env.legal_mask()
             if random_variant:
-                ids = np.flatnonzero(mask)
-                kind = int(ids[rng.integers(ids.size)])
-                if kind in (E.A_BUILD_DEPOT, E.A_BUILD_BARRACKS):
-                    action = E.Action(kind, x=int(rng.integers(E.GRID)), y=int(rng.integers(E.GRID)))
-                else:
-                    action = E.Action(kind)
+                action = E.random_legal_action(env.state, rng)
             else:
-                action, _, _, (h, c) = net.act(obs, aux_t, h, c, mask, rng)
+                action, _, _, (h, c) = net.act(obs, shaping.aux(), h, c, env.legal_mask(), rng)
             obs, env_r, done, events = env.step(action)
-            bonus = 0.0
-            if narration:
-                state_vec = mem.encode_state(obs)
-                bonus = shape_narration(mem, state_vec, tracker, config.tau, command_vecs)
-            elif subtask:
-                bonus = shape_subtask(events, tracker)
-            total_shaped += env_r + bonus
+            total_shaped += env_r + shaping.bonus(obs, events)
         scores.append(float(env.score))
         shaped.append(total_shaped)
-        completions.append(tracker.completions if tracker else 0)
+        completions.append(shaping.completions)
     n = len(scores)
     return {
         "episodes": n,
@@ -704,6 +643,7 @@ def train(
                         records.append(item)
         except BaseException as exc:  # noqa: BLE001 - worker failure fails the run
             errors.append(exc)
+            shared.failed = True
 
     if config.workers == 1:
         consume(0)

@@ -11,11 +11,16 @@ returns it, so callers can hold (prev, next) pairs for transition checks.
 Workers never move; a worker building something is busy until the site
 completes. Construction sites are tracked off-grid and drawn only once
 finished, so a completion is visible as a new unit in the frame stack.
+
+Each rule is written once. ``_id_is_legal`` decides an action id's
+legality for ``step``, ``legal_actions`` and ``scripted_expert``.
+``free_cells`` decides which cells take a build or a new marine.
+``detect`` over ``counters`` is the one detector: episodes, trajectory
+records and the embedding dataset's labels all use it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -29,6 +34,7 @@ CELL_EMPTY, CELL_BASE, CELL_MINERAL, CELL_WORKER, CELL_DEPOT, CELL_BARRACKS, CEL
 A_NOOP, A_SELECT_WORKER, A_BUILD_DEPOT, A_BUILD_BARRACKS, A_SELECT_BARRACKS, A_TRAIN_MARINE = range(6)
 N_ACTIONS = 6
 ACTION_NAMES = ("noop", "select-worker", "build-depot", "build-barracks", "select-barracks", "train-marine")
+BUILD_KINDS = (A_BUILD_DEPOT, A_BUILD_BARRACKS)
 
 DEPOT_COST, BARRACKS_COST, MARINE_COST = 100, 150, 50
 DEPOT_TIME, BARRACKS_TIME, MARINE_TIME = 20, 30, 15
@@ -198,18 +204,25 @@ def reset(seed: int, horizon: int = HORIZON) -> GameState:
     )
 
 
+def free_cells(state: GameState) -> np.ndarray:
+    """Flat indices (row * GRID + col), ascending, of empty cells with no site.
+
+    These are the cells a build may target and a new marine may spawn on.
+    """
+    free = state.grid.reshape(-1) == CELL_EMPTY
+    for r, c in state.build_sites:
+        free[r * GRID + c] = False
+    return np.flatnonzero(free)
+
+
 def _nearest_free_cell(state: GameState, center: tuple[int, int]) -> tuple[int, int] | None:
-    for radius in range(1, GRID):
-        best = None
-        for r in range(max(0, center[0] - radius), min(GRID, center[0] + radius + 1)):
-            for c in range(max(0, center[1] - radius), min(GRID, center[1] + radius + 1)):
-                if max(abs(r - center[0]), abs(c - center[1])) != radius:
-                    continue
-                if state.is_free((r, c)) and (best is None or (r, c) < best):
-                    best = (r, c)
-        if best is not None:
-            return best
-    return None
+    """Free cell nearest ``center`` (Chebyshev distance); ties go to the lowest (row, col)."""
+    free = free_cells(state)
+    if free.size == 0:
+        return None
+    dist = np.maximum(np.abs(free // GRID - center[0]), np.abs(free % GRID - center[1]))
+    cell = int(free[np.argmin(dist)])
+    return cell // GRID, cell % GRID
 
 
 def _tick(state: GameState) -> None:
@@ -241,8 +254,20 @@ def _tick(state: GameState) -> None:
         state.n_marines += 1
 
 
-def _action_is_legal(state: GameState, action: Action) -> bool:
-    kind = action.kind
+def _can_train_at(state: GameState, barracks: tuple[int, int]) -> bool:
+    return (
+        state.minerals >= MARINE_COST
+        and state.supply_used < state.supply_cap
+        and barracks not in state.train_jobs
+    )
+
+
+def _idle_worker_selected(state: GameState) -> bool:
+    return state.sel_kind == SEL_WORKER and state.sel_pos not in state.busy_workers()
+
+
+def _id_is_legal(state: GameState, kind: int) -> bool:
+    """Legality of an action id, apart from the build target's cell."""
     if kind == A_NOOP:
         return True
     if kind == A_SELECT_WORKER:
@@ -250,46 +275,19 @@ def _action_is_legal(state: GameState, action: Action) -> bool:
     if kind == A_SELECT_BARRACKS:
         return state.n_barracks > 0
     if kind == A_TRAIN_MARINE:
-        return (
-            state.sel_kind == SEL_BARRACKS
-            and state.minerals >= MARINE_COST
-            and state.supply_used < state.supply_cap
-            and state.sel_pos not in state.train_jobs
-        )
-    if kind in (A_BUILD_DEPOT, A_BUILD_BARRACKS):
-        if state.sel_kind != SEL_WORKER or state.sel_pos in state.busy_workers():
-            return False
-        cost = DEPOT_COST if kind == A_BUILD_DEPOT else BARRACKS_COST
-        if state.minerals < cost:
-            return False
-        if kind == A_BUILD_BARRACKS and state.n_depots < 1:
-            return False
-        target = (action.y, action.x)
-        if not (0 <= action.x < GRID and 0 <= action.y < GRID):
-            return False
-        return state.is_free(target)
-    return False
+        return state.sel_kind == SEL_BARRACKS and _can_train_at(state, state.sel_pos)
+    if kind not in BUILD_KINDS or not _idle_worker_selected(state):
+        return False
+    if kind == A_BUILD_DEPOT:
+        return state.minerals >= DEPOT_COST
+    return state.minerals >= BARRACKS_COST and state.n_depots >= 1
 
 
 def legal_actions(state: GameState) -> np.ndarray:
     """Mask over the 6 action ids: bit set iff some instantiation is legal."""
-    mask = np.zeros(N_ACTIONS, dtype=bool)
-    mask[A_NOOP] = True
-    mask[A_SELECT_WORKER] = state.first_idle_worker() is not None
-    mask[A_SELECT_BARRACKS] = state.n_barracks > 0
-    mask[A_TRAIN_MARINE] = (
-        state.sel_kind == SEL_BARRACKS
-        and state.minerals >= MARINE_COST
-        and state.supply_used < state.supply_cap
-        and state.sel_pos not in state.train_jobs
-    )
-    worker_ready = state.sel_kind == SEL_WORKER and state.sel_pos not in state.busy_workers()
-    if worker_ready:
-        free_exists = int((state.grid == CELL_EMPTY).sum()) > len(state.build_sites)
-        mask[A_BUILD_DEPOT] = state.minerals >= DEPOT_COST and free_exists
-        mask[A_BUILD_BARRACKS] = (
-            state.minerals >= BARRACKS_COST and state.n_depots >= 1 and free_exists
-        )
+    mask = np.array([_id_is_legal(state, kind) for kind in range(N_ACTIONS)])
+    if (mask[A_BUILD_DEPOT] or mask[A_BUILD_BARRACKS]) and free_cells(state).size == 0:
+        mask[list(BUILD_KINDS)] = False
     return mask
 
 
@@ -304,8 +302,11 @@ def step(state: GameState, action: Action) -> tuple[GameState, float, bool]:
     marines_before = state.n_marines
     nxt = state.clone()
     _tick(nxt)
-    if _action_is_legal(nxt, action):
-        kind = action.kind
+    kind = action.kind
+    target = (action.y, action.x)
+    if _id_is_legal(nxt, kind) and (
+        kind not in BUILD_KINDS or (0 <= action.x < GRID and 0 <= action.y < GRID and nxt.is_free(target))
+    ):
         if kind == A_SELECT_WORKER:
             pos = nxt.first_idle_worker()
             nxt.sel_kind, nxt.sel_pos = SEL_WORKER, pos
@@ -317,29 +318,45 @@ def step(state: GameState, action: Action) -> tuple[GameState, float, bool]:
             nxt.train_jobs[nxt.sel_pos] = MARINE_TIME
         elif kind == A_BUILD_DEPOT:
             nxt.minerals -= DEPOT_COST
-            nxt.build_sites[(action.y, action.x)] = BuildSite(CELL_DEPOT, DEPOT_TIME, nxt.sel_pos)
+            nxt.build_sites[target] = BuildSite(CELL_DEPOT, DEPOT_TIME, nxt.sel_pos)
         elif kind == A_BUILD_BARRACKS:
             nxt.minerals -= BARRACKS_COST
-            nxt.build_sites[(action.y, action.x)] = BuildSite(CELL_BARRACKS, BARRACKS_TIME, nxt.sel_pos)
+            nxt.build_sites[target] = BuildSite(CELL_BARRACKS, BARRACKS_TIME, nxt.sel_pos)
     nxt.minerals += nxt.n_workers
     nxt.step += 1
     reward = float(nxt.n_marines - marines_before)
     return nxt, reward, nxt.step >= nxt.horizon
 
 
-def detect(prev: GameState, nxt: GameState) -> frozenset[int]:
-    """Goal-transition detectors; fire only on actual change."""
-    events = set()
-    if nxt.n_depots > prev.n_depots:
-        events.add(EV_BUILD_DEPOT)
-    if nxt.n_barracks > prev.n_barracks:
-        events.add(EV_BUILD_BARRACKS)
-    if nxt.n_marines > prev.n_marines:
-        events.add(EV_TRAIN_MARINE)
-    if nxt.sel_kind == SEL_WORKER and (prev.sel_kind != SEL_WORKER or prev.sel_pos != nxt.sel_pos):
-        events.add(EV_SELECT_WORKER)
-    if nxt.sel_kind == SEL_BARRACKS and (prev.sel_kind != SEL_BARRACKS or prev.sel_pos != nxt.sel_pos):
-        events.add(EV_SELECT_BARRACKS)
+def counters(state: GameState) -> tuple[int, ...]:
+    """Everything the detectors read: unit counts and the selection.
+
+    Layout: (workers, depots, barracks, marines, sel_kind, sel_row, sel_col),
+    as stored per frame in the embedding dataset.
+    """
+    return (state.n_workers, state.n_depots, state.n_barracks, state.n_marines, state.sel_kind, *state.sel_pos)
+
+
+_SELECT_EVENT = {SEL_WORKER: EV_SELECT_WORKER, SEL_BARRACKS: EV_SELECT_BARRACKS}
+
+
+def detect(prev, nxt) -> frozenset[int]:
+    """Goal-transition detectors; fire only on actual change.
+
+    Takes two states or two counter vectors (see ``counters``).
+    """
+    if isinstance(prev, GameState):
+        prev, nxt = counters(prev), counters(nxt)
+    events = []
+    if nxt[1] > prev[1]:
+        events.append(EV_BUILD_DEPOT)
+    if nxt[2] > prev[2]:
+        events.append(EV_BUILD_BARRACKS)
+    if nxt[3] > prev[3]:
+        events.append(EV_TRAIN_MARINE)
+    sel = nxt[4]
+    if sel in _SELECT_EVENT and (prev[4] != sel or prev[5] != nxt[5] or prev[6] != nxt[6]):
+        events.append(_SELECT_EVENT[sel])
     return frozenset(events)
 
 
@@ -382,15 +399,6 @@ def encode_observation(prev_state: GameState | None, state: GameState) -> Observ
     return Observation(spatial=spatial, nonspatial=nonspatial)
 
 
-def _first_free_cell(state: GameState) -> tuple[int, int] | None:
-    flat = np.flatnonzero(state.grid.reshape(-1) == CELL_EMPTY)
-    for i in flat:
-        pos = (int(i) // GRID, int(i) % GRID)
-        if pos not in state.build_sites:
-            return pos
-    return None
-
-
 def scripted_expert(state: GameState) -> Action:
     """Deterministic build order: keep supply ahead, one barracks, train.
 
@@ -405,27 +413,18 @@ def scripted_expert(state: GameState) -> Action:
         state.n_barracks == 0 and CELL_BARRACKS not in pending and state.n_depots >= 1
     )
     if depot_wanted or barracks_wanted:
-        cost = DEPOT_COST if depot_wanted else BARRACKS_COST
-        sel_is_idle_worker = (
-            state.sel_kind == SEL_WORKER and state.sel_pos not in state.busy_workers()
-        )
-        if not sel_is_idle_worker:
-            return Action(A_SELECT_WORKER) if state.first_idle_worker() else NOOP
-        if state.minerals < cost:
-            return NOOP
-        target = _first_free_cell(state)
-        if target is None:
-            return NOOP
+        if not _idle_worker_selected(state):
+            return Action(A_SELECT_WORKER) if _id_is_legal(state, A_SELECT_WORKER) else NOOP
         kind = A_BUILD_DEPOT if depot_wanted else A_BUILD_BARRACKS
-        return Action(kind, x=target[1], y=target[0])
+        if not _id_is_legal(state, kind):
+            return NOOP
+        free = free_cells(state)
+        if free.size == 0:
+            return NOOP
+        return Action(kind, x=int(free[0]) % GRID, y=int(free[0]) // GRID)
     if state.n_barracks >= 1:
         rax = state.barracks_list[0]
-        can_train = (
-            state.minerals >= MARINE_COST
-            and state.supply_used < state.supply_cap
-            and rax not in state.train_jobs
-        )
-        if can_train:
+        if _can_train_at(state, rax):
             if state.sel_kind == SEL_BARRACKS and state.sel_pos == rax:
                 return Action(A_TRAIN_MARINE)
             return Action(A_SELECT_BARRACKS)
@@ -434,12 +433,10 @@ def scripted_expert(state: GameState) -> Action:
 
 def random_legal_action(state: GameState, rng: np.random.Generator) -> Action:
     """Uniform over legal action ids; build targets uniform over free cells."""
-    mask = legal_actions(state)
-    ids = np.flatnonzero(mask)
+    ids = np.flatnonzero(legal_actions(state))
     kind = int(ids[rng.integers(len(ids))])
-    if kind in (A_BUILD_DEPOT, A_BUILD_BARRACKS):
-        free = np.flatnonzero(state.grid.reshape(-1) == CELL_EMPTY)
-        free = [i for i in free if (int(i) // GRID, int(i) % GRID) not in state.build_sites]
+    if kind in BUILD_KINDS:
+        free = free_cells(state)
         cell = int(free[rng.integers(len(free))])
         return Action(kind, x=cell % GRID, y=cell // GRID)
     return Action(kind)
@@ -470,8 +467,8 @@ def trajectory_records(seed: int, actions: Iterable[Action], horizon: int = HORI
                 "action": {
                     "id": action.kind,
                     "name": ACTION_NAMES[action.kind],
-                    "x": action.x if action.kind in (A_BUILD_DEPOT, A_BUILD_BARRACKS) else None,
-                    "y": action.y if action.kind in (A_BUILD_DEPOT, A_BUILD_BARRACKS) else None,
+                    "x": action.x if action.kind in BUILD_KINDS else None,
+                    "y": action.y if action.kind in BUILD_KINDS else None,
                 },
                 "reward": reward,
                 "counts": counts_dict(state),
@@ -481,12 +478,6 @@ def trajectory_records(seed: int, actions: Iterable[Action], horizon: int = HORI
         if done:
             break
     return records
-
-
-def dump_trajectory(path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 class Episode:

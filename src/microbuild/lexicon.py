@@ -109,6 +109,11 @@ class WordEmbeddings:
         spec, flat = load_model(path)
         if spec.get("kind") != "word-embeddings":
             raise ValueError(f"{path}: not a word-embeddings file")
+        return cls.from_spec(spec, flat)
+
+    @classmethod
+    def from_spec(cls, spec: dict, flat: np.ndarray) -> "WordEmbeddings":
+        """Rebuild from ``spec()`` and the flat vectors; counts are not stored."""
         tokens = spec["tokens"]
         index = {tok: i for i, tok in enumerate(tokens)}
         vectors = flat.reshape(len(tokens), spec["dim"])

@@ -1,7 +1,8 @@
 """Mutual embedding of game states and natural-language commands.
 
 Two encoders project into one shared space: observations go through the
-conv/dense trunk, commands go word-vector by word-vector through an LSTM.
+conv/dense state encoder, commands go word-vector by word-vector through
+an LSTM.
 Training pulls matched (state, command) pairs to distance 0 and pushes
 mismatched pairs to distance 1:
 
@@ -11,17 +12,20 @@ with label 0 for matched and 1 for mismatched pairs. A command counts as
 satisfied by an observation when the embedding distance falls below the
 threshold (default 0.5, the midpoint of the two targets).
 
-The training dataset comes from seeded self-play: detector-labeled goal
-transitions become matched and mismatched pairs, and stretches with no
-detector activity for ten steps contribute "null" observations paired with
-random commands as additional mismatches.
+The state encoder is ``nn.StateEncoder``, the same trunk the agent
+starts with. The training dataset comes from seeded self-play: goal
+transitions labeled by ``env.detect`` become matched and mismatched pairs,
+and stretches with no detector activity for ten steps contribute "null"
+observations paired with random commands as additional mismatches. Each
+observation keeps the ``env.counters`` of its two frames, from which
+``env.detect`` re-derives its label.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -30,19 +34,14 @@ from . import env as E
 from .lexicon import WordEmbeddings, tokenize
 from .nn import (
     AdamState,
-    Conv2d,
     Dense,
-    Flatten,
     LSTM,
-    ReLU,
-    Sequential,
-    Tanh,
+    Model,
+    StateEncoder,
     adam_step,
     flatten_arrays,
     load_model,
-    param_count,
     save_model,
-    unflatten_into,
 )
 
 EMBED_DIM = 64
@@ -85,7 +84,7 @@ def mem_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
 
 
-class MemModel:
+class MemModel(Model):
     """Paired state and command encoders with shared output dimension."""
 
     def __init__(
@@ -100,62 +99,23 @@ class MemModel:
         self.word_embeddings = word_embeddings  # frozen; not part of theta
         self.embed_dim = embed_dim
         self.dtype = dtype
-        conv_out = self._conv_out_elems()
-        self.spatial_net = Sequential(
-            [
-                Conv2d(E.OBS_CHANNELS, 8, k=5, stride=2, rng=rng, dtype=dtype),
-                ReLU(),
-                Conv2d(8, 16, k=3, stride=2, rng=rng, dtype=dtype),
-                ReLU(),
-                Flatten(),
-            ]
-        )
-        self.nonspatial_net = Sequential(
-            [Dense(E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng, dtype=dtype), Tanh()]
-        )
-        self.state_proj = Dense(conv_out + NONSPATIAL_HIDDEN, embed_dim, rng, dtype=dtype)
+        self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng, dtype)
+        self.state_proj = Dense(self.encoder.out_dim, embed_dim, rng, dtype=dtype)
         self.cmd_lstm = LSTM(word_embeddings.dim, embed_dim, rng, dtype=dtype)
         self.cmd_proj = Dense(embed_dim, embed_dim, rng, dtype=dtype)
-        self._modules = [
-            self.spatial_net,
-            self.nonspatial_net,
-            self.state_proj,
-            self.cmd_lstm,
-            self.cmd_proj,
-        ]
+        self.layers = [*self.encoder.layers, self.state_proj, self.cmd_lstm, self.cmd_proj]
 
-    @staticmethod
-    def _conv_out_elems() -> int:
-        h = (E.GRID - 5) // 2 + 1
-        h = (h - 3) // 2 + 1
-        return 16 * h * h
-
-    # ------------------------------------------------------------- params
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for m in self._modules for a in m.param_arrays()]
-
-    def grad_arrays(self) -> list[np.ndarray]:
-        return [g for m in self._modules for g in m.grad_arrays()]
-
-    def zero_grads(self) -> None:
-        for m in self._modules:
-            m.zero_grads()
-
-    def get_flat(self) -> np.ndarray:
-        return flatten_arrays(self.param_arrays())
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        unflatten_into(flat, self.param_arrays())
-
-    def n_params(self) -> int:
-        return param_count(self.param_arrays())
+    def copy(self) -> "MemModel":
+        """Private inference replica (layer caches are not thread-safe)."""
+        twin = MemModel(self.word_embeddings, rng=None, embed_dim=self.embed_dim, dtype=self.dtype)
+        twin.set_flat(self.get_flat())
+        return twin
 
     def spec(self) -> dict:
         return {
             "kind": "mutual-embedding",
             "embed_dim": self.embed_dim,
-            "modules": [m.spec() for m in self._modules],
+            "modules": [m.spec() for m in self.layers],
             "word": self.word_embeddings.spec(),
         }
 
@@ -169,16 +129,8 @@ class MemModel:
         if spec.get("kind") != "mutual-embedding":
             raise ValueError(f"{path}: not a mutual-embedding model file")
         word_spec = spec["word"]
-        tokens = word_spec["tokens"]
-        n_word = len(tokens) * word_spec["dim"]
-        from .lexicon import Vocab  # local import to avoid cycle at module load
-
-        vocab = Vocab(
-            index={t: i for i, t in enumerate(tokens)},
-            counts=np.zeros(len(tokens), dtype=np.int64),
-        )
-        word_vecs = flat[-n_word:].reshape(len(tokens), word_spec["dim"])
-        model = cls(WordEmbeddings(vocab, word_vecs), rng=None, embed_dim=spec["embed_dim"])
+        word_vecs = flat[-len(word_spec["tokens"]) * word_spec["dim"] :]
+        model = cls(WordEmbeddings.from_spec(word_spec, word_vecs), rng=None, embed_dim=spec["embed_dim"])
         if model.spec() != spec:
             raise ValueError(f"{path}: architecture spec mismatch")
         model.set_flat(flat[: model.n_params()])
@@ -187,16 +139,11 @@ class MemModel:
     # ------------------------------------------------------------ forward
 
     def encode_state_batch(self, spatial: np.ndarray, nonspatial: np.ndarray) -> np.ndarray:
-        sp = self.spatial_net.forward(spatial.astype(self.dtype, copy=False))
-        ns = self.nonspatial_net.forward(nonspatial.astype(self.dtype, copy=False))
-        self._concat_split = sp.shape[1]
-        return self.state_proj.forward(np.concatenate([sp, ns], axis=1))
+        features = self.encoder.forward(spatial.astype(self.dtype, copy=False), nonspatial.astype(self.dtype, copy=False))
+        return self.state_proj.forward(features)
 
     def backward_state_batch(self, g_out: np.ndarray) -> None:
-        g = self.state_proj.backward(g_out)
-        split = self._concat_split
-        self.spatial_net.backward(g[:, :split])
-        self.nonspatial_net.backward(g[:, split:])
+        self.encoder.backward(self.state_proj.backward(g_out))
 
     def encode_state(self, obs: E.Observation) -> np.ndarray:
         return self.encode_state_batch(obs.spatial[None], obs.nonspatial[None])[0]
@@ -207,13 +154,17 @@ class MemModel:
             raise ValueError(f"command has no tokens: {command!r}")
         return tokens
 
-    def encode_command(self, command, cache: bool = False) -> np.ndarray:
-        """Project a command (CommandSpec or raw text) into the shared space."""
-        vecs = self.word_embeddings.embed_tokens(self._command_tokens(command)).astype(self.dtype)
+    def _command_hidden(self, tokens: list[str], cache: bool) -> np.ndarray:
+        """Final LSTM state over the command's word vectors, (1, embed_dim)."""
+        vecs = self.word_embeddings.embed_tokens(tokens).astype(self.dtype)
         h, c = self.cmd_lstm.zero_state(1, dtype=self.dtype)
         for t in range(vecs.shape[0]):
             h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c, cache=cache)
-        return self.cmd_proj.forward(h)[0]
+        return h
+
+    def encode_command(self, command, cache: bool = False) -> np.ndarray:
+        """Project a command (CommandSpec or raw text) into the shared space."""
+        return self.cmd_proj.forward(self._command_hidden(self._command_tokens(command), cache))[0]
 
     def backward_command(self, g_out: np.ndarray) -> None:
         g_h = self.cmd_proj.backward(g_out[None] if g_out.ndim == 1 else g_out)
@@ -251,10 +202,7 @@ def mem_loss(
     xc = np.empty_like(xs)
     caches: dict[int, tuple] = {}
     for cid in unique_ids:
-        vecs = model.word_embeddings.embed_tokens(commands[cid].tokens).astype(model.dtype)
-        h, c = model.cmd_lstm.zero_state(1, dtype=model.dtype)
-        for t in range(vecs.shape[0]):
-            h, c = model.cmd_lstm.step(vecs[t : t + 1], h, c, cache=accumulate_grads)
+        h = model._command_hidden(commands[cid].tokens, accumulate_grads)
         if accumulate_grads:
             caches[cid] = (model.cmd_lstm.take_cache(), h)
         xc[batch.command_ids == cid] = model.cmd_proj.forward(h)[0]
@@ -323,7 +271,7 @@ class MemDataset:
     spatial: np.ndarray  # (M, 14, 16, 16) uint8
     nonspatial: np.ndarray  # (M, 10) float32
     obs_label: np.ndarray  # (M,) int8: command id for goal obs, -1 for null
-    obs_counters: np.ndarray  # (M, 14) int32: prev + next counts/selection
+    obs_counters: np.ndarray  # (M, 14) int32: env.counters of prev + next
     sample_obs: np.ndarray  # (S,) int32 index into observations
     sample_cmd: np.ndarray  # (S,) int8
     sample_label: np.ndarray  # (S,) int8: 0 matched / 1 mismatched
@@ -345,20 +293,13 @@ class MemDataset:
             labels=self.sample_label[sample_idx].astype(np.int64),
         )
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The dataset's arrays by field name, in the order they are hashed and saved."""
+        return {f.name: getattr(self, f.name) for f in fields(MemDataset) if f.name not in ("quotas", "seed")}
+
     def hash(self) -> str:
         h = hashlib.sha256()
-        for arr in (
-            self.spatial,
-            self.nonspatial,
-            self.obs_label,
-            self.obs_counters,
-            self.sample_obs,
-            self.sample_cmd,
-            self.sample_label,
-            self.split_train,
-            self.split_val,
-            self.split_test,
-        ):
+        for arr in self.arrays().values():
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
@@ -371,19 +312,7 @@ class MemDataset:
 
     def save(self, path) -> None:
         npz_path, sidecar_path = self._paths(path)
-        np.savez_compressed(
-            npz_path,
-            spatial=self.spatial,
-            nonspatial=self.nonspatial,
-            obs_label=self.obs_label,
-            obs_counters=self.obs_counters,
-            sample_obs=self.sample_obs,
-            sample_cmd=self.sample_cmd,
-            sample_label=self.sample_label,
-            split_train=self.split_train,
-            split_val=self.split_val,
-            split_test=self.split_test,
-        )
+        np.savez_compressed(npz_path, **self.arrays())
         sidecar = {
             "per_command": self.quotas.per_command,
             "nulls": self.quotas.nulls,
@@ -407,34 +336,6 @@ class MemDataset:
         if ds.hash() != sidecar["hash"]:
             raise DatasetError(f"{npz_path}: content hash mismatch")
         return ds
-
-
-def _counters(state: E.GameState) -> list[int]:
-    return [
-        state.n_workers,
-        state.n_depots,
-        state.n_barracks,
-        state.n_marines,
-        state.sel_kind,
-        state.sel_pos[0],
-        state.sel_pos[1],
-    ]
-
-
-def recheck_event(counters: np.ndarray) -> int:
-    """Re-derive the detector label from stored prev/next counters (-1 if none)."""
-    prev, nxt = counters[:7], counters[7:]
-    if nxt[1] > prev[1]:
-        return E.EV_BUILD_DEPOT
-    if nxt[2] > prev[2]:
-        return E.EV_BUILD_BARRACKS
-    if nxt[3] > prev[3]:
-        return E.EV_TRAIN_MARINE
-    if nxt[4] == E.SEL_WORKER and (prev[4] != E.SEL_WORKER or prev[5:7].tolist() != nxt[5:7].tolist()):
-        return E.EV_SELECT_WORKER
-    if nxt[4] == E.SEL_BARRACKS and (prev[4] != E.SEL_BARRACKS or prev[5:7].tolist() != nxt[5:7].tolist()):
-        return E.EV_SELECT_BARRACKS
-    return -1
 
 
 NULL_WINDOW = 10  # steps with no detector fire before an obs counts as null
@@ -479,6 +380,7 @@ def generate_dataset(
             )
         env_seed = int(rng_env.integers(2**31))
         state = E.reset(env_seed, horizon)
+        ctr = E.counters(state)
         steps_since_event = NULL_WINDOW  # episode start counts as quiet
         episode += 1
         while state.step < horizon and not quotas_met():
@@ -486,28 +388,27 @@ def generate_dataset(
                 action = E.scripted_expert(state)
             else:
                 action = E.random_legal_action(state, rng_policy)
-            prev = state
+            prev, prev_ctr = state, ctr
             state, _, _ = E.step(state, action)
+            ctr = E.counters(state)
             steps_used += 1
-            events = E.detect(prev, state)
+            events = E.detect(prev_ctr, ctr)
+            keep_in = None
             if events:
                 steps_since_event = 0
                 if len(events) == 1:
                     (ev,) = events
                     if len(goal_obs[ev]) < quotas.per_command:
-                        obs = E.encode_observation(prev, state)
-                        goal_obs[ev].append(
-                            (obs.spatial.astype(np.uint8), obs.nonspatial, _counters(prev) + _counters(state))
-                        )
+                        keep_in = goal_obs[ev]
             else:
                 steps_since_event += 1
                 if steps_since_event >= NULL_WINDOW and len(null_obs) < quotas.nulls:
                     null_tick += 1
                     if null_tick % NULL_STRIDE == 0:
-                        obs = E.encode_observation(prev, state)
-                        null_obs.append(
-                            (obs.spatial.astype(np.uint8), obs.nonspatial, _counters(prev) + _counters(state))
-                        )
+                        keep_in = null_obs
+            if keep_in is not None:
+                obs = E.encode_observation(prev, state)
+                keep_in.append((obs.spatial.astype(np.uint8), obs.nonspatial, prev_ctr + ctr))
 
     # assemble observation arrays: goals per command, then nulls
     n_goal = n_commands * quotas.per_command

@@ -1,8 +1,10 @@
 """Minimal dense/conv/recurrent network core with hand-derived gradients.
 
 Everything is numpy, float32 by default, and deliberately small: static
-layer chains with cached activations, an Adam optimizer on flat parameter
-vectors, and a finite-difference gradient checker. No general autodiff.
+layer chains with cached activations, a ``Model`` base that owns the
+parameter plumbing, the ``StateEncoder`` shared by the agent and the
+embedding model, an Adam optimizer on flat parameter vectors, and a
+finite-difference gradient checker. No general autodiff.
 """
 
 from .layers import (
@@ -15,11 +17,12 @@ from .layers import (
     Softmax,
     Tanh,
     glorot_uniform,
-    log_softmax,
     softmax,
 )
 from .network import (
+    Model,
     Sequential,
+    StateEncoder,
     flatten_arrays,
     load_model,
     param_count,
@@ -36,9 +39,11 @@ __all__ = [
     "Flatten",
     "LSTM",
     "Layer",
+    "Model",
     "ReLU",
     "Sequential",
     "Softmax",
+    "StateEncoder",
     "Tanh",
     "adam_step",
     "flatten_arrays",
@@ -46,7 +51,6 @@ __all__ = [
     "grad_check",
     "grad_check_fn",
     "load_model",
-    "log_softmax",
     "param_count",
     "save_model",
     "softmax",

@@ -25,11 +25,6 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
 class Layer:
     """Base class: subclasses define param_names, forward and backward."""
 
@@ -37,9 +32,6 @@ class Layer:
 
     def __init__(self):
         self.grads: dict[str, np.ndarray] = {}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.param_names}
 
     def param_arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
@@ -59,11 +51,6 @@ class Layer:
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def astype(self, dtype) -> "Layer":
-        for name in self.param_names:
-            setattr(self, name, getattr(self, name).astype(dtype))
-        return self
 
 
 class Dense(Layer):

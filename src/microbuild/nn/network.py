@@ -1,4 +1,8 @@
-"""Layer chains, flat parameter views, and the model file format.
+"""Models, layer chains, flat parameter views, and the model file format.
+
+``Model`` owns the parameter plumbing (arrays, gradients, flat views) for
+anything built from a list of layers: ``Sequential`` chains, the
+``StateEncoder`` and the agent and embedding networks built on it.
 
 Model files are versioned binaries: magic, format version, a JSON header
 describing the architecture, then one little-endian float32 block holding
@@ -13,13 +17,38 @@ import struct
 
 import numpy as np
 
-from .layers import Layer
+from .layers import Conv2d, Dense, Flatten, Layer, ReLU, Tanh
 
 _MAGIC = b"MBNET\x00"
 _VERSION = 1
 
 
-class Sequential(Layer):
+class Model:
+    """Parameters, gradients and flat views over the layers in ``self.layers``."""
+
+    layers: list[Layer]
+
+    def param_arrays(self) -> list[np.ndarray]:
+        return [a for l in self.layers for a in l.param_arrays()]
+
+    def grad_arrays(self) -> list[np.ndarray]:
+        return [g for l in self.layers for g in l.grad_arrays()]
+
+    def zero_grads(self) -> None:
+        for l in self.layers:
+            l.zero_grads()
+
+    def get_flat(self) -> np.ndarray:
+        return flatten_arrays(self.param_arrays())
+
+    def set_flat(self, flat: np.ndarray) -> None:
+        unflatten_into(flat, self.param_arrays())
+
+    def n_params(self) -> int:
+        return param_count(self.param_arrays())
+
+
+class Sequential(Model, Layer):
     """A chain of layers applied in order; backward runs them in reverse."""
 
     def __init__(self, layers: list[Layer]):
@@ -28,16 +57,6 @@ class Sequential(Layer):
 
     def spec(self) -> dict:
         return {"kind": "sequential", "layers": [l.spec() for l in self.layers]}
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for l in self.layers for a in l.param_arrays()]
-
-    def grad_arrays(self) -> list[np.ndarray]:
-        return [a for l in self.layers for a in l.grad_arrays()]
-
-    def zero_grads(self) -> None:
-        for l in self.layers:
-            l.zero_grads()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for l in self.layers:
@@ -49,10 +68,35 @@ class Sequential(Layer):
             gout = l.backward(gout)
         return gout
 
-    def astype(self, dtype) -> "Sequential":
-        for l in self.layers:
-            l.astype(dtype)
-        return self
+
+class StateEncoder(Model):
+    """Observation features: a two-layer conv trunk over the spatial planes,
+    flattened, beside a tanh dense layer over the scalar features.
+
+    The agent and the embedding model both start with one; it draws its
+    initial weights from ``rng`` before anything else in them.
+    """
+
+    def __init__(self, channels: int, grid: int, n_scalars: int, hidden: int, rng, dtype):
+        conv1 = Conv2d(channels, 8, k=5, stride=2, rng=rng, dtype=dtype)
+        conv2 = Conv2d(8, 16, k=3, stride=2, rng=rng, dtype=dtype)
+        h, w = conv2.out_hw(*conv1.out_hw(grid, grid))
+        self.spatial_net = Sequential([conv1, ReLU(), conv2, ReLU(), Flatten()])
+        self.nonspatial_net = Sequential([Dense(n_scalars, hidden, rng, dtype=dtype), Tanh()])
+        self.layers = [self.spatial_net, self.nonspatial_net]
+        self.n_spatial = conv2.c_out * h * w
+        self.out_dim = self.n_spatial + hidden
+
+    def forward(self, spatial: np.ndarray, nonspatial: np.ndarray, *extra: np.ndarray) -> np.ndarray:
+        """(B, out_dim + widths of ``extra``): the features, then ``extra`` appended as given."""
+        return np.concatenate(
+            [self.spatial_net.forward(spatial), self.nonspatial_net.forward(nonspatial), *extra], axis=1
+        )
+
+    def backward(self, g: np.ndarray) -> None:
+        """Backpropagate the first ``out_dim`` columns; those of ``extra`` are dropped."""
+        self.spatial_net.backward(g[:, : self.n_spatial])
+        self.nonspatial_net.backward(g[:, self.n_spatial : self.out_dim])
 
 
 def param_count(arrays: list[np.ndarray]) -> int:

@@ -62,9 +62,7 @@ def make_rollout(net, n_steps, seed=0, rewards=None, kinds=None, dtype=np.float3
         xs=xs,
         ys=ys,
         rewards=np.asarray(rewards, dtype=np.float32),
-        env_rewards=np.asarray(rewards, dtype=np.float32),
         values=values,
-        logps=np.zeros(n_steps, dtype=np.float32),
         bootstrap=0.0,
         h0=h0,
         c0=c0,
@@ -253,16 +251,16 @@ def test_narration_far_observation_no_advance(tiny_mem, commands):
     far_vecs = np.full((5, M.EMBED_DIM), 10.0, dtype=np.float32)
     obs = E.encode_observation(None, E.reset(0))
     state_vec = tiny_mem.encode_state(obs)
-    bonus = A.shape_narration(tiny_mem, state_vec, tr, tau=0.5, command_vecs=far_vecs)
+    bonus = A.shape_narration(state_vec, tr, tau=0.5, command_vecs=far_vecs)
     assert bonus == 0.0 and tr.pointer == 0
 
 
-def test_narration_wraps_after_last_command(tiny_mem, commands):
+def test_narration_wraps_after_last_command(commands):
     tr = A.InstructionTracker(commands, bonus=2.0)
     tr.pointer = 4
     near_vecs = np.zeros((5, M.EMBED_DIM), dtype=np.float32)
     state_vec = np.zeros(M.EMBED_DIM, dtype=np.float32)
-    bonus = A.shape_narration(tiny_mem, state_vec, tr, tau=0.5, command_vecs=near_vecs)
+    bonus = A.shape_narration(state_vec, tr, tau=0.5, command_vecs=near_vecs)
     assert bonus == 2.0 and tr.pointer == 0
 
 
@@ -420,6 +418,51 @@ def test_train_multi_worker_smoke(commands):
 
 def shared_steps_at_least(result: A.TrainResult, n: int) -> bool:
     return max(row["step"] for row in result.eval_rows) >= 0 and result.version * 16 >= n - 16
+
+
+def test_train_stops_siblings_when_a_worker_raises():
+    steps = []
+
+    class CountingEnv(ConstantRewardEnv):
+        def step(self, action):
+            steps.append(action)
+            return super().step(action)
+
+    def factory(seed):
+        if seed >= 1_000_003:  # worker 1's episodes
+            raise OSError("env failed to start")
+        return CountingEnv(length=50)
+
+    cfg = A.AgentConfig(
+        variant="none", workers=2, total_steps=5_000, rollout_len=16,
+        eval_interval=10**9, eval_episodes=2, env_factory=factory,
+    )
+    with pytest.raises(RuntimeError, match="worker failed"):
+        A.train(cfg)
+    # 100 steps of step-0 evaluation, then worker 0 stops at its next rollout
+    assert len(steps) < 1_000
+
+
+def test_random_variant_replays_random_legal_action():
+    cfg = A.AgentConfig(variant="random", horizon=720, eval_episodes=3, eval_seed=10_000)
+    row = A.evaluate_policy(np.zeros(1, dtype=np.float32), cfg)
+    scores = []
+    for i in range(cfg.eval_episodes):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.eval_seed, i)))
+        s = E.reset(cfg.eval_seed + i, cfg.horizon)
+        score = 0.0
+        while s.step < s.horizon:
+            s, r, _ = E.step(s, E.random_legal_action(s, rng))
+            score += r
+        scores.append(score)
+    assert row == {
+        "episodes": 3,
+        "mean_score": float(np.mean(scores)),
+        "stderr_score": float(np.std(scores, ddof=1) / np.sqrt(3)),
+        "mean_shaped": float(np.mean(scores)),
+        "mean_completions": 0.0,
+    }
+    assert row["mean_score"] > 0.0
 
 
 def test_train_random_variant_matches_uniform_baseline():

@@ -69,7 +69,8 @@ def test_depot_completes_exactly_20_steps_after_placement():
     s, *_ = E.step(s, E.Action(E.A_SELECT_WORKER))
     while s.minerals < E.DEPOT_COST:
         s, *_ = E.step(s, E.NOOP)
-    target = E._first_free_cell(s)
+    cell = int(E.free_cells(s)[0])
+    target = (cell // E.GRID, cell % E.GRID)
     s, *_ = E.step(s, E.Action(E.A_BUILD_DEPOT, x=target[1], y=target[0]))
     placed_at = s.step
     assert s.build_sites and s.n_depots == 0
