@@ -276,8 +276,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     gh += net.head_x.backward(g_x)
     gh += net.head_y.backward(g_y)
     gh += net.head_value.backward(g_v)
-    gx_seq = net.core.backward_seq([gh[t : t + 1] for t in range(t_len)])
-    net._backward_features(np.concatenate(gx_seq, axis=0))
+    net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
     return loss, flatten_arrays(net.grad_arrays())
 
 

@@ -134,12 +134,12 @@ class Flatten(Layer):
         return gout.reshape(self._shape)
 
 
-def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, H_out * W_out, C * k * k) patch matrix."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]  # (B, C, Ho, Wo, k, k)
-    b, c, ho, wo, _, _ = windows.shape
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k), ho, wo
+def _patch_index(c: int, h: int, w: int, k: int, stride: int) -> np.ndarray:
+    """(H_out * W_out, C * k * k) offsets into a flat (C, H, W) input: the im2col patch matrix."""
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    patch = (np.arange(c)[:, None, None] * (h * w) + np.arange(k)[:, None] * w + np.arange(k)).ravel()
+    starts = (np.arange(ho)[:, None] * (stride * w) + np.arange(wo) * stride).ravel()
+    return starts[:, None] + patch
 
 
 class Conv2d(Layer):
@@ -167,6 +167,7 @@ class Conv2d(Layer):
             self.weight = glorot_uniform(rng, fan_in, fan_out, (c_out, c_in, k, k), dtype)
         self.bias = np.zeros(c_out, dtype=dtype)
         self.zero_grads()
+        self._index: tuple[tuple, np.ndarray | None] = ((), None)  # (padded C, H, W), patch index
 
     def spec(self) -> dict:
         return {
@@ -185,45 +186,43 @@ class Conv2d(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise ValueError(f"conv2d expects (B,{self.c_in},H,W), got {x.shape}")
+        b, (ho, wo) = x.shape[0], self.out_hw(*x.shape[2:])
         if self.pad:
             x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
+        chw, index = self._index
+        if chw != x.shape[1:]:
+            index = _patch_index(*x.shape[1:], self.k, self.stride)
+            self._index = (x.shape[1:], index)
         self._x_padded_shape = x.shape
-        cols, ho, wo = _im2col(x, self.k, self.stride)
-        self._cols = cols
-        self._ho, self._wo = ho, wo
+        self._cols = x.reshape(b, -1).take(index, axis=1)  # (B, Ho*Wo, C*k*k)
         w_mat = self.weight.reshape(self.c_out, -1)
-        out = cols @ w_mat.T + self.bias  # (B, Ho*Wo, c_out)
-        return out.transpose(0, 2, 1).reshape(x.shape[0], self.c_out, ho, wo)
+        out = self._cols @ w_mat.T + self.bias  # (B, Ho*Wo, c_out)
+        return out.transpose(0, 2, 1).reshape(b, self.c_out, ho, wo)
+
+    def backward_params(self, gout: np.ndarray) -> np.ndarray:
+        """Weight and bias gradients only (no input gradient); returns ``gout`` as (B*Ho*Wo, c_out)."""
+        g = gout.reshape(gout.shape[0], self.c_out, -1).transpose(0, 2, 1).reshape(-1, self.c_out)
+        self.grads["weight"] += (g.T @ self._cols.reshape(g.shape[0], -1)).reshape(self.weight.shape)
+        self.grads["bias"] += g.sum(axis=0)
+        return g
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        b = gout.shape[0]
-        ho, wo, k, s = self._ho, self._wo, self.k, self.stride
-        g = gout.reshape(b, self.c_out, ho * wo).transpose(0, 2, 1)  # (B, L, c_out)
-        w_mat = self.weight.reshape(self.c_out, -1)
-        gw = np.einsum("blo,blc->oc", g, self._cols)
-        self.grads["weight"] += gw.reshape(self.weight.shape)
-        self.grads["bias"] += g.sum(axis=(0, 1))
-        gcols = g @ w_mat  # (B, L, c_in*k*k)
-        gcols = gcols.reshape(b, ho, wo, self.c_in, k, k)
-        gx = np.zeros(self._x_padded_shape, dtype=gout.dtype)
-        # col2im: one strided slice-add per kernel offset
-        for i in range(k):
-            for j in range(k):
-                gx[:, :, i : i + ho * s : s, j : j + wo * s : s] += gcols[
-                    :, :, :, :, i, j
-                ].transpose(0, 3, 1, 2)
+        g = self.backward_params(gout)
+        b, n = gout.shape[0], int(np.prod(self._x_padded_shape[1:]))
+        gcols = g @ self.weight.reshape(self.c_out, -1)  # (B*Ho*Wo, C*k*k)
+        # col2im: sum every patch entry into its input position
+        at = (self._index[1] + n * np.arange(b)[:, None, None]).ravel()
+        gx = np.bincount(at, gcols.ravel(), minlength=b * n).astype(gout.dtype).reshape(self._x_padded_shape)
         if self.pad:
             gx = gx[:, :, self.pad : -self.pad, self.pad : -self.pad]
         return gx
 
 
+@np.errstate(under="ignore")  # exp(-|z|) reaching 0 is the right limit
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function; exp only sees -|z|, so it cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class LSTM(Layer):
@@ -276,64 +275,59 @@ class LSTM(Layer):
     ) -> tuple[np.ndarray, np.ndarray]:
         nh = self.n_hidden
         z = x @ self.w_x + h @ self.w_h + self.bias
-        i = _sigmoid(z[:, :nh])
-        f = _sigmoid(z[:, nh : 2 * nh])
-        g = np.tanh(z[:, 2 * nh : 3 * nh])
-        o = _sigmoid(z[:, 3 * nh :])
+        gates = _sigmoid(z)  # i, f and o; the g block then takes its tanh
+        np.tanh(z[:, 2 * nh : 3 * nh], out=gates[:, 2 * nh : 3 * nh])
+        i, f, g, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh : 3 * nh], gates[:, 3 * nh :]
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h_new = o * tc
         if cache:
-            self._caches.append((x, h, c, i, f, g, o, tc))
+            self._caches.append((x, h, c, gates, tc))
         return h_new, c_new
 
     def backward_seq(
         self,
-        gh_seq: list[np.ndarray] | np.ndarray,
+        gh_seq: np.ndarray | None,
         gh_final: np.ndarray | None = None,
         gc_final: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
         """BPTT over all cached steps.
 
-        ``gh_seq[t]`` is the loss gradient flowing into h_t from outside the
-        recurrence (e.g. from heads); ``gh_final``/``gc_final`` add to the
-        last step's state gradients. Returns per-step input gradients and
-        clears the cache.
+        ``gh_seq`` (T, B, n_hidden) or None is the loss gradient flowing into
+        each h_t from outside the recurrence (e.g. from heads);
+        ``gh_final``/``gc_final`` add to the last step's state gradients.
+        Only the state gradients run step by step; the weight and input
+        gradients are one product each over all T*B gate-gradient rows.
+        Returns the input gradients, (T, B, n_in), and clears the cache.
         """
-        n_steps = len(self._caches)
-        if n_steps == 0:
+        caches, self._caches = self._caches, []
+        if not caches:
             raise RuntimeError("backward called before forward")
         nh = self.n_hidden
-        batch = self._caches[0][0].shape[0]
+        xs, hs, cs, gates, tcs = (np.stack(a) for a in zip(*caches))  # (T, B, ...)
+        n_steps, batch = xs.shape[:2]
+        i, f, g, o = gates[..., :nh], gates[..., nh : 2 * nh], gates[..., 2 * nh : 3 * nh], gates[..., 3 * nh :]
+        # d c_t / d h_t, and d z_t per unit of d c_t (i, f, g blocks) and of d h_t (o block)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dz_dc = np.stack([g * i * (1.0 - i), cs * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
+        dz_dh = tcs * o * (1.0 - o)
         dt = self.w_x.dtype
-        dh_next = np.zeros((batch, nh), dtype=dt) if gh_final is None else gh_final.copy()
-        dc_next = np.zeros((batch, nh), dtype=dt) if gc_final is None else gc_final.copy()
-        gx_seq: list[np.ndarray] = [None] * n_steps  # type: ignore[list-item]
+        dh_next = np.zeros((batch, nh), dtype=dt) if gh_final is None else gh_final
+        dc_next = np.zeros((batch, nh), dtype=dt) if gc_final is None else gc_final
+        dz = np.empty((n_steps, batch, 4, nh), dtype=dt)
+        w_h_t = self.w_h.T
         for t in range(n_steps - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, tc = self._caches[t]
-            dh = dh_next + (gh_seq[t] if gh_seq is not None else 0.0)
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            self.grads["w_x"] += x.T @ dz
-            self.grads["w_h"] += h_prev.T @ dz
-            self.grads["bias"] += dz.sum(axis=0)
-            gx_seq[t] = dz @ self.w_x.T
-            dh_next = dz @ self.w_h.T
-            dc_next = dc * f
-        self._caches = []
-        return gx_seq
+            dh = dh_next if gh_seq is None else dh_next + gh_seq[t]
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(dc[:, None], dz_dc[t], out=dz[t, :, :3])
+            np.multiply(dh, dz_dh[t], out=dz[t, :, 3])
+            dh_next = dz[t].reshape(batch, 4 * nh) @ w_h_t
+            dc_next = dc * f[t]
+        rows = dz.reshape(n_steps * batch, 4 * nh)
+        self.grads["w_x"] += xs.reshape(n_steps * batch, -1).T @ rows
+        self.grads["w_h"] += hs.reshape(n_steps * batch, nh).T @ rows
+        self.grads["bias"] += rows.sum(axis=0)
+        return (rows @ self.w_x.T).reshape(n_steps, batch, self.n_in)
 
     # single-step convenience used by grad checks
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -343,4 +337,4 @@ class LSTM(Layer):
         return h_new
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        return self.backward_seq([gout])[0]
+        return self.backward_seq(gout[None])[0]

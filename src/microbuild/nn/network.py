@@ -95,7 +95,8 @@ class StateEncoder(Model):
 
     def backward(self, g: np.ndarray) -> None:
         """Backpropagate the first ``out_dim`` columns; those of ``extra`` are dropped."""
-        self.spatial_net.backward(g[:, : self.n_spatial])
+        conv1, *above = self.spatial_net.layers  # the observation takes no gradient
+        conv1.backward_params(Sequential(above).backward(g[:, : self.n_spatial]))
         self.nonspatial_net.backward(g[:, self.n_spatial : self.out_dim])
 
 

@@ -22,6 +22,7 @@ from microbuild.nn import (
     softmax,
     unflatten_into,
 )
+from microbuild.nn.layers import _sigmoid
 
 GC_TOL = 1e-4
 EPS = 1e-4
@@ -202,6 +203,153 @@ def test_lstm_input_grads_match_finite_differences():
             num = (up - down) / (2 * EPS)
             worst = max(worst, abs(num - gx[t][idx]) / max(abs(num), abs(gx[t][idx]), 1e-2))
     assert worst <= GC_TOL
+
+
+def reference_lstm(cell, xs, gh_seq, gh_final, gc_final):
+    """Forward from zero state, then step-by-step BPTT with per-step weight
+    updates and input products: (parameter gradients, input gradients)."""
+    nh = cell.n_hidden
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    h, c = cell.zero_state(xs.shape[1])
+    steps = []
+    for x in xs:
+        z = x @ cell.w_x + h @ cell.w_h + cell.bias
+        i, f, g, o = sig(z[:, :nh]), sig(z[:, nh : 2 * nh]), np.tanh(z[:, 2 * nh : 3 * nh]), sig(z[:, 3 * nh :])
+        c_prev, c = c, f * c + i * g
+        steps.append((x, h, c_prev, i, f, g, o, np.tanh(c)))
+        h = o * np.tanh(c)
+    grads = {name: np.zeros_like(getattr(cell, name)) for name in cell.param_names}
+    dh_next, dc_next = gh_final.copy(), gc_final.copy()
+    gx = [None] * len(steps)
+    for t in range(len(steps) - 1, -1, -1):
+        x, h_prev, c_prev, i, f, g, o, tc = steps[t]
+        dh = dh_next + gh_seq[t]
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dz = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)],
+            axis=1,
+        )
+        grads["w_x"] += x.T @ dz
+        grads["w_h"] += h_prev.T @ dz
+        grads["bias"] += dz.sum(axis=0)
+        gx[t] = dz @ cell.w_x.T
+        dh_next = dz @ cell.w_h.T
+        dc_next = dc * f
+    return grads, np.stack(gx)
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("n_steps", [1, 5, 32])
+def test_lstm_backward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol):
+    r = rng(51)
+    cell = LSTM(6, 5, r, dtype=dtype)
+    xs = r.standard_normal((n_steps, batch, 6)).astype(dtype)
+    gh_seq = r.standard_normal((n_steps, batch, 5)).astype(dtype)
+    gh_final = r.standard_normal((batch, 5)).astype(dtype)
+    gc_final = r.standard_normal((batch, 5)).astype(dtype)
+    ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq, gh_final, gc_final)
+
+    cell.zero_grads()
+    cell.reset_cache()
+    h, c = cell.zero_state(batch)
+    for x in xs:
+        h, c = cell.step(x, h, c)
+    gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
+    assert gx.shape == (n_steps, batch, 6) and gx.dtype == dtype
+    for got, want in [(gx, ref_gx)] + [(cell.grads[n], ref_grads[n]) for n in cell.param_names]:
+        # relative to the largest entry: a sum reordered by the batched
+        # product may cancel to near zero differently entry by entry
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+    with pytest.raises(RuntimeError):
+        cell.backward_seq(gh_seq)  # the cache was cleared
+
+
+def test_lstm_grads_with_per_step_head_gradients_match_finite_differences():
+    # the path a3c_loss takes: every h_t feeds the loss, not only the last
+    r = rng(61)
+    cell = LSTM(3, 4, r, dtype=np.float64)
+    n_steps = 5
+    xs = r.standard_normal((n_steps, 2, 3))
+    probes = r.standard_normal((n_steps, 2, 4))
+
+    def run(inputs, cache):
+        cell.reset_cache()
+        h, c = cell.zero_state(2)
+        loss = 0.0
+        for t in range(n_steps):
+            h, c = cell.step(inputs[t], h, c, cache=cache)
+            loss += float((h * probes[t]).sum())
+        return loss
+
+    def loss_fn():
+        cell.zero_grads()
+        loss = run(xs, cache=True)
+        cell.backward_seq(probes)
+        return loss, [g.copy() for g in cell.grad_arrays()]
+
+    assert grad_check_fn(loss_fn, cell.param_arrays(), eps=EPS) <= GC_TOL
+
+    run(xs, cache=True)
+    gx = cell.backward_seq(probes)
+    worst = 0.0
+    for idx in np.ndindex(xs.shape):
+        orig = xs[idx]
+        xs[idx] = orig + EPS
+        up = run(xs, cache=False)
+        xs[idx] = orig - EPS
+        down = run(xs, cache=False)
+        xs[idx] = orig
+        num = (up - down) / (2 * EPS)
+        worst = max(worst, abs(num - gx[idx]) / max(abs(num), abs(gx[idx]), 1e-2))
+    assert worst <= GC_TOL
+
+
+# ------------------------------------------------------- forward kernels
+
+
+def sliding_window_conv(conv, x):
+    """Conv2d forward with the patch matrix built by sliding_window_view."""
+    if conv.pad:
+        x = np.pad(x, ((0, 0), (0, 0), (conv.pad, conv.pad), (conv.pad, conv.pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (conv.k, conv.k), axis=(2, 3))
+    windows = windows[:, :, :: conv.stride, :: conv.stride]  # (B, C, Ho, Wo, k, k)
+    b, c, ho, wo, k, _ = windows.shape
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+    out = cols @ conv.weight.reshape(conv.c_out, -1).T + conv.bias
+    return out.transpose(0, 2, 1).reshape(b, conv.c_out, ho, wo)
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_forward_bitwise_equals_sliding_window_reference(pad, stride):
+    r = rng(71)
+    conv = Conv2d(3, 4, k=3, stride=stride, pad=pad, rng=r)
+    conv.bias[:] = r.standard_normal(4)
+    # the size change in the middle must rebuild the cached patch index
+    for batch, hw in [(1, 9), (32, 9), (1, 12), (32, 9)]:
+        x = r.standard_normal((batch, 3, hw, hw)).astype(np.float32)
+        got = conv.forward(x)
+        want = sliding_window_conv(conv, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sigmoid_bitwise_equals_two_branch_form():
+    for dtype in (np.float32, np.float64):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, 1e4, -1e4, info.max, -info.max, info.tiny, -info.tiny, 88.0, -88.0, 104.0, -104.0]
+        z = np.concatenate([np.array(special), rng(81).standard_normal(1000) * 30]).astype(dtype)
+        with np.errstate(all="ignore"):
+            want = np.empty_like(z)
+            pos = z >= 0
+            want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            want[~pos] = ez / (1.0 + ez)
+        with np.errstate(all="raise"):
+            got = _sigmoid(z)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grad_check_random_compositions():

@@ -8,8 +8,10 @@ behaviour bit for bit:
 The fingerprints cover skip-gram vectors, the initial parameters of both
 models, the MEM dataset, MEM training, the saved model files, 1-worker A3C
 training for each shaped variant, evaluation with the alternate commands
-and the random baseline. Values computed with BLAS are only comparable on
-the same machine and BLAS build.
+and the random baseline. The ``infer_*`` lines run forward passes only, on
+untrained parameters: a change that keeps every forward value keeps them
+bit for bit even where training drifts by float32 rounding. Values computed
+with BLAS are only comparable on the same machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import tempfile
 import numpy as np
 
 from microbuild import agents as A
+from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
 
@@ -54,6 +57,23 @@ def main() -> None:
     ds = M.generate_dataset(M.Quotas(per_command=25, nulls=100), seed=21)
     out["dataset"] = ds.hash()[:16]
     commands, alternates = M.load_commands(), M.load_commands(alternate=True)
+    mem0 = M.MemModel(emb, np.random.default_rng(1))
+    samples = np.arange(ds.n_samples())
+    out["infer_eval_mem"] = sha(M.evaluate_mem(mem0, ds, samples, commands, weight_decay=1e-4))
+    batch = ds.batch(samples[:64])
+    cmd_vecs = np.stack([mem0.encode_command(c) for c in commands + alternates])
+    out["infer_encode"] = sha(mem0.encode_state_batch(batch.spatial, batch.nonspatial), cmd_vecs)
+    net0 = A.AgentNet(np.random.default_rng(0))
+    h, c = net0.zero_state()
+    act_rng, acts = np.random.default_rng(5), []
+    for i in range(32):
+        obs = E.Observation(batch.spatial[i], batch.nonspatial[i])
+        aux = np.concatenate([mem0.encode_state(obs), cmd_vecs[i % len(cmd_vecs)]])
+        action, logp, value, (h, c) = net0.act(obs, aux, h, c, np.ones(E.N_ACTIONS, bool), act_rng)
+        acts.append((action, logp, value))
+    out["infer_act"] = sha(acts, h, c)
+    cfg = A.AgentConfig(variant="narration", horizon=720, eval_episodes=5)
+    out["infer_policy_alt"] = sha(A.evaluate_policy(net0.get_flat(), cfg, mem0, alternates))
     mem, metrics = M.train_mem(ds, emb, commands, M.MemTrainConfig(epochs=2), seed=9)
     out["train_mem"] = sha(mem.get_flat(), metrics)
     out["agent_file"] = sha(file_bytes(A.AgentNet(np.random.default_rng(4))))

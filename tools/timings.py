@@ -1,0 +1,93 @@
+"""Time the network's hot paths in microseconds, one thread of BLAS.
+
+    PYTHONPATH=src python3 tools/timings.py
+
+Prints the median time per call of ``a3c_loss`` on a 32-step rollout,
+``AgentNet.act``, ``MemModel.encode_state``, the state encoder's two
+convs forward and backward and its whole backward at batch 1 and 32, and
+the agent's LSTM (one step, and 32 steps plus BPTT). Each figure is the
+lowest of five medians, which damps the swings of a shared host; compare two commits by
+running it at each, alternately, on the same machine.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from microbuild import agents as A  # noqa: E402
+from microbuild import env as E  # noqa: E402
+from microbuild import lexicon as L  # noqa: E402
+from microbuild import mem as M  # noqa: E402
+
+
+def micros(fn, calls: int = 200, repeats: int = 5) -> float:
+    medians = []
+    for _ in range(repeats):
+        times = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        medians.append(np.median(times))
+    return min(medians) * 1e6
+
+
+def main() -> None:
+    rng = np.random.default_rng(0)
+    t_len = 32
+    net = A.AgentNet(np.random.default_rng(0))
+    spatial = (rng.random((t_len, E.OBS_CHANNELS, E.GRID, E.GRID)) < 0.1).astype(np.float32)
+    nonspatial = rng.random((t_len, E.OBS_NONSPATIAL)).astype(np.float32)
+    aux = rng.standard_normal((t_len, A.AUX_DIM)).astype(np.float32)
+    h0, c0 = net.zero_state()
+    rollout = A.Rollout(
+        spatial=spatial, nonspatial=nonspatial, aux=aux, masks=np.ones((t_len, E.N_ACTIONS), bool),
+        kinds=rng.integers(0, E.N_ACTIONS, t_len), xs=rng.integers(0, E.GRID, t_len),
+        ys=rng.integers(0, E.GRID, t_len), rewards=rng.random(t_len).astype(np.float32),
+        values=rng.standard_normal(t_len).astype(np.float32), bootstrap=0.3, h0=h0, c0=c0,
+    )
+    cfg = A.AgentConfig()
+    obs = E.Observation(spatial[0], nonspatial[0])
+    mask = np.ones(E.N_ACTIONS, bool)
+    emb, _ = L.train_skipgram(L.load_bundled_corpus(), L.SkipgramConfig(epochs=1), seed=3)
+    mem = M.MemModel(emb, np.random.default_rng(1))
+    out = {
+        "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
+        "AgentNet.act": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
+        "MemModel.encode_state": micros(lambda: mem.encode_state(obs)),
+    }
+    conv1, _, conv2, _, _ = net.encoder.spatial_net.layers
+    for batch in (1, 32):
+        x = spatial[:batch]
+        for name, conv in (("conv1", conv1), ("conv2", conv2)):
+            y = conv.forward(x)
+            gy = rng.standard_normal(y.shape).astype(np.float32)
+            out[f"{name} forward B={batch}"] = micros(lambda: conv.forward(x))
+            out[f"{name} backward B={batch}"] = micros(lambda: conv.backward(gy), calls=50)
+            x = np.maximum(y, 0.0)
+        g = rng.standard_normal((batch, net.encoder.out_dim)).astype(np.float32)
+        net.encoder.forward(spatial[:batch], nonspatial[:batch])
+        out[f"StateEncoder.backward B={batch}"] = micros(lambda: net.encoder.backward(g), calls=50)
+    core, feats = net.core, rng.standard_normal((t_len, 1, A.HIDDEN)).astype(np.float32)
+    gh = rng.standard_normal((t_len, 1, A.HIDDEN)).astype(np.float32)
+
+    def bptt():
+        h, c = h0, c0
+        for t in range(t_len):
+            h, c = core.step(feats[t], h, c)
+        core.backward_seq(gh)
+
+    out["LSTM.step B=1"] = micros(lambda: core.step(feats[0], h0, c0, cache=False))
+    out["LSTM 32 steps + backward_seq"] = micros(bptt, calls=20)
+    for name, value in out.items():
+        print(f"{name:32s} {value:9.1f} us")
+
+
+if __name__ == "__main__":
+    main()
