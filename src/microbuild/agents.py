@@ -161,22 +161,18 @@ class AgentNet(Model):
 
 
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Log-probabilities with zero mass on masked-out entries (-inf logp)."""
-    if mask is None:
-        m = logits.max()
-        z = logits - m
-        return z - np.log(np.exp(z).sum())
-    out = np.full_like(logits, -np.inf)
-    legal = np.flatnonzero(mask)
-    z = logits[legal] - logits[legal].max()
-    out[legal] = z - np.log(np.exp(z).sum())
-    return out
+    """Log-probabilities over the last axis of (..., n) logits; entries where
+    ``mask`` is False get zero mass (-inf logp). Each row is computed as if alone."""
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def sample_from_logp(logp: np.ndarray, rng: np.random.Generator) -> int:
     p = np.exp(logp)
     p /= p.sum()
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, p.size - 1))
+    return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), p.size - 1)
 
 
 # ---------------------------------------------------------------- rollouts
@@ -218,12 +214,39 @@ def compute_returns(
     return returns, returns - values.astype(np.float64)
 
 
+def _policy_head(
+    logits: np.ndarray, mask: np.ndarray | None, chosen: np.ndarray, adv: np.ndarray, c_e: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One head's policy and entropy terms over its (R, n) rows.
+
+    Returns each row's loss term, ``-adv * logp[chosen] - c_e * entropy`` in
+    float64, and the gradient of their sum with respect to the logits; the
+    entropy and its gradient cover only the legal entries.
+    """
+    logp = masked_log_softmax(logits, mask)
+    legal = np.ones(logits.shape, bool) if mask is None else mask
+    rows = np.arange(logits.shape[0])
+    p = np.exp(logp)
+    logp_legal = np.where(legal, logp, 0)  # 0 * -inf would be nan
+    ent = -(p * logp_legal).sum(axis=1)
+    terms = -adv * logp[rows, chosen].astype(np.float64) - c_e * ent.astype(np.float64)
+    adv_row = adv.astype(logits.dtype)[:, None]
+    g = adv_row * p
+    g[rows, chosen] -= adv_row[:, 0]
+    g += c_e * p * (logp_legal + ent[:, None])
+    gout = np.zeros_like(logits)
+    np.add(gout, g, out=gout, where=legal)
+    return terms, gout
+
+
 def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[float, np.ndarray]:
     """Policy gradient + value regression + entropy bonus over one rollout.
 
     Re-runs the forward pass (batched trunk, sequential LSTM), then
     backpropagates through time. Advantages are constants in the policy
-    term; entropy covers only the heads actually used at each step.
+    term; entropy covers only the heads actually used at each step: the
+    action-id head at every step, the x and y heads at build steps. The
+    loss sums the terms in timestep order (id, x, y, value).
     """
     t_len = len(rollout)
     returns, advantages = compute_returns(
@@ -242,36 +265,25 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     logits_y = net.head_y.forward(hs)
     values = net.head_value.forward(hs)[:, 0]
 
-    g_id = np.zeros_like(logits_id)
+    c_v, c_e = config.value_coef, config.entropy_coef
+    build = np.isin(rollout.kinds, E.BUILD_KINDS)
+    terms = np.empty((t_len, 4))  # id, x, y, value
+    terms[:, 0], g_id = _policy_head(logits_id, rollout.masks, rollout.kinds, advantages, c_e)
     g_x = np.zeros_like(logits_x)
     g_y = np.zeros_like(logits_y)
-    loss = 0.0
-    c_v, c_e = config.value_coef, config.entropy_coef
-    for t in range(t_len):
-        adv = float(advantages[t])
-        ret = float(returns[t])
-        build = rollout.kinds[t] in E.BUILD_KINDS
-        heads = [(logits_id[t], rollout.masks[t], int(rollout.kinds[t]), g_id[t])]
-        if build:
-            heads.append((logits_x[t], None, int(rollout.xs[t]), g_x[t]))
-            heads.append((logits_y[t], None, int(rollout.ys[t]), g_y[t]))
-        for logits, mask, chosen, gout in heads:
-            logp = masked_log_softmax(logits, mask)
-            legal = np.flatnonzero(mask) if mask is not None else np.arange(logits.shape[0])
-            p = np.exp(logp[legal])
-            ent = float(-(p * logp[legal]).sum())
-            loss += -adv * float(logp[chosen]) - c_e * ent
-            g = adv * p
-            g[legal == chosen] -= adv
-            g += c_e * p * (logp[legal] + ent)
-            gout[legal] += g
-        verr = float(values[t]) - ret
-        loss += c_v * verr * verr
+    adv_b = advantages[build]
+    terms[build, 1], g_x[build] = _policy_head(logits_x[build], None, rollout.xs[build], adv_b, c_e)
+    terms[build, 2], g_y[build] = _policy_head(logits_y[build], None, rollout.ys[build], adv_b, c_e)
+    verr = values.astype(np.float64) - returns
+    terms[:, 3] = c_v * verr * verr
+    used = np.ones((t_len, 4), bool)
+    used[:, 1:3] = build[:, None]
+    loss = float(np.cumsum(terms[used])[-1])  # sequential, like a per-step running sum
     if not np.isfinite(loss):
         bad = [t for t in range(t_len) if not np.isfinite(values[t])]
         raise FloatingPointError(f"non-finite loss in rollout (suspect timesteps {bad[:4]})")
 
-    g_v = (2.0 * c_v * (values.astype(np.float64) - returns)).astype(net.dtype)[:, None]
+    g_v = (2.0 * c_v * verr).astype(net.dtype)[:, None]
     gh = net.head_action.backward(g_id)
     gh += net.head_x.backward(g_x)
     gh += net.head_y.backward(g_y)

@@ -75,6 +75,16 @@ class StateEncoder(Model):
 
     The agent and the embedding model both start with one; it draws its
     initial weights from ``rng`` before anything else in them.
+
+    A one-row forward reuses the conv trunk's last one-row output when the
+    trunk would see the same thing again. The memo's key is the input's
+    dtype, shape and bytes plus the bytes of the trunk's parameters, so a
+    new frame, ``set_flat`` or an in-place write to a weight never returns
+    a stale value; within one game most steps leave the spatial planes as
+    they were. Invariant: every call that runs the trunk replaces the memo
+    and a batched call clears it, so the layer caches a later ``backward``
+    reads always belong to the memoised input. Run the trunk only through
+    this class, or a memo hit may pair with another input's caches.
     """
 
     def __init__(self, channels: int, grid: int, n_scalars: int, hidden: int, rng, dtype):
@@ -86,12 +96,27 @@ class StateEncoder(Model):
         self.layers = [self.spatial_net, self.nonspatial_net]
         self.n_spatial = conv2.c_out * h * w
         self.out_dim = self.n_spatial + hidden
+        self._convs = (conv1, conv2)  # the trunk's parameters, read afresh for every memo key
+        self._memo: tuple[tuple, np.ndarray] | None = None  # (key, trunk output) of the last one-row run
 
     def forward(self, spatial: np.ndarray, nonspatial: np.ndarray, *extra: np.ndarray) -> np.ndarray:
         """(B, out_dim + widths of ``extra``): the features, then ``extra`` appended as given."""
         return np.concatenate(
-            [self.spatial_net.forward(spatial), self.nonspatial_net.forward(nonspatial), *extra], axis=1
+            [self._spatial(spatial), self.nonspatial_net.forward(nonspatial), *extra], axis=1
         )
+
+    def _spatial(self, spatial: np.ndarray) -> np.ndarray:
+        if spatial.shape[0] != 1:
+            self._memo = None
+            return self.spatial_net.forward(spatial)
+        params = (p.tobytes() for conv in self._convs for p in (conv.weight, conv.bias))
+        key = (spatial.dtype, spatial.shape, spatial.tobytes(), *params)
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        out = self.spatial_net.forward(spatial)
+        self._memo = (key, out)
+        return out
 
     def backward(self, g: np.ndarray) -> None:
         """Backpropagate the first ``out_dim`` columns; those of ``extra`` are dropped."""

@@ -6,7 +6,11 @@ import numpy as np
 
 
 class AdamState:
-    """Per-parameter first/second moments plus the step counter."""
+    """Per-parameter first/second moments plus the step counter.
+
+    Two float32 scratch vectors of the same length hold the update's
+    intermediates, so a step allocates nothing of parameter size.
+    """
 
     def __init__(self, n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = float(lr)
@@ -16,13 +20,16 @@ class AdamState:
         self.m = np.zeros(n_params, dtype=np.float32)
         self.v = np.zeros(n_params, dtype=np.float32)
         self.t = 0
+        self.scratch = (np.empty(n_params, dtype=np.float32), np.empty(n_params, dtype=np.float32))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
     """Bias-corrected Adam update, in place on ``params``.
 
     A NaN anywhere in ``grads`` aborts the update (parameters and moments
-    untouched, step counter not incremented).
+    untouched, step counter not incremented). Each operation is rounded in
+    the dtype numpy's promotion gives it, so a float64 gradient takes a
+    float64 temporary for the moment updates.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
@@ -33,9 +40,21 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
         raise FloatingPointError(f"adam_step: {bad} non-finite gradient entries")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    state.m += (1.0 - b1) * (grads - state.m)
-    state.v += (1.0 - b2) * (grads * grads - state.v)
-    m_hat = state.m / (1.0 - b1**state.t)
-    v_hat = state.v / (1.0 - b2**state.t)
-    params -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(params.dtype)
+    a, b = state.scratch
+    wide = np.result_type(grads, state.m)
+    d = a if wide == a.dtype else np.empty(grads.shape, wide)
+    np.subtract(grads, state.m, out=d)
+    d *= 1.0 - b1
+    state.m += d
+    np.multiply(grads, grads, out=d)
+    d -= state.v
+    d *= 1.0 - b2
+    state.v += d
+    np.divide(state.m, 1.0 - b1**state.t, out=a)  # m_hat
+    np.divide(state.v, 1.0 - b2**state.t, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += state.eps
+    a *= state.lr
+    a /= b
+    params -= a
     return params

@@ -10,7 +10,7 @@ from microbuild import agents as A
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
-from microbuild.nn import grad_check_fn
+from microbuild.nn import flatten_arrays, grad_check_fn
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,76 @@ def test_a3c_loss_gradients_match_finite_differences():
         loss_fn, net.param_arrays(), eps=1e-5, max_entries_per_array=8, rng=np.random.default_rng(13)
     )
     assert err <= 1e-3
+
+
+def reference_a3c_loss(rollout, net, config):
+    """a3c_loss with its heads walked one timestep at a time, each head's
+    log-softmax taken over its legal entries only."""
+
+    def log_softmax(z):
+        z = z - z.max()
+        return z - np.log(np.exp(z).sum())
+
+    returns, advantages = A.compute_returns(rollout.rewards, rollout.bootstrap, config.gamma, rollout.values)
+    net.zero_grads()
+    feats = net._features(rollout.spatial, rollout.nonspatial, rollout.aux)
+    h, c = rollout.h0.copy(), rollout.c0.copy()
+    net.core.reset_cache()
+    hs = []
+    for t in range(len(rollout)):
+        h, c = net.core.step(feats[t : t + 1], h, c, cache=True)
+        hs.append(h[0])
+    hs = np.stack(hs)
+    heads = (net.head_action, net.head_x, net.head_y)
+    logits = [head.forward(hs) for head in heads]
+    values = net.head_value.forward(hs)[:, 0]
+    gouts = [np.zeros_like(z) for z in logits]
+    loss = 0.0
+    c_v, c_e = config.value_coef, config.entropy_coef
+    for t in range(len(rollout)):
+        adv, ret = float(advantages[t]), float(returns[t])
+        used = [(0, np.flatnonzero(rollout.masks[t]), int(rollout.kinds[t]))]
+        if rollout.kinds[t] in E.BUILD_KINDS:
+            used += [(1, np.arange(E.GRID), int(rollout.xs[t])), (2, np.arange(E.GRID), int(rollout.ys[t]))]
+        for k, legal, chosen in used:
+            logp = log_softmax(logits[k][t][legal])
+            p = np.exp(logp)
+            ent = float(-(p * logp).sum())
+            loss += -adv * float(logp[legal == chosen][0]) - c_e * ent
+            g = adv * p
+            g[legal == chosen] -= adv
+            g += c_e * p * (logp + ent)
+            gouts[k][t][legal] += g
+        verr = float(values[t]) - ret
+        loss += c_v * verr * verr
+    g_v = (2.0 * c_v * (values.astype(np.float64) - returns)).astype(net.dtype)[:, None]
+    gh = net.head_action.backward(gouts[0])
+    gh += net.head_x.backward(gouts[1])
+    gh += net.head_y.backward(gouts[2])
+    gh += net.head_value.backward(g_v)
+    net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
+    return loss, flatten_arrays(net.grad_arrays())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kinds", ["all-build", "no-build", "mixed"])
+@pytest.mark.parametrize("n_steps", [1, 5, 32])
+def test_a3c_loss_bitwise_equals_per_step_reference(n_steps, kinds, dtype):
+    r = np.random.default_rng(n_steps)
+    kind_choices = {"all-build": E.BUILD_KINDS, "no-build": (0, 1, 4, 5), "mixed": range(E.N_ACTIONS)}
+    chosen = r.choice(list(kind_choices[kinds]), size=n_steps)
+    net = A.AgentNet(np.random.default_rng(17), dtype=dtype)
+    roll = make_rollout(net, n_steps, seed=n_steps, kinds=chosen, dtype=dtype)
+    masks = r.random((n_steps, E.N_ACTIONS)) < 0.6
+    masks[:, E.A_NOOP] = True
+    masks[np.arange(n_steps), chosen] = True
+    rewards = (3.0 * r.standard_normal(n_steps)).astype(np.float32)
+    roll = A.Rollout(**{**roll.__dict__, "masks": masks, "rewards": rewards, "bootstrap": 0.7})
+    cfg = A.AgentConfig(entropy_coef=0.3)
+    loss, grads = A.a3c_loss(roll, net, cfg)
+    want_loss, want_grads = reference_a3c_loss(roll, net, cfg)
+    assert loss == want_loss
+    assert grads.tobytes() == want_grads.tobytes()
 
 
 def test_a3c_loss_nan_detected():

@@ -3,6 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from microbuild import agents as A
+from microbuild import env as E
+from microbuild import lexicon as L
+from microbuild import mem as M
 from microbuild.nn import (
     AdamState,
     Conv2d,
@@ -12,6 +16,7 @@ from microbuild.nn import (
     ReLU,
     Sequential,
     Softmax,
+    StateEncoder,
     Tanh,
     adam_step,
     flatten_arrays,
@@ -365,6 +370,126 @@ def test_grad_check_random_compositions():
         assert grad_check(net, x, eps=EPS, rng=rng(42 + trial)) <= GC_TOL
 
 
+# ------------------------------------------------------------- trunk memo
+
+
+def count_trunk_runs(encoder: StateEncoder) -> list[int]:
+    """Record the batch size of every run of the encoder's conv trunk."""
+    runs = []
+    forward = encoder.spatial_net.forward
+
+    def counted(x):
+        runs.append(x.shape[0])
+        return forward(x)
+
+    encoder.spatial_net.forward = counted
+    return runs
+
+
+def make_encoder(seed=0):
+    return StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, 32, rng(seed), np.float32)
+
+
+def frames(seed, batch):
+    r = rng(seed)
+    spatial = (r.random((batch, E.OBS_CHANNELS, E.GRID, E.GRID)) < 0.2).astype(np.float32)
+    return spatial, r.random((batch, E.OBS_NONSPATIAL)).astype(np.float32)
+
+
+def tiny_mem_model(seed):
+    vocab = L.Vocab(index={L.UNK: 0, "build": 1}, counts=np.zeros(2, dtype=np.int64))
+    words = L.WordEmbeddings(vocab, rng(seed).standard_normal((2, L.WORD_DIM)).astype(np.float32))
+    return M.MemModel(words, rng(seed))
+
+
+def test_trunk_memo_hit_bitwise_equals_fresh_forward_mem_model():
+    model = tiny_mem_model(3)
+    fresh = model.copy()  # same parameters, empty memo
+    sp, ns = frames(1, 1)
+    obs = E.Observation(sp[0], ns[0])
+    runs = count_trunk_runs(model.encoder)
+    first = model.encode_state(obs)
+    hit = model.encode_state(obs)
+    assert runs == [1]
+    assert hit.tobytes() == first.tobytes() == fresh.encode_state(obs).tobytes()
+
+
+def test_trunk_memo_hit_bitwise_equals_fresh_forward_agent_net():
+    net = A.AgentNet(rng(4))
+    fresh = A.AgentNet()
+    fresh.set_flat(net.get_flat())
+    sp, ns = frames(2, 1)
+    obs = E.Observation(sp[0], ns[0])
+    aux = rng(5).standard_normal(A.AUX_DIM).astype(np.float32)
+    mask = np.ones(E.N_ACTIONS, bool)
+
+    def play(model, n):
+        """n chained acts on one frame, then the bootstrap value."""
+        h, c = model.zero_state()
+        act_rng, out = rng(6), []
+        for _ in range(n):
+            action, logp, value, (h, c) = model.act(obs, aux, h, c, mask, act_rng)
+            out.append((action, logp, value, h.tobytes(), c.tobytes()))
+        return out, model.value_of(obs, aux, h, c)
+
+    runs = count_trunk_runs(net.encoder)
+    got = play(net, 3)
+    assert runs == [1]  # two more acts and value_of hit
+    fresh_runs = count_trunk_runs(fresh.encoder)
+    want = play(fresh, 3)
+    assert got == want
+    assert fresh_runs == [1]
+
+
+@pytest.mark.parametrize("change", ["set_flat", "conv_weight", "conv_bias", "input_cell"])
+def test_trunk_memo_misses_on_any_change(change):
+    enc = make_encoder(7)
+    sp, ns = frames(3, 1)
+    runs = count_trunk_runs(enc)
+    before = enc.forward(sp, ns)
+    conv1, _, conv2, _, _ = enc.spatial_net.layers
+    if change == "set_flat":
+        enc.set_flat(enc.get_flat() * np.float32(1.5))
+    elif change == "conv_weight":
+        conv1.weight[...] = 0.0  # in place: the array object stays the same
+    elif change == "conv_bias":
+        conv2.bias[5] += 1.0
+    else:
+        sp = sp.copy()
+        sp[0, 2, 7, 9] = 1.0 - sp[0, 2, 7, 9]
+    after = enc.forward(sp, ns)
+    assert runs == [1, 1]
+    fresh = make_encoder()
+    fresh.set_flat(enc.get_flat())
+    assert after.tobytes() == fresh.forward(sp, ns).tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_trunk_memo_cleared_by_batched_forward():
+    enc = make_encoder(8)
+    sp, ns = frames(4, 32)
+    runs = count_trunk_runs(enc)
+    for rows in (1, 1, 32, 1, 1):
+        enc.forward(sp[:rows], ns[:rows])
+    assert runs == [1, 32, 1]
+
+
+def test_trunk_memo_backward_after_batched_forward_matches_fresh_network():
+    enc, fresh = make_encoder(9), make_encoder(9)
+    sp, ns = frames(5, 32)
+    g = rng(10).standard_normal((1, enc.out_dim)).astype(np.float32)
+    enc.forward(sp[:1], ns[:1])
+    enc.forward(sp, ns)
+    enc.forward(sp[:1], ns[:1])
+    enc.zero_grads()
+    enc.backward(g)
+    fresh.forward(sp[:1], ns[:1])
+    fresh.zero_grads()
+    fresh.backward(g)
+    for got, want in zip(enc.grad_arrays(), fresh.grad_arrays()):
+        assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------- adam
 
 
@@ -403,11 +528,43 @@ def test_adam_quadratic_descent():
 def test_adam_nan_grads_abort():
     p = np.zeros(3, dtype=np.float32)
     st = AdamState(3, lr=0.1)
+    adam_step(p, np.array([0.5, -1.0, 2.0], dtype=np.float32), st)  # moments away from zero
+    before = p.copy(), st.m.copy(), st.v.copy()
     g = np.array([0.0, np.nan, 1.0], dtype=np.float32)
     with pytest.raises(FloatingPointError):
         adam_step(p, g, st)
-    assert st.t == 0
-    np.testing.assert_array_equal(p, np.zeros(3, dtype=np.float32))
+    assert st.t == 1
+    for got, want in zip((p, st.m, st.v), before):
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_adam_step(params, grads, state):
+    """The update written with one temporary per operation."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    state.m += (1.0 - b1) * (grads - state.m)
+    state.v += (1.0 - b2) * (grads * grads - state.v)
+    m_hat = state.m / (1.0 - b1**state.t)
+    v_hat = state.v / (1.0 - b2**state.t)
+    params -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(params.dtype)
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+def test_adam_in_place_bitwise_equals_reference(param_dtype, grad_dtype):
+    r = rng(91)
+    n = 4000
+    params = r.standard_normal(n).astype(param_dtype)
+    want = params.copy()
+    st, st_ref = AdamState(n, lr=0.01), AdamState(n, lr=0.01)
+    for step in range(50):
+        g = (r.standard_normal(n) * [1e-6, 1.0, 1e3][step % 3]).astype(grad_dtype)
+        assert adam_step(params, g, st) is params
+        reference_adam_step(want, g, st_ref)
+    assert st.t == st_ref.t == 50
+    for got, ref in [(params, want), (st.m, st_ref.m), (st.v, st_ref.v)]:
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------- serialization

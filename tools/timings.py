@@ -3,11 +3,13 @@
     PYTHONPATH=src python3 tools/timings.py
 
 Prints the median time per call of ``a3c_loss`` on a 32-step rollout,
-``AgentNet.act``, ``MemModel.encode_state``, the state encoder's two
-convs forward and backward and its whole backward at batch 1 and 32, and
-the agent's LSTM (one step, and 32 steps plus BPTT). Each figure is the
-lowest of five medians, which damps the swings of a shared host; compare two commits by
-running it at each, alternately, on the same machine.
+``AgentNet.act`` and ``MemModel.encode_state`` on a repeated frame (the
+conv trunk's memo hits) and on two frames in turn (it misses every time),
+``adam_step`` over the agent's parameters, the state encoder's two convs
+forward and backward and its whole backward at batch 1 and 32, and the
+agent's LSTM (one step, and 32 steps plus BPTT). Each figure is the lowest
+of five medians, which damps the swings of a shared host; compare two
+commits by running it at each, alternately, on the same machine.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import itertools  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -24,6 +27,7 @@ from microbuild import agents as A  # noqa: E402
 from microbuild import env as E  # noqa: E402
 from microbuild import lexicon as L  # noqa: E402
 from microbuild import mem as M  # noqa: E402
+from microbuild.nn import AdamState, adam_step  # noqa: E402
 
 
 def micros(fn, calls: int = 200, repeats: int = 5) -> float:
@@ -54,13 +58,20 @@ def main() -> None:
     )
     cfg = A.AgentConfig()
     obs = E.Observation(spatial[0], nonspatial[0])
+    other = itertools.cycle([obs, E.Observation(spatial[1], nonspatial[1])])
     mask = np.ones(E.N_ACTIONS, bool)
     emb, _ = L.train_skipgram(L.load_bundled_corpus(), L.SkipgramConfig(epochs=1), seed=3)
     mem = M.MemModel(emb, np.random.default_rng(1))
+    params = net.get_flat()
+    grads = (1e-3 * rng.standard_normal(params.size)).astype(np.float32)
+    adam = AdamState(params.size, lr=1e-4)
     out = {
         "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
-        "AgentNet.act": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
-        "MemModel.encode_state": micros(lambda: mem.encode_state(obs)),
+        "AgentNet.act repeated": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
+        "AgentNet.act alternating": micros(lambda: net.act(next(other), aux[0], h0, c0, mask, rng)),
+        "MemModel.encode_state repeated": micros(lambda: mem.encode_state(obs)),
+        "MemModel.encode_state alternating": micros(lambda: mem.encode_state(next(other))),
+        f"adam_step n={params.size}": micros(lambda: adam_step(params, grads, adam), calls=50),
     }
     conv1, _, conv2, _, _ = net.encoder.spatial_net.layers
     for batch in (1, 32):
@@ -86,7 +97,7 @@ def main() -> None:
     out["LSTM.step B=1"] = micros(lambda: core.step(feats[0], h0, c0, cache=False))
     out["LSTM 32 steps + backward_seq"] = micros(bptt, calls=20)
     for name, value in out.items():
-        print(f"{name:32s} {value:9.1f} us")
+        print(f"{name:34s} {value:9.1f} us")
 
 
 if __name__ == "__main__":
