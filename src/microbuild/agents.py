@@ -1,13 +1,14 @@
-"""Asynchronous advantage actor-critic over MicroBuild, three ways.
+"""Advantage actor-critic over MicroBuild, three ways.
 
 One network architecture serves three agents: narration-guided (embedding
 distance grants the shaping bonus, and the state/command embeddings enter
 the network as auxiliary features), subtask (detector events grant the
-same bonus, no auxiliary features), and an unshaped baseline. Parallel
-workers each own a private environment and network replica; the only
-shared object is the parameter block, read by snapshot and written by a
-lock-serialized Adam update. A worker that raises stops the others at
-their next rollout, and the run fails.
+same bonus, no auxiliary features), and an unshaped baseline. Each worker
+owns a private environment and network replica; the only shared object is
+the parameter block, read by snapshot and written by an Adam update. The
+workers take turns on one thread in a fixed order, one rollout and update
+per turn, so a run is bitwise reproducible at any worker count, and a
+worker that raises stops the run at once.
 
 An instruction tracker holds the ordered command list with a progress
 pointer: satisfying the current instruction grants the bonus and advances
@@ -18,7 +19,6 @@ are computed, for training (``worker_loop``) and evaluation alike.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -72,6 +72,8 @@ class AgentConfig:
             raise ValueError("narration shaping needs a positive distance threshold")
         if self.workers < 1 or self.rollout_len < 1 or self.total_steps < 1:
             raise ValueError("workers, rollout_len and total_steps must be positive")
+        if self.eval_interval < 1 or self.eval_episodes < 1:
+            raise ValueError("eval_interval and eval_episodes must be positive")
 
     def make_env(self, seed: int):
         factory = self.env_factory or (lambda s: E.Episode(s, self.horizon))
@@ -391,38 +393,35 @@ class EpisodeShaping:
 
 
 class SharedParams:
-    """Global parameter block: snapshot reads, serialized Adam applies."""
+    """Global parameter block the workers take turns on: each turn reads a
+    snapshot and applies one clipped Adam update."""
 
     def __init__(self, init_params: np.ndarray, config: AgentConfig):
         self._params = init_params.astype(np.float32).copy()
         self._adam = AdamState(self._params.size, lr=config.lr)
-        self._lock = threading.Lock()
         self._clip = config.grad_clip
         self._eval_interval = config.eval_interval
         self.version = 0
         self.steps = 0
         self.total_steps = config.total_steps
-        self.failed = False  # set when any worker raises; stops the others
 
     def snapshot(self) -> tuple[np.ndarray, int]:
-        with self._lock:
-            return self._params.copy(), self.version
+        return self._params.copy(), self.version
 
     def should_stop(self) -> bool:
-        return self.failed or self.steps >= self.total_steps
+        return self.steps >= self.total_steps
 
     def apply_gradients(self, grads: np.ndarray, n_steps: int) -> list[int]:
         """Returns the eval boundaries (step multiples) this update crossed."""
-        with self._lock:
-            norm = float(np.linalg.norm(grads))
-            if self._clip and norm > self._clip:
-                grads = grads * (self._clip / norm)
-            adam_step(self._params, grads, self._adam)
-            self.version += 1
-            before = self.steps
-            self.steps = before + n_steps
-            first = (before // self._eval_interval + 1) * self._eval_interval
-            return list(range(first, self.steps + 1, self._eval_interval))
+        norm = float(np.linalg.norm(grads))
+        if self._clip and norm > self._clip:
+            grads = grads * (self._clip / norm)
+        adam_step(self._params, grads, self._adam)
+        self.version += 1
+        before = self.steps
+        self.steps = before + n_steps
+        first = (before // self._eval_interval + 1) * self._eval_interval
+        return list(range(first, self.steps + 1, self._eval_interval))
 
 
 # ----------------------------------------------------------------- records
@@ -453,11 +452,12 @@ def worker_loop(
     worker_id: int,
     mem: MemModel | None = None,
     commands: list[CommandSpec] | None = None,
-) -> Iterator[RunRecord | EvalPoint]:
-    """One worker: snapshot, roll out, push gradients; yields records.
+) -> Iterator[RunRecord | EvalPoint | None]:
+    """One worker, one turn per update: snapshot, roll out, push gradients.
 
-    Yields a RunRecord at each episode end and an EvalPoint whenever this
-    worker's update crossed an evaluation boundary.
+    Each turn yields an EvalPoint for every evaluation boundary its update
+    crossed, a RunRecord if its episode ended, then None to hand the
+    thread to the next worker. The loop ends once the step budget is spent.
     """
     config.validate()
     shaping = EpisodeShaping(config, mem, commands)
@@ -539,6 +539,7 @@ def worker_loop(
             env, obs = new_episode(episode_idx)
             h, c = net.zero_state()
             shaped_return = 0.0
+        yield
 
 
 # -------------------------------------------------------------- evaluation
@@ -615,9 +616,11 @@ def train(
 ) -> TrainResult:
     """Run k workers to the step budget, evaluating at fixed boundaries.
 
-    Evaluation happens in whichever worker crossed the boundary, on a
-    snapshot taken at the crossing; with one worker the whole run is
-    deterministic. Any worker exception fails the run.
+    The workers take turns on this thread, 0, 1, …, k-1, 0, …, each turn
+    one rollout and one update on the latest parameters, so a run is
+    bitwise reproducible at any k. An update that crosses a boundary is
+    evaluated at once on a snapshot taken at the crossing. A worker that
+    raises fails the run at once.
     """
     config.validate()
     if config.variant == "random":
@@ -628,48 +631,29 @@ def train(
     shared = SharedParams(init, config)
     records: list[RunRecord] = []
     eval_rows: list[dict] = []
-    errors: list[BaseException] = []
-    sink_lock = threading.Lock()
-    eval_lock = threading.Lock()
 
     def run_eval(point: EvalPoint) -> None:
-        with eval_lock:
-            row = {"step": point.step, "version": point.version}
-            row.update(evaluate_policy(point.params, config, mem, commands))
-            with sink_lock:
-                eval_rows.append(row)
-            if progress is not None:
-                progress(point.step)
+        row = {"step": point.step, "version": point.version}
+        row.update(evaluate_policy(point.params, config, mem, commands))
+        eval_rows.append(row)
+        if progress is not None:
+            progress(point.step)
 
-    baseline = EvalPoint(step=0, params=init.copy(), version=0)
-    run_eval(baseline)
-
-    def consume(worker_id: int) -> None:
+    run_eval(EvalPoint(step=0, params=init.copy(), version=0))
+    workers = [worker_loop(shared, config, wid, mem, commands) for wid in range(config.workers)]
+    wid = 0
+    while not shared.should_stop():
         try:
-            for item in worker_loop(shared, config, worker_id, mem, commands):
+            for item in workers[wid]:
+                if item is None:
+                    break
                 if isinstance(item, EvalPoint):
                     run_eval(item)
                 else:
-                    with sink_lock:
-                        records.append(item)
-        except BaseException as exc:  # noqa: BLE001 - worker failure fails the run
-            errors.append(exc)
-            shared.failed = True
-
-    if config.workers == 1:
-        consume(0)
-    else:
-        threads = [
-            threading.Thread(target=consume, args=(wid,), name=f"worker-{wid}")
-            for wid in range(config.workers)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-    if errors:
-        raise RuntimeError(f"worker failed: {errors[0]!r}") from errors[0]
+                    records.append(item)
+        except Exception as exc:
+            raise RuntimeError(f"worker failed: {exc!r} (worker {wid})") from exc
+        wid = (wid + 1) % config.workers
 
     final_params, version = shared.snapshot()
-    eval_rows.sort(key=lambda r: r["step"])
     return TrainResult(eval_rows, records, final_params, version, config)

@@ -106,7 +106,7 @@ class MemModel(Model):
         self.layers = [*self.encoder.layers, self.state_proj, self.cmd_lstm, self.cmd_proj]
 
     def copy(self) -> "MemModel":
-        """Private inference replica (layer caches are not thread-safe)."""
+        """Private inference replica with its own layer caches and trunk memo."""
         twin = MemModel(self.word_embeddings, rng=None, embed_dim=self.embed_dim, dtype=self.dtype)
         twin.set_flat(self.get_flat())
         return twin

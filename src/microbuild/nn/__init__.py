@@ -14,10 +14,8 @@ from .layers import (
     LSTM,
     Layer,
     ReLU,
-    Softmax,
     Tanh,
     glorot_uniform,
-    softmax,
 )
 from .network import (
     Model,
@@ -42,7 +40,6 @@ __all__ = [
     "Model",
     "ReLU",
     "Sequential",
-    "Softmax",
     "StateEncoder",
     "Tanh",
     "adam_step",
@@ -53,6 +50,5 @@ __all__ = [
     "load_model",
     "param_count",
     "save_model",
-    "softmax",
     "unflatten_into",
 ]

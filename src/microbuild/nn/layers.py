@@ -19,12 +19,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape, d
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 class Layer:
     """Base class: subclasses define param_names, forward and backward."""
 
@@ -107,19 +101,6 @@ class Tanh(Layer):
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         return gout * (1.0 - self._out * self._out)
-
-
-class Softmax(Layer):
-    def spec(self) -> dict:
-        return {"kind": "softmax"}
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = softmax(x, axis=-1)
-        return self._out
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        p = self._out
-        return p * (gout - (gout * p).sum(axis=-1, keepdims=True))
 
 
 class Flatten(Layer):

@@ -476,20 +476,30 @@ def test_train_single_worker_eval_rows_reproducible(commands):
     assert [row["step"] for row in a.eval_rows] == [0, 500, 1000]
 
 
+MULTI_WORKER = dict(
+    variant="subtask", workers=3, total_steps=3_000, rollout_len=16,
+    base_seed=2, horizon=80, eval_interval=1500, eval_episodes=2, lr=1e-3,
+)
+
+
 def test_train_multi_worker_smoke(commands):
-    cfg = A.AgentConfig(
-        variant="subtask", workers=3, total_steps=3_000, rollout_len=16,
-        base_seed=2, horizon=80, eval_interval=1500, eval_episodes=2, lr=1e-3,
-    )
-    result = A.train(cfg, None, commands)
-    assert shared_steps_at_least(result, 3_000)
-    assert result.version > 0
-    steps = [row["step"] for row in result.eval_rows]
-    assert steps == sorted(steps) and steps[0] == 0
+    result = A.train(A.AgentConfig(**MULTI_WORKER), None, commands)
+    # every turn is a full 16-step rollout: 188 turns reach 3008 >= 3000 steps
+    assert result.version == 188
+    assert [row["step"] for row in result.eval_rows] == [0, 1500, 3000]
+    assert [row["version"] for row in result.eval_rows] == [0, 94, 188]
+    # turns go 0, 1, 2, 0, ...; worker w ends episode e (5 turns of 80 steps)
+    # on its turn 5e + 4, global turn 15e + 12 + w
+    assert [(r.worker, r.episode, r.step) for r in result.records] == [
+        (w, e, 16 * (15 * e + 13 + w)) for e in range(12) for w in range(3)
+    ]
 
 
-def shared_steps_at_least(result: A.TrainResult, n: int) -> bool:
-    return max(row["step"] for row in result.eval_rows) >= 0 and result.version * 16 >= n - 16
+def test_train_multi_worker_bitwise_reproducible(commands):
+    a, b = (A.train(A.AgentConfig(**MULTI_WORKER), None, commands) for _ in range(2))
+    assert a.final_params.tobytes() == b.final_params.tobytes()
+    assert a.eval_rows == b.eval_rows
+    assert a.records == b.records
 
 
 def test_train_stops_siblings_when_a_worker_raises():
@@ -556,6 +566,15 @@ def test_evaluate_policy_bitwise_reproducible(commands):
 def test_config_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         A.AgentConfig(variant="ppo").validate()
+
+
+@pytest.mark.parametrize("field", ["eval_interval", "eval_episodes"])
+def test_train_rejects_zero_eval_setting_before_building_an_env(field):
+    built = []
+    cfg = A.AgentConfig(**{field: 0}, env_factory=built.append)
+    with pytest.raises(ValueError, match=field):
+        A.train(cfg)
+    assert built == []
 
 
 def test_agent_net_save_load_round_trip(tmp_path):

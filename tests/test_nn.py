@@ -15,7 +15,6 @@ from microbuild.nn import (
     LSTM,
     ReLU,
     Sequential,
-    Softmax,
     StateEncoder,
     Tanh,
     adam_step,
@@ -24,7 +23,6 @@ from microbuild.nn import (
     grad_check_fn,
     load_model,
     save_model,
-    softmax,
     unflatten_into,
 )
 from microbuild.nn.layers import _sigmoid
@@ -51,15 +49,6 @@ def test_dense_shape_mismatch_raises():
     d = Dense(3, 2, rng(0))
     with pytest.raises(ValueError):
         d.forward(np.zeros((1, 4), dtype=np.float32))
-
-
-def test_softmax_simplex():
-    r = rng(1)
-    for _ in range(20):
-        logits = r.standard_normal((4, 9)) * r.uniform(0.1, 30)
-        p = softmax(logits)
-        assert (p >= 0).all()
-        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_conv_same_padding_preserves_hw():
@@ -127,7 +116,6 @@ def test_zero_output_grad_gives_zero_param_grads():
     [
         (lambda r: Sequential([Dense(5, 4, r, dtype=np.float64), Tanh()]), (3, 5)),
         (lambda r: Sequential([Dense(5, 4, r, dtype=np.float64), ReLU(), Dense(4, 2, r, dtype=np.float64)]), (3, 5)),
-        (lambda r: Sequential([Dense(6, 4, r, dtype=np.float64), Softmax()]), (2, 6)),
         (
             lambda r: Sequential(
                 [Conv2d(2, 3, k=3, stride=1, pad=1, rng=r, dtype=np.float64), ReLU(), Flatten()]
@@ -147,7 +135,7 @@ def test_zero_output_grad_gives_zero_param_grads():
         ),
         (lambda r: LSTM(4, 3, r, dtype=np.float64), (2, 4)),
     ],
-    ids=["dense-tanh", "dense-relu-dense", "dense-softmax", "conv-relu", "conv-tanh-dense", "lstm-step"],
+    ids=["dense-tanh", "dense-relu-dense", "conv-relu", "conv-tanh-dense", "lstm-step"],
 )
 def test_grad_check_layers(make_net, in_shape):
     r = rng(11)
@@ -363,7 +351,7 @@ def test_grad_check_random_compositions():
     for trial in range(5):
         layers = [Dense(6, 6, r, dtype=np.float64)]
         for _ in range(int(r.integers(1, 4))):
-            layers.append(r.choice([ReLU, Tanh, Softmax])())
+            layers.append(r.choice([ReLU, Tanh])())
             layers.append(Dense(6, 6, r, dtype=np.float64))
         net = Sequential(layers)
         x = r.standard_normal((2, 6)) + 0.05

@@ -7,11 +7,11 @@ behaviour bit for bit:
 
 The fingerprints cover skip-gram vectors, the initial parameters of both
 models, the MEM dataset, MEM training, the saved model files, 1-worker A3C
-training for each shaped variant, evaluation with the alternate commands
-and the random baseline. The ``infer_*`` lines run forward passes only, on
-untrained parameters: a change that keeps every forward value keeps them
-bit for bit even where training drifts by float32 rounding. Values computed
-with BLAS are only comparable on the same machine and BLAS build.
+training for each shaped variant, 3-worker subtask training and the random
+baseline. The ``infer_*`` lines run forward passes only, on untrained
+parameters: a change that keeps every forward value keeps them bit for bit
+even where training drifts by float32 rounding. Values computed with BLAS
+are only comparable on the same machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -78,16 +78,16 @@ def main() -> None:
     out["train_mem"] = sha(mem.get_flat(), metrics)
     out["agent_file"] = sha(file_bytes(A.AgentNet(np.random.default_rng(4))))
     out["mem_file"] = sha(file_bytes(mem))
-    for variant in ("none", "subtask", "narration"):
+    for name, variant, workers in (
+        ("train_none", "none", 1), ("train_subtask", "subtask", 1),
+        ("train_narration", "narration", 1), ("train_subtask_3w", "subtask", 3),
+    ):
         cfg = A.AgentConfig(
-            variant=variant, workers=1, total_steps=1_000, rollout_len=16, base_seed=7,
+            variant=variant, workers=workers, total_steps=1_000, rollout_len=16, base_seed=7,
             horizon=80, eval_interval=500, eval_episodes=3, lr=1e-3,
         )
         res = A.train(cfg, mem, commands)
-        out[f"train_{variant}"] = sha(res.final_params, res.eval_rows, res.records, res.version)
-        if variant == "narration":
-            alt = A.evaluate_policy(res.final_params, cfg, mem, alternates)
-            out["eval_alternate"] = sha(alt)
+        out[name] = sha(res.final_params, res.eval_rows, res.records, res.version)
     cfg = A.AgentConfig(variant="random", horizon=720, eval_episodes=20, eval_seed=10_000)
     row = A.evaluate_policy(np.zeros(1, dtype=np.float32), cfg)
     out["random"] = f"{sha(row)} mean_score={row['mean_score']}"
