@@ -244,7 +244,7 @@ def _policy_head(
 def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[float, np.ndarray]:
     """Policy gradient + value regression + entropy bonus over one rollout.
 
-    Re-runs the forward pass (batched trunk, sequential LSTM), then
+    Re-runs the forward pass (batched trunk, hoisted sequence pass), then
     backpropagates through time. Advantages are constants in the policy
     term; entropy covers only the heads actually used at each step: the
     action-id head at every step, the x and y heads at build steps. The
@@ -256,12 +256,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     )
     net.zero_grads()
     feats = net._features(rollout.spatial, rollout.nonspatial, rollout.aux)  # (T, HIDDEN)
-    h, c = rollout.h0.copy(), rollout.c0.copy()
-    net.core.reset_cache()
-    hs = np.empty((t_len, HIDDEN), dtype=net.dtype)
-    for t in range(t_len):
-        h, c = net.core.step(feats[t : t + 1], h, c, cache=True)
-        hs[t] = h[0]
+    hs = net.core.forward_seq(feats[:, None], rollout.h0, rollout.c0)[:, 0]
     logits_id = net.head_action.forward(hs)
     logits_x = net.head_x.forward(hs)
     logits_y = net.head_y.forward(hs)

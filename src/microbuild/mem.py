@@ -154,21 +154,42 @@ class MemModel(Model):
             raise ValueError(f"command has no tokens: {command!r}")
         return tokens
 
-    def _command_hidden(self, tokens: list[str], cache: bool) -> np.ndarray:
-        """Final LSTM state over the command's word vectors, (1, embed_dim)."""
-        vecs = self.word_embeddings.embed_tokens(tokens).astype(self.dtype)
+    def encode_command(self, command) -> np.ndarray:
+        """Project a command (CommandSpec or raw text) into the shared space."""
+        vecs = self.word_embeddings.embed_tokens(self._command_tokens(command)).astype(self.dtype)
         h, c = self.cmd_lstm.zero_state(1, dtype=self.dtype)
         for t in range(vecs.shape[0]):
-            h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c, cache=cache)
-        return h
+            h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c, cache=False)
+        return self.cmd_proj.forward(h)[0]
 
-    def encode_command(self, command, cache: bool = False) -> np.ndarray:
-        """Project a command (CommandSpec or raw text) into the shared space."""
-        return self.cmd_proj.forward(self._command_hidden(self._command_tokens(command), cache))[0]
+    def encode_command_batch(self, commands: list) -> np.ndarray:
+        """``encode_command`` of each command as one LSTM batch, (U, embed_dim).
+
+        The word vectors are right-padded with zeros to the longest command;
+        each row's hidden state is read at its own last token. Caches the
+        pass for ``backward_command``.
+        """
+        token_lists = [self._command_tokens(c) for c in commands]
+        lengths = np.array([len(tokens) for tokens in token_lists])
+        xs = np.zeros((lengths.max(), len(commands), self.word_embeddings.dim), dtype=self.dtype)
+        for u, tokens in enumerate(token_lists):
+            xs[: lengths[u], u] = self.word_embeddings.embed_tokens(tokens)
+        h0, c0 = self.cmd_lstm.zero_state(len(commands), dtype=self.dtype)
+        hs = self.cmd_lstm.forward_seq(xs, h0, c0)  # (T_max, U, embed_dim)
+        self._cmd_last = lengths - 1
+        return self.cmd_proj.forward(hs[self._cmd_last, np.arange(len(commands))])
 
     def backward_command(self, g_out: np.ndarray) -> None:
-        g_h = self.cmd_proj.backward(g_out[None] if g_out.ndim == 1 else g_out)
-        self.cmd_lstm.backward_seq(None, gh_final=g_h)
+        """Backward of ``encode_command_batch`` for its (U, embed_dim) output gradient.
+
+        Each row's gradient enters the recurrence at that row's last token,
+        so the padded steps after it get none.
+        """
+        g_h = self.cmd_proj.backward(g_out)
+        last = self._cmd_last
+        gh_seq = np.zeros((last.max() + 1, last.size, self.embed_dim), dtype=g_h.dtype)
+        gh_seq[last, np.arange(last.size)] = g_h
+        self.cmd_lstm.backward_seq(gh_seq)
 
 
 @dataclass
@@ -190,7 +211,10 @@ def mem_loss(
 ) -> tuple[float, np.ndarray | None]:
     """Contrastive distance loss and (optionally) flat parameter gradients.
 
-    The distance derivative at exactly zero distance is defined as zero.
+    The states go through the encoder as one batch. The batch's distinct
+    commands go through the LSTM as one batch too: a hoisted sequence pass
+    (``MemModel.encode_command_batch``) and one BPTT. The distance
+    derivative at exactly zero distance is defined as zero.
     """
     if batch.labels.size == 0:
         raise ValueError("empty batch")
@@ -198,14 +222,8 @@ def mem_loss(
     model.zero_grads()
     xs = model.encode_state_batch(batch.spatial, batch.nonspatial)  # (B, D)
 
-    unique_ids = sorted(set(int(i) for i in batch.command_ids))
-    xc = np.empty_like(xs)
-    caches: dict[int, tuple] = {}
-    for cid in unique_ids:
-        h = model._command_hidden(commands[cid].tokens, accumulate_grads)
-        if accumulate_grads:
-            caches[cid] = (model.cmd_lstm.take_cache(), h)
-        xc[batch.command_ids == cid] = model.cmd_proj.forward(h)[0]
+    cmd_ids, rows = np.unique(batch.command_ids, return_inverse=True)
+    xc = model.encode_command_batch([commands[i] for i in cmd_ids])[rows]
 
     diff = (xs - xc).astype(np.float64)
     dist = np.sqrt((diff * diff).sum(axis=1))
@@ -222,12 +240,9 @@ def mem_loss(
     scale = np.where(dist > 0.0, 2.0 * err / (n * safe), 0.0)
     g_diff = (scale[:, None] * diff).astype(model.dtype)  # d loss / d xs
     model.backward_state_batch(g_diff)
-    for cid in unique_ids:
-        sel = batch.command_ids == cid
-        lstm_cache, h = caches[cid]
-        model.cmd_lstm.set_cache(lstm_cache)
-        model.cmd_proj.forward(h)  # restore this command's cached input
-        model.backward_command(-g_diff[sel].sum(axis=0))
+    g_cmd = np.zeros((cmd_ids.size, g_diff.shape[1]), dtype=g_diff.dtype)
+    np.subtract.at(g_cmd, rows, g_diff)  # d loss / d xc, summed per distinct command
+    model.backward_command(g_cmd)
     grads = flatten_arrays(model.grad_arrays())
     if weight_decay:
         grads += 2.0 * weight_decay * model.get_flat()

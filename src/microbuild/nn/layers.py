@@ -199,19 +199,40 @@ class Conv2d(Layer):
         return gx
 
 
-@np.errstate(under="ignore")  # exp(-|z|) reaching 0 is the right limit
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only sees -|z|, so it cannot overflow."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _logistic(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as exp(min(z, 0)) / (1 + exp(-|z|)).
+
+    That is 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below,
+    bit for bit, with no mask or select. exp only sees arguments <= 0, so it
+    cannot overflow; it may underflow to 0, which is the right limit, so
+    run it with underflow ignored (``_sigmoid`` does).
+    """
+    return np.divide(np.exp(np.minimum(z, 0.0)), 1.0 + np.exp(-np.abs(z)), out=out)
+
+
+_sigmoid = np.errstate(under="ignore")(_logistic)
 
 
 class LSTM(Layer):
     """Standard LSTM cell (input/forget/output gates, tanh candidate).
 
     Gate pre-activations are ordered (i, f, g, o) along the last axis.
-    ``step`` runs one timestep and pushes a cache; ``backward_seq`` walks
-    the cached steps in reverse. The forget-gate bias initializes to 1.
+    The forget-gate bias initializes to 1. Two forward passes compute the
+    same function:
+
+    - ``step`` runs one timestep of (B, n_in) inputs from state (h, c).
+      Inference uses it: acting, where each input depends on the last
+      output, and encoding one command. With ``cache=True`` it appends the
+      step to the cache.
+    - ``forward_seq`` runs a whole (T, B, n_in) sequence known up front, as
+      in training. The input projection of all T*B rows, plus the bias, is
+      one product before the loop, which keeps only ``h @ w_h``, and the
+      underflow setting is entered once per sequence. It replaces the cache
+      with the sequence.
+
+    The two agree to float rounding: the hoisted product and the bias add
+    round in another order. ``backward_seq`` backpropagates through every
+    cached step.
     """
 
     param_names = ("w_x", "w_h", "bias")
@@ -228,6 +249,7 @@ class LSTM(Layer):
         self.bias = np.zeros(4 * n_hidden, dtype=dtype)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate
         self.zero_grads()
+        # (x, h entering, c entering, gates, tanh c) per chunk of steps, each (T_k, B, ...)
         self._caches: list[tuple] = []
 
     def spec(self) -> dict:
@@ -243,14 +265,6 @@ class LSTM(Layer):
     def reset_cache(self) -> None:
         self._caches = []
 
-    def take_cache(self) -> list[tuple]:
-        """Detach the accumulated step caches (for interleaved sequences)."""
-        caches, self._caches = self._caches, []
-        return caches
-
-    def set_cache(self, caches: list[tuple]) -> None:
-        self._caches = caches
-
     def step(
         self, x: np.ndarray, h: np.ndarray, c: np.ndarray, cache: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,8 +277,36 @@ class LSTM(Layer):
         tc = np.tanh(c_new)
         h_new = o * tc
         if cache:
-            self._caches.append((x, h, c, gates, tc))
+            self._caches.append((x[None], h[None], c[None], gates[None], tc[None]))
         return h_new, c_new
+
+    def forward_seq(self, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray) -> np.ndarray:
+        """Run a (T, B, n_in) sequence from state (h0, c0); returns every h_t, (T, B, n_hidden).
+
+        Replaces the cache with this sequence, for ``backward_seq``.
+        """
+        n_steps, batch = xs.shape[:2]
+        nh = self.n_hidden
+        # x @ w_x + bias for every step at once; step t's row becomes its gates
+        gates = (xs.reshape(n_steps * batch, -1) @ self.w_x + self.bias).reshape(n_steps, batch, 4 * nh)
+        hs = np.empty((n_steps + 1, batch, nh), gates.dtype)  # hs[t] enters step t
+        cs = np.empty_like(hs)
+        hs[0], cs[0] = h0, c0
+        tcs = np.empty_like(hs[1:])
+        i, f, g, o = (gates[..., k * nh : (k + 1) * nh] for k in range(4))
+        w_h = self.w_h
+        with np.errstate(under="ignore"):  # see _logistic
+            for t in range(n_steps):
+                z = hs[t] @ w_h
+                z += gates[t]
+                _logistic(z, out=gates[t])
+                np.tanh(z[:, 2 * nh : 3 * nh], out=g[t])
+                np.multiply(f[t], cs[t], out=cs[t + 1])
+                cs[t + 1] += i[t] * g[t]
+                np.tanh(cs[t + 1], out=tcs[t])
+                np.multiply(o[t], tcs[t], out=hs[t + 1])
+        self._caches = [(xs, hs[:-1], cs[:-1], gates, tcs)]
+        return hs[1:]
 
     def backward_seq(
         self,
@@ -285,7 +327,8 @@ class LSTM(Layer):
         if not caches:
             raise RuntimeError("backward called before forward")
         nh = self.n_hidden
-        xs, hs, cs, gates, tcs = (np.stack(a) for a in zip(*caches))  # (T, B, ...)
+        # (T, B, ...) each; hs and cs are the states entering each step
+        xs, hs, cs, gates, tcs = (np.concatenate(a) for a in zip(*caches))
         n_steps, batch = xs.shape[:2]
         i, f, g, o = gates[..., :nh], gates[..., nh : 2 * nh], gates[..., 2 * nh : 3 * nh], gates[..., 3 * nh :]
         # d c_t / d h_t, and d z_t per unit of d c_t (i, f, g blocks) and of d h_t (o block)

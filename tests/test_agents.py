@@ -201,7 +201,8 @@ def test_a3c_loss_gradients_match_finite_differences():
 
 def reference_a3c_loss(rollout, net, config):
     """a3c_loss with its heads walked one timestep at a time, each head's
-    log-softmax taken over its legal entries only."""
+    log-softmax taken over its legal entries only. The LSTM runs the same
+    sequence pass; test_nn checks that pass against step."""
 
     def log_softmax(z):
         z = z - z.max()
@@ -210,13 +211,7 @@ def reference_a3c_loss(rollout, net, config):
     returns, advantages = A.compute_returns(rollout.rewards, rollout.bootstrap, config.gamma, rollout.values)
     net.zero_grads()
     feats = net._features(rollout.spatial, rollout.nonspatial, rollout.aux)
-    h, c = rollout.h0.copy(), rollout.c0.copy()
-    net.core.reset_cache()
-    hs = []
-    for t in range(len(rollout)):
-        h, c = net.core.step(feats[t : t + 1], h, c, cache=True)
-        hs.append(h[0])
-    hs = np.stack(hs)
+    hs = net.core.forward_seq(feats[:, None], rollout.h0, rollout.c0)[:, 0]
     heads = (net.head_action, net.head_x, net.head_y)
     logits = [head.forward(hs) for head in heads]
     values = net.head_value.forward(hs)[:, 0]

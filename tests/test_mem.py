@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
-from microbuild.nn import grad_check_fn
+from microbuild.nn import flatten_arrays, grad_check_fn
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,76 @@ def test_loss_gradients_match_finite_differences(word_emb, commands):
     err = grad_check_fn(
         loss_fn, model.param_arrays(), eps=1e-5, max_entries_per_array=8, rng=np.random.default_rng(6)
     )
+    assert err <= 1e-4
+
+
+# commands of 6, 1, 4 and 3 tokens; the batch leaves the 4-token one out
+UNEQUAL_TEXTS = ["select a worker near the base", "barracks", "click on the barracks", "train a marine"]
+
+
+@pytest.fixture(scope="module")
+def unequal_commands():
+    specs = [M.CommandSpec(id=i, text=text) for i, text in enumerate(UNEQUAL_TEXTS)]
+    assert [len(c.tokens) for c in specs] == [6, 1, 4, 3]
+    return specs
+
+
+def unequal_batch():
+    batch = make_batch(np.random.default_rng(7), n=8)
+    batch.command_ids = np.array([3, 0, 1, 3, 1, 0, 3, 1])
+    return batch
+
+
+def reference_mem_loss(batch, model, commands, weight_decay):
+    """mem_loss with each distinct command run alone through LSTM.step, from
+    its first token to its last, and backpropagated alone from its last."""
+    model.zero_grads()
+    xs = model.encode_state_batch(batch.spatial, batch.nonspatial)
+    xc = np.stack([model.encode_command(commands[i]) for i in batch.command_ids])
+    diff = (xs - xc).astype(np.float64)
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    err = dist - batch.labels
+    loss = float((err * err).mean()) + weight_decay * sum(float((p * p).sum()) for p in model.param_arrays())
+    g_xs = (2.0 * err / (err.size * dist))[:, None] * diff
+    model.backward_state_batch(g_xs)
+    cell = model.cmd_lstm
+    for cid in np.unique(batch.command_ids):
+        cell.reset_cache()
+        h, c = cell.zero_state(1)
+        for x in model.word_embeddings.embed_tokens(commands[cid].tokens):
+            h, c = cell.step(x[None].astype(np.float64), h, c)
+        model.cmd_proj.forward(h)
+        g_h = model.cmd_proj.backward(-g_xs[batch.command_ids == cid].sum(axis=0, keepdims=True))
+        cell.backward_seq(None, gh_final=g_h)
+    return loss, flatten_arrays(model.grad_arrays()) + 2.0 * weight_decay * model.get_flat()
+
+
+def test_loss_unequal_command_lengths_match_per_command_reference(word_emb, unequal_commands):
+    model = M.MemModel(word_emb, np.random.default_rng(8), dtype=np.float64)
+    batch = unequal_batch()
+    loss, grads = M.mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
+    want_loss, want_grads = reference_mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-9, atol=1e-9 * np.abs(want_grads).max())
+    # the command-encoder gradients are not all zero, so the check has teeth
+    n_cmd = sum(a.size for a in model.cmd_lstm.param_arrays() + model.cmd_proj.param_arrays())
+    assert np.abs(want_grads[-n_cmd:]).max() > 1e-3
+
+
+def test_loss_unequal_command_lengths_gradients_match_finite_differences(word_emb, unequal_commands):
+    model = M.MemModel(word_emb, np.random.default_rng(9), dtype=np.float64)
+    batch = unequal_batch()
+    cmd_params = model.cmd_lstm.param_arrays() + model.cmd_proj.param_arrays()  # the last in the flat layout
+
+    def loss_fn():
+        loss, flat = M.mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
+        out, pos = [], flat.size - sum(a.size for a in cmd_params)
+        for a in cmd_params:
+            out.append(flat[pos : pos + a.size].reshape(a.shape))
+            pos += a.size
+        return loss, out
+
+    err = grad_check_fn(loss_fn, cmd_params, eps=1e-5, max_entries_per_array=24, rng=np.random.default_rng(10))
     assert err <= 1e-4
 
 

@@ -298,6 +298,73 @@ def test_lstm_grads_with_per_step_head_gradients_match_finite_differences():
     assert worst <= GC_TOL
 
 
+def step_lstm(cell, xs, h, c):
+    """xs (T, B, n_in) through cell.step one timestep at a time, caching each:
+    every h_t, (T, B, n_hidden)."""
+    cell.reset_cache()
+    hs = []
+    for x in xs:
+        h, c = cell.step(x, h, c)
+        hs.append(h)
+    return np.stack(hs)
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("n_steps", [1, 5, 32])
+def test_lstm_forward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol):
+    r = rng(56)
+    cell = LSTM(6, 5, r, dtype=dtype)
+    xs = r.standard_normal((n_steps, batch, 6)).astype(dtype)
+    h0, c0 = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
+    gh_seq = r.standard_normal((n_steps, batch, 5)).astype(dtype)
+    gh_final, gc_final = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
+    results = []
+    for run in (step_lstm, LSTM.forward_seq):
+        cell.zero_grads()
+        hs = run(cell, xs, h0, c0)
+        gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
+        results.append([hs, gx] + [cell.grads[n] for n in cell.param_names])
+    got, want = results
+    assert got[0].shape == (n_steps, batch, 5) and got[0].dtype == dtype
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * np.abs(b).max())
+
+
+def test_lstm_forward_seq_grads_with_per_step_head_gradients_match_finite_differences():
+    r = rng(66)
+    cell = LSTM(3, 4, r, dtype=np.float64)
+    n_steps = 5
+    xs = r.standard_normal((n_steps, 2, 3))
+    h0, c0 = r.standard_normal((2, 4)), r.standard_normal((2, 4))
+    probes = r.standard_normal((n_steps, 2, 4))
+
+    def run(inputs):
+        return float((cell.forward_seq(inputs, h0, c0) * probes).sum())
+
+    def loss_fn():
+        cell.zero_grads()
+        loss = run(xs)
+        cell.backward_seq(probes)
+        return loss, [g.copy() for g in cell.grad_arrays()]
+
+    assert grad_check_fn(loss_fn, cell.param_arrays(), eps=EPS) <= GC_TOL
+
+    run(xs)
+    gx = cell.backward_seq(probes)
+    worst = 0.0
+    for idx in np.ndindex(xs.shape):
+        orig = xs[idx]
+        xs[idx] = orig + EPS
+        up = run(xs)
+        xs[idx] = orig - EPS
+        down = run(xs)
+        xs[idx] = orig
+        num = (up - down) / (2 * EPS)
+        worst = max(worst, abs(num - gx[idx]) / max(abs(num), abs(gx[idx]), 1e-2))
+    assert worst <= GC_TOL
+
+
 # ------------------------------------------------------- forward kernels
 
 

@@ -3,11 +3,13 @@
     PYTHONPATH=src python3 tools/timings.py
 
 Prints the median time per call of ``a3c_loss`` on a 32-step rollout,
+``mem_loss`` with gradients on a 32-sample batch over the shipped commands,
 ``AgentNet.act`` and ``MemModel.encode_state`` on a repeated frame (the
 conv trunk's memo hits) and on two frames in turn (it misses every time),
 ``adam_step`` over the agent's parameters, the state encoder's two convs
 forward and backward and its whole backward at batch 1 and 32, and the
-agent's LSTM (one step, and 32 steps plus BPTT). Each figure is the lowest
+agent's LSTM (one step; 32 cached steps plus BPTT; and the 32-step
+``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the lowest
 of five medians, which damps the swings of a shared host; compare two
 commits by running it at each, alternately, on the same machine.
 """
@@ -65,8 +67,14 @@ def main() -> None:
     params = net.get_flat()
     grads = (1e-3 * rng.standard_normal(params.size)).astype(np.float32)
     adam = AdamState(params.size, lr=1e-4)
+    mem_batch = M.MemBatch(
+        spatial=spatial, nonspatial=nonspatial, command_ids=rng.integers(0, E.N_COMMANDS, t_len),
+        labels=rng.integers(0, 2, t_len),
+    )
+    commands, wd = M.load_commands(), M.MemTrainConfig().weight_decay
     out = {
         "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
+        "mem_loss B=32": micros(lambda: M.mem_loss(mem_batch, mem, commands, wd), calls=50),
         "AgentNet.act repeated": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
         "AgentNet.act alternating": micros(lambda: net.act(next(other), aux[0], h0, c0, mask, rng)),
         "MemModel.encode_state repeated": micros(lambda: mem.encode_state(obs)),
@@ -96,8 +104,11 @@ def main() -> None:
 
     out["LSTM.step B=1"] = micros(lambda: core.step(feats[0], h0, c0, cache=False))
     out["LSTM 32 steps + backward_seq"] = micros(bptt, calls=20)
+    out["LSTM forward_seq T=32 + backward_seq"] = micros(
+        lambda: (core.forward_seq(feats, h0, c0), core.backward_seq(gh)), calls=20
+    )
     for name, value in out.items():
-        print(f"{name:34s} {value:9.1f} us")
+        print(f"{name:38s} {value:9.1f} us")
 
 
 if __name__ == "__main__":
