@@ -518,18 +518,37 @@ def evaluate_mem(
     threshold: float = DEFAULT_THRESHOLD,
     chunk: int = 512,
 ) -> tuple[float, float]:
-    """(mean loss incl. penalty, accuracy) over the given sample indices."""
+    """(mean loss incl. penalty, accuracy) over the given sample indices.
+
+    Each distinct observation among the samples is encoded once: one
+    sample per observation goes through ``dataset.batch``, ``chunk``
+    observations at a time, and every sample is scored from its
+    observation's state row. The squared errors are summed in float64 per
+    ``chunk`` samples, in the given order.
+
+    This keeps the bits of encoding every sample with its chunk of samples.
+    The conv products run one GEMM per observation, and a row of a dense
+    product over two or more rows does not depend on the other rows
+    (OpenBLAS; the whole state encoder checked at 2 to 511 rows against
+    512), so a state row is the same in any batch of two or more. A batch
+    of one row runs its dense products as vector products, which round
+    differently.
+    """
+    if sample_idx.size == 0:
+        raise ValueError("empty sample set")
     cmd_vecs = np.stack([model.encode_command(c) for c in commands])
+    _, first, obs_row = np.unique(dataset.sample_obs[sample_idx], return_index=True, return_inverse=True)
+    batches = (dataset.batch(sample_idx[first[start : start + chunk]]) for start in range(0, first.size, chunk))
+    states = np.concatenate([model.encode_state_batch(b.spatial, b.nonspatial) for b in batches])
     total_sq, correct = 0.0, 0
     for start in range(0, sample_idx.size, chunk):
         part = sample_idx[start : start + chunk]
-        batch = dataset.batch(part)
-        xs = model.encode_state_batch(batch.spatial, batch.nonspatial)
-        diff = (xs - cmd_vecs[batch.command_ids]).astype(np.float64)
+        labels = dataset.sample_label[part]
+        diff = (states[obs_row[start : start + chunk]] - cmd_vecs[dataset.sample_cmd[part]]).astype(np.float64)
         dist = np.sqrt((diff * diff).sum(axis=1))
-        err = dist - batch.labels
+        err = dist - labels
         total_sq += float((err * err).sum())
-        correct += int(((dist < threshold) == (batch.labels == 0)).sum())
+        correct += int(((dist < threshold) == (labels == 0)).sum())
     penalty = weight_decay * float(
         sum(float((p.astype(np.float64) ** 2).sum()) for p in model.param_arrays())
     )
@@ -555,18 +574,15 @@ def train_mem(
     train_idx = dataset.split_train
     for epoch in range(config.epochs):
         order = rng_order.permutation(train_idx.size)
-        epoch_loss, n_batches = 0.0, 0
         for start in range(0, train_idx.size, config.batch):
             batch = dataset.batch(train_idx[order[start : start + config.batch]])
             loss, grads = mem_loss(batch, model, commands, config.weight_decay)
             if not np.isfinite(loss):
                 raise FloatingPointError(
-                    f"training diverged at epoch {epoch} batch {n_batches}: loss={loss}"
+                    f"training diverged at epoch {epoch} batch {start // config.batch}: loss={loss}"
                 )
             adam_step(params, grads, adam)
             model.set_flat(params)
-            epoch_loss += loss
-            n_batches += 1
         tr_loss, tr_acc = evaluate_mem(
             model, dataset, train_idx, commands, config.weight_decay, config.threshold
         )

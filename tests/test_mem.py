@@ -356,6 +356,82 @@ def test_model_save_load_round_trip(tmp_path, word_emb, commands):
     )
 
 
+# -------------------------------------------------------------- evaluation
+
+
+def reference_evaluate_mem(model, dataset, sample_idx, commands, weight_decay, threshold, chunk):
+    """evaluate_mem encoding every sample's observation, chunk by chunk of samples."""
+    cmd_vecs = np.stack([model.encode_command(c) for c in commands])
+    total_sq, correct = 0.0, 0
+    for start in range(0, sample_idx.size, chunk):
+        batch = dataset.batch(sample_idx[start : start + chunk])
+        xs = model.encode_state_batch(batch.spatial, batch.nonspatial)
+        diff = (xs - cmd_vecs[batch.command_ids]).astype(np.float64)
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        err = dist - batch.labels
+        total_sq += float((err * err).sum())
+        correct += int(((dist < threshold) == (batch.labels == 0)).sum())
+    penalty = weight_decay * sum(float((p.astype(np.float64) ** 2).sum()) for p in model.param_arrays())
+    return total_sq / sample_idx.size + penalty, correct / sample_idx.size
+
+
+def eval_sets(ds):
+    """Sample lists: the full set, each split, a shuffled order and one with repeated samples."""
+    rng = np.random.default_rng(12)
+    return {
+        "all": np.arange(ds.n_samples()),
+        "train": ds.split_train,
+        "val": ds.split_val,
+        "test": ds.split_test,
+        "shuffled": rng.permutation(ds.n_samples()),
+        "repeats": rng.choice(ds.n_samples(), size=700),
+    }
+
+
+# near the median distance of the untrained model, so accuracy depends on each distance
+EVAL_THRESHOLD = 2.6
+
+
+@pytest.mark.parametrize("chunk", [64, 512])
+@pytest.mark.parametrize("name", ["all", "train", "val", "test", "shuffled", "repeats"])
+def test_evaluate_mem_bitwise_equals_per_sample_reference(word_emb, commands, small_dataset, name, chunk):
+    ds, idx = small_dataset, eval_sets(small_dataset)[name]
+    n_obs = np.unique(ds.sample_obs[idx]).size
+    # a one-row chunk runs the dense products as vector products, which round differently
+    assert idx.size % chunk != 1 and n_obs % chunk != 1
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    # no weight decay: added to the penalty (about 1.7), the sample sums lose their last bits
+    got = M.evaluate_mem(model, ds, idx, commands, 0.0, EVAL_THRESHOLD, chunk=chunk)
+    want = reference_evaluate_mem(model, ds, idx, commands, 0.0, EVAL_THRESHOLD, chunk)
+    assert got == want
+    assert 0.0 < got[1] < 1.0
+
+
+def test_evaluate_mem_encodes_each_observation_once(word_emb, commands, small_dataset):
+    ds = small_dataset
+    idx = eval_sets(ds)["repeats"]
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    rows = []
+    encode = model.encode_state_batch
+
+    def counting_encode(spatial, nonspatial):
+        rows.extend(s.tobytes() + n.tobytes() for s, n in zip(spatial, nonspatial))
+        return encode(spatial, nonspatial)
+
+    model.encode_state_batch = counting_encode
+    M.evaluate_mem(model, ds, idx, commands, 2.5e-3, chunk=64)
+    obs = np.unique(ds.sample_obs[idx])
+    want = [ds.spatial[i].astype(np.float32).tobytes() + ds.nonspatial[i].tobytes() for i in obs]
+    assert len(rows) == obs.size < idx.size
+    assert sorted(rows) == sorted(want)
+
+
+def test_evaluate_mem_rejects_empty_sample_set(word_emb, commands, small_dataset):
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="empty sample set"):
+        M.evaluate_mem(model, small_dataset, np.zeros(0, dtype=np.int32), commands, 2.5e-3)
+
+
 def test_shuffle_labels_is_balanced_and_same_size(small_dataset):
     shuf = M.shuffle_labels(small_dataset, seed=3)
     assert shuf.n_samples() == 600  # paired samples only

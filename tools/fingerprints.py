@@ -8,10 +8,12 @@ behaviour bit for bit:
 The fingerprints cover skip-gram vectors, the initial parameters of both
 models, the MEM dataset, MEM training, the saved model files, 1-worker A3C
 training for each shaped variant, 3-worker subtask training and the random
-baseline. The ``infer_*`` lines run forward passes only, on untrained
-parameters: a change that keeps every forward value keeps them bit for bit
-even where training drifts by float32 rounding. Values computed with BLAS
-are only comparable on the same machine and BLAS build.
+baseline. ``infer_eval_mem_chunks`` scores the training split and random
+draws with repeated samples, in chunks of 64. The ``infer_*`` lines run
+forward passes only, on untrained parameters: a change that keeps every
+forward value keeps them bit for bit even where training drifts by float32
+rounding. Values computed with BLAS are only comparable on the same
+machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def main() -> None:
     mem0 = M.MemModel(emb, np.random.default_rng(1))
     samples = np.arange(ds.n_samples())
     out["infer_eval_mem"] = sha(M.evaluate_mem(mem0, ds, samples, commands, weight_decay=1e-4))
+    repeats = np.random.default_rng(6).choice(ds.n_samples(), size=300)
+    out["infer_eval_mem_chunks"] = sha(
+        M.evaluate_mem(mem0, ds, ds.split_train, commands, weight_decay=0.0, chunk=64),
+        M.evaluate_mem(mem0, ds, repeats, alternates, weight_decay=0.0, chunk=64),
+    )
     batch = ds.batch(samples[:64])
     cmd_vecs = np.stack([mem0.encode_command(c) for c in commands + alternates])
     out["infer_encode"] = sha(mem0.encode_state_batch(batch.spatial, batch.nonspatial), cmd_vecs)

@@ -4,6 +4,7 @@
 
 Prints the median time per call of ``a3c_loss`` on a 32-step rollout,
 ``mem_loss`` with gradients on a 32-sample batch over the shipped commands,
+``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset,
 ``AgentNet.act`` and ``MemModel.encode_state`` on a repeated frame (the
 conv trunk's memo hits) and on two frames in turn (it misses every time),
 ``adam_step`` over the agent's parameters, the state encoder's two convs
@@ -72,9 +73,14 @@ def main() -> None:
         labels=rng.integers(0, 2, t_len),
     )
     commands, wd = M.load_commands(), M.MemTrainConfig().weight_decay
+    mem_ds = M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11)
+    everything = np.arange(mem_ds.n_samples())
     out = {
         "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
         "mem_loss B=32": micros(lambda: M.mem_loss(mem_batch, mem, commands, wd), calls=50),
+        f"evaluate_mem S={everything.size}": micros(
+            lambda: M.evaluate_mem(mem, mem_ds, everything, commands, wd), calls=10
+        ),
         "AgentNet.act repeated": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
         "AgentNet.act alternating": micros(lambda: net.act(next(other), aux[0], h0, c0, mask, rng)),
         "MemModel.encode_state repeated": micros(lambda: mem.encode_state(obs)),
