@@ -3,24 +3,24 @@
 One network architecture serves three agents: narration-guided (embedding
 distance grants the shaping bonus, and the state/command embeddings enter
 the network as auxiliary features), subtask (detector events grant the
-same bonus, no auxiliary features), and an unshaped baseline. Each worker
-owns a private environment and network replica; the only shared object is
-the parameter block, read by snapshot and written by an Adam update. The
-workers take turns on one thread in a fixed order, one rollout and update
-per turn, so a run is bitwise reproducible at any worker count, and a
-worker that raises stops the run at once.
+same bonus, no auxiliary features), and an unshaped baseline. Training
+keeps one learner network. Each worker is an ``Actor`` that holds only its
+episode: environment, generator, recurrent state and shaping. The actors
+take turns in a fixed order, one rollout on the learner network and one
+Adam update per turn, so a run is bitwise reproducible at any worker
+count, and a worker that raises stops the run at once.
 
 An instruction tracker holds the ordered command list with a progress
 pointer: satisfying the current instruction grants the bonus and advances
 the pointer, cycling back to the first instruction after the last.
 ``EpisodeShaping`` is the one place a variant's bonus and aux features
-are computed, for training (``worker_loop``) and evaluation alike.
+are computed, for training (``Actor``) and evaluation alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -337,7 +337,7 @@ class EpisodeShaping:
     """One variant's shaping for the episode in play: bonus and aux features.
 
     The narration variant judges the current instruction by embedding
-    distance on a private copy of the MEM and feeds the state and command
+    distance on the given MEM and feeds the state and command
     embeddings to the agent as aux features; the subtask variant judges it
     by the env's detectors; ``none`` and ``random`` get no bonus and zero
     aux features. Training and evaluation both shape through this object.
@@ -352,7 +352,7 @@ class EpisodeShaping:
         if self.narration:
             if mem is None or commands is None:
                 raise ValueError("narration variant needs a trained embedding model and commands")
-            self.mem = mem.copy()
+            self.mem = mem
             self.command_vecs = np.stack([self.mem.encode_command(c) for c in commands])
         self._zero_aux = np.zeros(AUX_DIM, dtype=np.float32)
 
@@ -388,8 +388,8 @@ class EpisodeShaping:
 
 
 class SharedParams:
-    """Global parameter block the workers take turns on: each turn reads a
-    snapshot and applies one clipped Adam update."""
+    """The learner's parameter block: one clipped Adam update per turn, and
+    snapshots for evaluation."""
 
     def __init__(self, init_params: np.ndarray, config: AgentConfig):
         self._params = init_params.astype(np.float32).copy()
@@ -402,6 +402,10 @@ class SharedParams:
 
     def snapshot(self) -> tuple[np.ndarray, int]:
         return self._params.copy(), self.version
+
+    def load_into(self, net: Model) -> None:
+        """Give ``net`` the current parameters."""
+        net.set_flat(self._params)
 
     def should_stop(self) -> bool:
         return self.steps >= self.total_steps
@@ -434,45 +438,37 @@ class RunRecord:
     seed: int
 
 
-@dataclass
-class EvalPoint:
-    step: int
-    params: np.ndarray
-    version: int
+# ------------------------------------------------------------------ actors
 
 
-def worker_loop(
-    shared: SharedParams,
-    config: AgentConfig,
-    worker_id: int,
-    mem: MemModel | None = None,
-    commands: list[CommandSpec] | None = None,
-) -> Iterator[RunRecord | EvalPoint | None]:
-    """One worker, one turn per update: snapshot, roll out, push gradients.
+class Actor:
+    """One worker's episode in play, acted out on the learner's network.
 
-    Each turn yields an EvalPoint for every evaluation boundary its update
-    crossed, a RunRecord if its episode ended, then None to hand the
-    thread to the next worker. The loop ends once the step budget is spent.
+    Worker ``k`` samples its actions from ``SeedSequence((base_seed, k))``
+    and plays its ``i``-th episode on env seed
+    ``base_seed + k * 1_000_003 + i``.
     """
-    config.validate()
-    shaping = EpisodeShaping(config, mem, commands)
-    rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, worker_id)))
-    net = AgentNet()
-    t_len = config.rollout_len
 
-    def new_episode(idx: int):
-        env = config.make_env(config.base_seed + worker_id * 1_000_003 + idx)
-        obs = env.observe()
-        shaping.start(obs)
-        return env, obs
+    def __init__(self, net: AgentNet, config: AgentConfig, worker_id: int, shaping: EpisodeShaping):
+        self.net = net
+        self.config = config
+        self.worker_id = worker_id
+        self.shaping = shaping
+        self.rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, worker_id)))
+        self.episode = 0
+        self._start_episode()
 
-    episode_idx = 0
-    env, obs = new_episode(episode_idx)
-    h, c = net.zero_state()
-    shaped_return = 0.0
-    while not shared.should_stop():
-        params, _ = shared.snapshot()
-        net.set_flat(params)
+    def _start_episode(self) -> None:
+        self.env = self.config.make_env(self.config.base_seed + self.worker_id * 1_000_003 + self.episode)
+        self.obs = self.env.observe()
+        self.shaping.start(self.obs)
+        self.h, self.c = self.net.zero_state()
+        self.shaped_return = 0.0
+
+    def rollout(self) -> tuple[Rollout, bool]:
+        """Play up to ``rollout_len`` steps; the flag is True when the episode ended."""
+        net, env, shaping, rng = self.net, self.env, self.shaping, self.rng
+        t_len = self.config.rollout_len
         sp = np.empty((t_len, E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.float32)
         ns = np.empty((t_len, E.OBS_NONSPATIAL), dtype=np.float32)
         aux = np.empty((t_len, AUX_DIM), dtype=np.float32)
@@ -482,7 +478,8 @@ def worker_loop(
         ays = np.empty(t_len, dtype=np.int64)
         rewards = np.empty(t_len, dtype=np.float32)
         values = np.empty(t_len, dtype=np.float32)
-        h0, c0 = h.copy(), c.copy()
+        obs, h, c = self.obs, self.h, self.c
+        h0, c0 = h, c
         done = False
         t = 0
         while t < t_len:
@@ -494,12 +491,13 @@ def worker_loop(
             sp[t], ns[t], aux[t] = obs.spatial, obs.nonspatial, aux_t
             masks[t], kinds[t], axs[t], ays[t] = mask, action.kind, action.x, action.y
             rewards[t], values[t] = reward, value
-            shaped_return += reward
+            self.shaped_return += reward
             obs = next_obs
             t += 1
             if done:
                 break
         bootstrap = 0.0 if done else net.value_of(obs, shaping.aux(), h, c)
+        self.obs, self.h, self.c = obs, h, c
         rollout = Rollout(
             spatial=sp[:t],
             nonspatial=ns[:t],
@@ -514,27 +512,23 @@ def worker_loop(
             h0=h0,
             c0=c0,
         )
-        _, grads = a3c_loss(rollout, net, config)
-        crossed = shared.apply_gradients(grads, t)
-        for boundary in crossed:
-            params_now, version = shared.snapshot()
-            yield EvalPoint(step=boundary, params=params_now, version=version)
-        if done:
-            yield RunRecord(
-                step=shared.steps,
-                worker=worker_id,
-                episode=episode_idx,
-                env_score=float(env.score),
-                shaped_return=float(shaped_return),
-                instr_completions=shaping.completions,
-                variant=config.variant,
-                seed=config.base_seed,
-            )
-            episode_idx += 1
-            env, obs = new_episode(episode_idx)
-            h, c = net.zero_state()
-            shaped_return = 0.0
-        yield
+        return rollout, done
+
+    def end_episode(self, step: int) -> RunRecord:
+        """The ended episode's record; the next episode starts."""
+        record = RunRecord(
+            step=step,
+            worker=self.worker_id,
+            episode=self.episode,
+            env_score=float(self.env.score),
+            shaped_return=float(self.shaped_return),
+            instr_completions=self.shaping.completions,
+            variant=self.config.variant,
+            seed=self.config.base_seed,
+        )
+        self.episode += 1
+        self._start_episode()
+        return record
 
 
 # -------------------------------------------------------------- evaluation
@@ -609,43 +603,45 @@ def train(
     commands: list[CommandSpec] | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> TrainResult:
-    """Run k workers to the step budget, evaluating at fixed boundaries.
+    """Run k actors on one learner network to the step budget, evaluating
+    at fixed boundaries.
 
-    The workers take turns on this thread, 0, 1, …, k-1, 0, …, each turn
-    one rollout and one update on the latest parameters, so a run is
-    bitwise reproducible at any k. An update that crosses a boundary is
-    evaluated at once on a snapshot taken at the crossing. A worker that
-    raises fails the run at once.
+    The actors take turns, 0, 1, …, k-1, 0, …: each turn is one rollout on
+    the latest parameters, then one update, so a run is bitwise
+    reproducible at any k. An update that crosses a boundary is evaluated
+    at once on a snapshot taken at the crossing. A worker that raises
+    fails the run at once.
     """
     config.validate()
     if config.variant == "random":
         row = {"step": 0, **evaluate_policy(np.zeros(1, dtype=np.float32), config, mem, commands)}
         return TrainResult([row], [], np.zeros(1, dtype=np.float32), 0, config)
 
-    init = AgentNet(np.random.default_rng(config.base_seed)).get_flat()
-    shared = SharedParams(init, config)
+    net = AgentNet(np.random.default_rng(config.base_seed))
+    shared = SharedParams(net.get_flat(), config)
     records: list[RunRecord] = []
     eval_rows: list[dict] = []
 
-    def run_eval(point: EvalPoint) -> None:
-        row = {"step": point.step, "version": point.version}
-        row.update(evaluate_policy(point.params, config, mem, commands))
-        eval_rows.append(row)
+    def run_eval(step: int) -> None:
+        params, version = shared.snapshot()
+        eval_rows.append({"step": step, "version": version, **evaluate_policy(params, config, mem, commands)})
         if progress is not None:
-            progress(point.step)
+            progress(step)
 
-    run_eval(EvalPoint(step=0, params=init.copy(), version=0))
-    workers = [worker_loop(shared, config, wid, mem, commands) for wid in range(config.workers)]
+    run_eval(0)
+    actors: list[Actor] = []  # worker k joins on its first turn
     wid = 0
     while not shared.should_stop():
         try:
-            for item in workers[wid]:
-                if item is None:
-                    break
-                if isinstance(item, EvalPoint):
-                    run_eval(item)
-                else:
-                    records.append(item)
+            if wid == len(actors):
+                actors.append(Actor(net, config, wid, EpisodeShaping(config, mem, commands)))
+            rollout, done = actors[wid].rollout()
+            _, grads = a3c_loss(rollout, net, config)
+            for boundary in shared.apply_gradients(grads, len(rollout)):
+                run_eval(boundary)
+            shared.load_into(net)
+            if done:
+                records.append(actors[wid].end_episode(shared.steps))
         except Exception as exc:
             raise RuntimeError(f"worker failed: {exc!r} (worker {wid})") from exc
         wid = (wid + 1) % config.workers

@@ -202,13 +202,6 @@ def load_bundled_corpus() -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
-def load_corpus(path=None) -> list[str]:
-    if path is None:
-        return load_bundled_corpus()
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
-
-
 def corpus_check(
     sentences: list[str], required_tokens: list[str], min_sentences: int = 500, min_occurrences: int = 20
 ) -> list[str]:

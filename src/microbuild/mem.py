@@ -105,12 +105,6 @@ class MemModel(Model):
         self.cmd_proj = Dense(embed_dim, embed_dim, rng, dtype=dtype)
         self.layers = [*self.encoder.layers, self.state_proj, self.cmd_lstm, self.cmd_proj]
 
-    def copy(self) -> "MemModel":
-        """Private inference replica with its own layer caches and trunk memo."""
-        twin = MemModel(self.word_embeddings, rng=None, embed_dim=self.embed_dim, dtype=self.dtype)
-        twin.set_flat(self.get_flat())
-        return twin
-
     def spec(self) -> dict:
         return {
             "kind": "mutual-embedding",
@@ -202,6 +196,11 @@ class MemBatch:
     labels: np.ndarray  # (B,) 0 matched / 1 mismatched
 
 
+def weight_penalty(model: MemModel, weight_decay: float) -> float:
+    """``weight_decay`` times the sum of squared parameters, summed in float64 one array at a time."""
+    return weight_decay * sum(float((p.astype(np.float64) ** 2).sum()) for p in model.param_arrays())
+
+
 def mem_loss(
     batch: MemBatch,
     model: MemModel,
@@ -230,9 +229,8 @@ def mem_loss(
     labels = batch.labels.astype(np.float64)
     err = dist - labels
     loss = float((err * err).mean())
-    params = model.param_arrays()
     if weight_decay:
-        loss += weight_decay * float(sum(float((p.astype(np.float64) ** 2).sum()) for p in params))
+        loss += weight_penalty(model, weight_decay)
     if not accumulate_grads:
         return loss, None
 
@@ -549,10 +547,7 @@ def evaluate_mem(
         err = dist - labels
         total_sq += float((err * err).sum())
         correct += int(((dist < threshold) == (labels == 0)).sum())
-    penalty = weight_decay * float(
-        sum(float((p.astype(np.float64) ** 2).sum()) for p in model.param_arrays())
-    )
-    return total_sq / sample_idx.size + penalty, correct / sample_idx.size
+    return total_sq / sample_idx.size + weight_penalty(model, weight_decay), correct / sample_idx.size
 
 
 def train_mem(

@@ -359,7 +359,7 @@ def test_shared_params_snapshot_consistent():
     assert version == 0
 
 
-# -------------------------------------------------------------- worker loop
+# ------------------------------------------------------------------ actors
 
 
 @dataclass
@@ -387,47 +387,39 @@ class ConstantRewardEnv:
         return self._obs, 1.0, self.t >= self.length, frozenset()
 
 
-def test_worker_loop_b0_shaped_equals_env_reward(commands):
+def test_train_b0_shaped_equals_env_reward(commands):
     cfg = A.AgentConfig(
         variant="subtask", workers=1, total_steps=2_000, rollout_len=16, bonus=0.0,
-        base_seed=5, horizon=120, eval_interval=10**9, lr=1e-3,
+        base_seed=5, horizon=120, eval_interval=10**9, eval_episodes=1, lr=1e-3,
     )
-    shared = A.SharedParams(A.AgentNet(np.random.default_rng(5)).get_flat(), cfg)
-    records = [r for r in A.worker_loop(shared, cfg, 0, None, commands) if isinstance(r, A.RunRecord)]
+    records = A.train(cfg, None, commands).records
     assert records
     for rec in records:
         assert rec.shaped_return == rec.env_score
 
 
-def test_worker_loop_narration_b0_matches_env_reward(tiny_mem, commands):
+def test_train_narration_b0_matches_env_reward(tiny_mem, commands):
     cfg = A.AgentConfig(
         variant="narration", workers=1, total_steps=1_000, rollout_len=16, bonus=0.0,
-        base_seed=5, horizon=100, eval_interval=10**9, lr=1e-3,
+        base_seed=5, horizon=100, eval_interval=10**9, eval_episodes=1, lr=1e-3,
     )
-    shared = A.SharedParams(A.AgentNet(np.random.default_rng(5)).get_flat(), cfg)
-    records = [r for r in A.worker_loop(shared, cfg, 0, tiny_mem, commands) if isinstance(r, A.RunRecord)]
+    records = A.train(cfg, tiny_mem, commands).records
     assert records
     for rec in records:
         assert rec.shaped_return == rec.env_score
 
 
-def test_worker_loop_deterministic_single_worker(commands):
+def test_train_deterministic_single_worker():
     def run():
         cfg = A.AgentConfig(
             variant="none", workers=1, total_steps=1_500, rollout_len=16,
-            base_seed=3, horizon=100, eval_interval=500, lr=1e-3,
+            base_seed=3, horizon=100, eval_interval=500, eval_episodes=1, lr=1e-3,
         )
-        shared = A.SharedParams(A.AgentNet(np.random.default_rng(3)).get_flat(), cfg)
-        items = list(A.worker_loop(shared, cfg, 0, None, None))
-        params, version = shared.snapshot()
-        return items, params.tobytes(), version
+        return A.train(cfg)
 
-    a_items, a_params, a_version = run()
-    b_items, b_params, b_version = run()
-    assert a_params == b_params and a_version == b_version
-    assert [r for r in a_items if isinstance(r, A.RunRecord)] == [
-        r for r in b_items if isinstance(r, A.RunRecord)
-    ]
+    a, b = run(), run()
+    assert a.final_params.tobytes() == b.final_params.tobytes() and a.version == b.version
+    assert a.records and a.records == b.records
 
 
 def test_value_head_learns_constant_reward_stream():
@@ -438,13 +430,10 @@ def test_value_head_learns_constant_reward_stream():
         cfg = A.AgentConfig(
             variant="none", workers=1, total_steps=10_000, rollout_len=32,
             gamma=0.9, lr=0.01, entropy_coef=0.0, base_seed=seed,
-            eval_interval=10**9, env_factory=lambda _: ConstantRewardEnv(),
+            eval_interval=10**9, eval_episodes=1, env_factory=lambda _: ConstantRewardEnv(),
         )
-        shared = A.SharedParams(A.AgentNet(np.random.default_rng(seed)).get_flat(), cfg)
-        for _ in A.worker_loop(shared, cfg, 0, None, None):
-            pass
         net = A.AgentNet()
-        net.set_flat(shared.snapshot()[0])
+        net.set_flat(A.train(cfg).final_params)
         env = ConstantRewardEnv()
         obs = env.observe()
         h, c = net.zero_state()
@@ -490,8 +479,11 @@ def test_train_multi_worker_smoke(commands):
     ]
 
 
-def test_train_multi_worker_bitwise_reproducible(commands):
-    a, b = (A.train(A.AgentConfig(**MULTI_WORKER), None, commands) for _ in range(2))
+@pytest.mark.parametrize("variant", ["subtask", "narration"])
+def test_train_multi_worker_bitwise_reproducible(variant, tiny_mem, commands):
+    # the workers' actors share the learner net and, for narration, the MEM
+    cfg = A.AgentConfig(**{**MULTI_WORKER, "variant": variant})
+    a, b = (A.train(cfg, tiny_mem, commands) for _ in range(2))
     assert a.final_params.tobytes() == b.final_params.tobytes()
     assert a.eval_rows == b.eval_rows
     assert a.records == b.records
@@ -514,7 +506,7 @@ def test_train_stops_siblings_when_a_worker_raises():
         variant="none", workers=2, total_steps=5_000, rollout_len=16,
         eval_interval=10**9, eval_episodes=2, env_factory=factory,
     )
-    with pytest.raises(RuntimeError, match="worker failed"):
+    with pytest.raises(RuntimeError, match=r"worker failed: .*\(worker 1\)"):
         A.train(cfg)
     # 100 steps of step-0 evaluation, then worker 0 stops at its next rollout
     assert len(steps) < 1_000

@@ -459,7 +459,8 @@ def tiny_mem_model(seed):
 
 def test_trunk_memo_hit_bitwise_equals_fresh_forward_mem_model():
     model = tiny_mem_model(3)
-    fresh = model.copy()  # same parameters, empty memo
+    fresh = M.MemModel(model.word_embeddings)  # same parameters, empty memo
+    fresh.set_flat(model.get_flat())
     sp, ns = frames(1, 1)
     obs = E.Observation(sp[0], ns[0])
     runs = count_trunk_runs(model.encoder)

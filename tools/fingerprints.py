@@ -7,13 +7,13 @@ behaviour bit for bit:
 
 The fingerprints cover skip-gram vectors, the initial parameters of both
 models, the MEM dataset, MEM training, the saved model files, 1-worker A3C
-training for each shaped variant, 3-worker subtask training and the random
-baseline. ``infer_eval_mem_chunks`` scores the training split and random
-draws with repeated samples, in chunks of 64. The ``infer_*`` lines run
-forward passes only, on untrained parameters: a change that keeps every
-forward value keeps them bit for bit even where training drifts by float32
-rounding. Values computed with BLAS are only comparable on the same
-machine and BLAS build.
+training for each shaped variant, 3-worker subtask and 2-worker narration
+training, and the random baseline. ``infer_eval_mem_chunks`` scores the
+training split and random draws with repeated samples, in chunks of 64.
+The ``infer_*`` lines run forward passes only, on untrained parameters: a
+change that keeps every forward value keeps them bit for bit even where
+training drifts by float32 rounding. Values computed with BLAS are only
+comparable on the same machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ def main() -> None:
     for name, variant, workers in (
         ("train_none", "none", 1), ("train_subtask", "subtask", 1),
         ("train_narration", "narration", 1), ("train_subtask_3w", "subtask", 3),
+        ("train_narration_2w", "narration", 2),
     ):
         cfg = A.AgentConfig(
             variant=variant, workers=workers, total_steps=1_000, rollout_len=16, base_seed=7,
