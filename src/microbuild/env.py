@@ -12,8 +12,10 @@ Workers never move; a worker building something is busy until the site
 completes. Construction sites are tracked off-grid and drawn only once
 finished, so a completion is visible as a new unit in the frame stack.
 
-Each rule is written once. ``_id_is_legal`` decides an action id's
-legality for ``step``, ``legal_actions`` and ``scripted_expert``.
+Each rule is written once. ``_id_legality`` decides every action id's
+legality, apart from a build's target cell, for ``step`` and
+``scripted_expert``; ``_legal_kinds`` adds the rule that a build needs a
+free cell, for ``legal_actions`` and ``random_legal_action``.
 ``free_cells`` decides which cells take a build or a new marine.
 ``detect`` over ``counters`` is the one detector: episodes, trajectory
 records and the embedding dataset's labels all use it.
@@ -92,24 +94,14 @@ class GameState:
     barracks_list: list[tuple[int, int]] = field(default_factory=list)
 
     def clone(self) -> "GameState":
-        return GameState(
-            grid=self.grid.copy(),
-            minerals=self.minerals,
-            supply_used=self.supply_used,
-            supply_cap=self.supply_cap,
-            sel_kind=self.sel_kind,
-            sel_pos=self.sel_pos,
-            workers=self.workers,
-            build_sites=dict(self.build_sites),
-            train_jobs=dict(self.train_jobs),
-            n_workers=self.n_workers,
-            n_depots=self.n_depots,
-            n_barracks=self.n_barracks,
-            n_marines=self.n_marines,
-            step=self.step,
-            horizon=self.horizon,
-            barracks_list=list(self.barracks_list),
-        )
+        """A copy that shares only immutable fields (the dataclass ``__init__`` is skipped)."""
+        new = object.__new__(GameState)
+        new.__dict__ = self.__dict__.copy()
+        new.grid = self.grid.copy()
+        new.build_sites = self.build_sites.copy()
+        new.train_jobs = self.train_jobs.copy()
+        new.barracks_list = self.barracks_list.copy()
+        return new
 
     def busy_workers(self) -> set[tuple[int, int]]:
         return {site.worker for site in self.build_sites.values()}
@@ -226,11 +218,11 @@ def _nearest_free_cell(state: GameState, center: tuple[int, int]) -> tuple[int, 
 
 
 def _tick(state: GameState) -> None:
-    for pos in sorted(state.build_sites):
+    for pos in sorted(state.build_sites) if state.build_sites else ():
         site = state.build_sites[pos]
         timer = site.timer - 1
         if timer > 0:
-            state.build_sites[pos] = site._replace(timer=timer)
+            state.build_sites[pos] = BuildSite(site.kind, timer, site.worker)
             continue
         del state.build_sites[pos]
         state.grid[pos] = site.kind
@@ -240,7 +232,7 @@ def _tick(state: GameState) -> None:
         else:
             state.n_barracks += 1
             state.barracks_list.append(pos)
-    for pos in sorted(state.train_jobs):
+    for pos in sorted(state.train_jobs) if state.train_jobs else ():
         timer = state.train_jobs[pos] - 1
         if timer > 0:
             state.train_jobs[pos] = timer
@@ -262,33 +254,39 @@ def _can_train_at(state: GameState, barracks: tuple[int, int]) -> bool:
     )
 
 
-def _idle_worker_selected(state: GameState) -> bool:
-    return state.sel_kind == SEL_WORKER and state.sel_pos not in state.busy_workers()
+def _idle_worker_selected(state: GameState, busy: set[tuple[int, int]]) -> bool:
+    return state.sel_kind == SEL_WORKER and state.sel_pos not in busy
 
 
-def _id_is_legal(state: GameState, kind: int) -> bool:
-    """Legality of an action id, apart from the build target's cell."""
-    if kind == A_NOOP:
-        return True
-    if kind == A_SELECT_WORKER:
-        return state.first_idle_worker() is not None
-    if kind == A_SELECT_BARRACKS:
-        return state.n_barracks > 0
-    if kind == A_TRAIN_MARINE:
-        return state.sel_kind == SEL_BARRACKS and _can_train_at(state, state.sel_pos)
-    if kind not in BUILD_KINDS or not _idle_worker_selected(state):
-        return False
-    if kind == A_BUILD_DEPOT:
-        return state.minerals >= DEPOT_COST
-    return state.minerals >= BARRACKS_COST and state.n_depots >= 1
+def _id_legality(state: GameState) -> tuple[bool, ...]:
+    """Legality of each action id, apart from the build target's cell."""
+    busy = state.busy_workers()
+    idle_selected = _idle_worker_selected(state, busy)
+    return (
+        True,  # A_NOOP
+        not busy.issuperset(state.workers),  # A_SELECT_WORKER: some worker is idle
+        idle_selected and state.minerals >= DEPOT_COST,  # A_BUILD_DEPOT
+        idle_selected and state.minerals >= BARRACKS_COST and state.n_depots >= 1,  # A_BUILD_BARRACKS
+        state.n_barracks > 0,  # A_SELECT_BARRACKS
+        state.sel_kind == SEL_BARRACKS and _can_train_at(state, state.sel_pos),  # A_TRAIN_MARINE
+    )
+
+
+def _legal_kinds(state: GameState) -> tuple[tuple[bool, ...], np.ndarray | None]:
+    """Whether each action id has a legal instantiation, and the free cells
+    when ``_id_legality`` allows a build: a build also needs a free cell."""
+    legal = _id_legality(state)
+    if not (legal[A_BUILD_DEPOT] or legal[A_BUILD_BARRACKS]):
+        return legal, None
+    free = free_cells(state)
+    if free.size == 0:
+        legal = tuple(ok and kind not in BUILD_KINDS for kind, ok in enumerate(legal))
+    return legal, free
 
 
 def legal_actions(state: GameState) -> np.ndarray:
     """Mask over the 6 action ids: bit set iff some instantiation is legal."""
-    mask = np.array([_id_is_legal(state, kind) for kind in range(N_ACTIONS)])
-    if (mask[A_BUILD_DEPOT] or mask[A_BUILD_BARRACKS]) and free_cells(state).size == 0:
-        mask[list(BUILD_KINDS)] = False
-    return mask
+    return np.array(_legal_kinds(state)[0])
 
 
 def step(state: GameState, action: Action) -> tuple[GameState, float, bool]:
@@ -304,7 +302,7 @@ def step(state: GameState, action: Action) -> tuple[GameState, float, bool]:
     _tick(nxt)
     kind = action.kind
     target = (action.y, action.x)
-    if _id_is_legal(nxt, kind) and (
+    if 0 <= kind < N_ACTIONS and _id_legality(nxt)[kind] and (
         kind not in BUILD_KINDS or (0 <= action.x < GRID and 0 <= action.y < GRID and nxt.is_free(target))
     ):
         if kind == A_SELECT_WORKER:
@@ -413,10 +411,11 @@ def scripted_expert(state: GameState) -> Action:
         state.n_barracks == 0 and CELL_BARRACKS not in pending and state.n_depots >= 1
     )
     if depot_wanted or barracks_wanted:
-        if not _idle_worker_selected(state):
-            return Action(A_SELECT_WORKER) if _id_is_legal(state, A_SELECT_WORKER) else NOOP
+        legal = _id_legality(state)
+        if not _idle_worker_selected(state, state.busy_workers()):
+            return Action(A_SELECT_WORKER) if legal[A_SELECT_WORKER] else NOOP
         kind = A_BUILD_DEPOT if depot_wanted else A_BUILD_BARRACKS
-        if not _id_is_legal(state, kind):
+        if not legal[kind]:
             return NOOP
         free = free_cells(state)
         if free.size == 0:
@@ -433,10 +432,10 @@ def scripted_expert(state: GameState) -> Action:
 
 def random_legal_action(state: GameState, rng: np.random.Generator) -> Action:
     """Uniform over legal action ids; build targets uniform over free cells."""
-    ids = np.flatnonzero(legal_actions(state))
-    kind = int(ids[rng.integers(len(ids))])
+    legal, free = _legal_kinds(state)
+    ids = [kind for kind, ok in enumerate(legal) if ok]
+    kind = ids[rng.integers(len(ids))]
     if kind in BUILD_KINDS:
-        free = free_cells(state)
         cell = int(free[rng.integers(len(free))])
         return Action(kind, x=cell % GRID, y=cell // GRID)
     return Action(kind)

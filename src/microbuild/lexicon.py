@@ -141,6 +141,15 @@ def train_skipgram(
     """Skip-gram with negative sampling; returns embeddings + per-epoch loss.
 
     Noise distribution is unigram^0.75. Deterministic for a fixed seed.
+
+    Negatives are drawn as ``Generator.choice(n_vocab, size, p=noise)``
+    draws them: a uniform per draw, looked up in the noise CDF, which is
+    built once here as ``choice`` builds it per call. Each batch's updates
+    are scattered with ``np.add.at`` on the flattened matrices, one flat
+    index per element of an updated row; every element then takes its
+    updates one at a time in the same order as a row-wise ``np.add.at``,
+    so the sums are the same bit for bit. (The 1-D form runs on numpy's
+    fast path for ``add.at``; a row-wise one does not.)
     """
     rng = np.random.default_rng(seed)
     vocab = Vocab.build(sentences, min_count=config.min_count)
@@ -165,10 +174,18 @@ def train_skipgram(
     noise = vocab.counts.astype(np.float64) ** 0.75
     noise[0] = 0.0
     noise /= noise.sum()
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
     w_in = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(n_vocab, config.dim))
     w_out = np.zeros((n_vocab, config.dim))
     w_in[0] = 0.0
+
+    columns = np.arange(config.dim)
+
+    def scatter_add(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+        """``np.add.at(w, rows, values)`` for a 2-D ``w``, through the 1-D fast path."""
+        np.add.at(w.reshape(-1), (rows[:, None] * config.dim + columns).reshape(-1), values.reshape(-1))
 
     losses: list[float] = []
     n_pairs = centers.size
@@ -179,7 +196,7 @@ def train_skipgram(
         for start in range(0, n_pairs, config.batch):
             sel = order[start : start + config.batch]
             c, p = centers[sel], contexts[sel]
-            n = rng.choice(n_vocab, size=(sel.size, config.negatives), p=noise)
+            n = cdf.searchsorted(rng.random((sel.size, config.negatives)), side="right")
             v = w_in[c]  # (B, d)
             up = w_out[p]  # (B, d)
             un = w_out[n]  # (B, K, d)
@@ -188,9 +205,9 @@ def train_skipgram(
             total += float(-(np.log(np.maximum(sp, 1e-12)).sum() + np.log(np.maximum(1 - sn, 1e-12)).sum()))
             gp = sp - 1.0  # (B,)
             dv = gp[:, None] * up + np.einsum("bk,bkd->bd", sn, un)
-            np.add.at(w_in, c, -lr * dv)
-            np.add.at(w_out, p, -lr * gp[:, None] * v)
-            np.add.at(w_out, n.reshape(-1), -lr * (sn[:, :, None] * v[:, None, :]).reshape(-1, config.dim))
+            scatter_add(w_in, c, -lr * dv)
+            scatter_add(w_out, p, -lr * gp[:, None] * v)
+            scatter_add(w_out, n.reshape(-1), -lr * (sn[:, :, None] * v[:, None, :]))
             w_in[0] = 0.0
             w_out[0] = 0.0
         losses.append(total / n_pairs)

@@ -196,9 +196,24 @@ class MemBatch:
     labels: np.ndarray  # (B,) 0 matched / 1 mismatched
 
 
-def weight_penalty(model: MemModel, weight_decay: float) -> float:
-    """``weight_decay`` times the sum of squared parameters, summed in float64 one array at a time."""
-    return weight_decay * sum(float((p.astype(np.float64) ** 2).sum()) for p in model.param_arrays())
+def model_flat(model: MemModel) -> np.ndarray:
+    """The parameters as one vector in the model's dtype (``get_flat`` is float32)."""
+    return flatten_arrays(model.param_arrays(), np.empty(model.n_params(), dtype=model.dtype))
+
+
+def weight_penalty(model: MemModel, weight_decay: float, flat: np.ndarray | None = None) -> float:
+    """``weight_decay`` times the sum of squared parameters, summed in float64 one array at a time.
+
+    ``flat`` is ``model_flat(model)`` when the caller has it already.
+    """
+    if flat is None:
+        flat = model_flat(model)
+    squares = np.square(flat, dtype=np.float64)
+    total, pos = 0.0, 0
+    for p in model.param_arrays():
+        total += float(squares[pos : pos + p.size].sum())
+        pos += p.size
+    return weight_decay * total
 
 
 def mem_loss(
@@ -229,8 +244,9 @@ def mem_loss(
     labels = batch.labels.astype(np.float64)
     err = dist - labels
     loss = float((err * err).mean())
+    flat = model_flat(model) if weight_decay else None
     if weight_decay:
-        loss += weight_penalty(model, weight_decay)
+        loss += weight_penalty(model, weight_decay, flat)
     if not accumulate_grads:
         return loss, None
 
@@ -243,7 +259,7 @@ def mem_loss(
     model.backward_command(g_cmd)
     grads = flatten_arrays(model.grad_arrays())
     if weight_decay:
-        grads += 2.0 * weight_decay * model.get_flat()
+        grads += 2.0 * weight_decay * flat.astype(grads.dtype, copy=False)  # float32, as get_flat()
     return loss, grads
 
 
@@ -379,10 +395,9 @@ def generate_dataset(
     episode = 0
     null_tick = 0
 
-    def quotas_met() -> bool:
-        return all(len(g) >= quotas.per_command for g in goal_obs) and len(null_obs) >= quotas.nulls
-
-    while not quotas_met():
+    # lists still short of their quota; each list fills up exactly once
+    unmet = sum(len(g) < quotas.per_command for g in goal_obs) + (len(null_obs) < quotas.nulls)
+    while unmet:
         if steps_used >= budget_steps:
             fill = {E.EVENT_NAMES[i]: len(g) for i, g in enumerate(goal_obs)}
             starving = min(range(n_commands), key=lambda i: len(goal_obs[i]))
@@ -396,7 +411,7 @@ def generate_dataset(
         ctr = E.counters(state)
         steps_since_event = NULL_WINDOW  # episode start counts as quiet
         episode += 1
-        while state.step < horizon and not quotas_met():
+        while state.step < horizon and unmet:
             if rng_policy.random() < expert_mix:
                 action = E.scripted_expert(state)
             else:
@@ -422,6 +437,8 @@ def generate_dataset(
             if keep_in is not None:
                 obs = E.encode_observation(prev, state)
                 keep_in.append((obs.spatial.astype(np.uint8), obs.nonspatial, prev_ctr + ctr))
+                if len(keep_in) == (quotas.nulls if keep_in is null_obs else quotas.per_command):
+                    unmet -= 1
 
     # assemble observation arrays: goals per command, then nulls
     n_goal = n_commands * quotas.per_command

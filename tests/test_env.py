@@ -203,6 +203,98 @@ def test_build_depot_legal_with_selected_worker_and_minerals():
     assert not mask[E.A_BUILD_BARRACKS]  # no depot yet
 
 
+def self_play_states(seeds, expert_share: float, rng_seed: int):
+    """Every state of seeded self-play episodes: the expert with probability
+    ``expert_share``, else a random legal action."""
+    rng = np.random.default_rng(rng_seed)
+    out = []
+    for seed in seeds:
+        s = E.reset(seed)
+        while s.step < s.horizon:
+            out.append(s)
+            a = E.scripted_expert(s) if rng.random() < expert_share else E.random_legal_action(s, rng)
+            s, _, _ = E.step(s, a)
+    return out
+
+
+def instantiations(kind: int) -> list[E.Action]:
+    if kind in E.BUILD_KINDS:
+        return [E.Action(kind, x=x, y=y) for y in range(E.GRID) for x in range(E.GRID)]
+    return [E.Action(kind)]
+
+
+def step_applies(state: E.GameState, kind: int) -> bool:
+    """Whether ``step`` applies some instantiation of ``kind`` rather than a NoOp.
+
+    An applied action leaves another next state than NoOp does, except a
+    select of the unit already selected; selects are therefore tried with
+    the selection cleared (what is selected does not decide whether a
+    select is legal).
+    """
+    if kind in (E.A_SELECT_WORKER, E.A_SELECT_BARRACKS):
+        state = state.clone()
+        state.sel_kind, state.sel_pos = E.SEL_NONE, (-1, -1)
+    noop = E.step(state, E.NOOP)[0].fingerprint()
+    return any(E.step(state, a)[0].fingerprint() != noop for a in instantiations(kind))
+
+
+def crowded_variants(state: E.GameState) -> list[E.GameState]:
+    """The state with every empty cell taken by a marine, and with every
+    worker busy on a far-off depot."""
+    full = state.clone()
+    full.grid[full.grid == E.CELL_EMPTY] = E.CELL_MARINE
+    busy = state.clone()
+    cells = [(int(c) // E.GRID, int(c) % E.GRID) for c in E.free_cells(state)]
+    busy.build_sites = {cell: E.BuildSite(E.CELL_DEPOT, 100, w) for cell, w in zip(cells, state.workers)}
+    return [full, busy]
+
+
+def test_legal_actions_iff_step_applies_some_instantiation():
+    # step resolves the timers first and judges the action on the result,
+    # so the mask is read on that state
+    states = self_play_states(range(2), 0.0, 3)[::25] + self_play_states(range(2, 4), 0.7, 4)[::25]
+    builder = next(s for s in states if E.legal_actions(s)[E.A_BUILD_BARRACKS])
+    states += crowded_variants(builder)
+    seen = np.zeros((E.N_ACTIONS, 2), dtype=int)
+    for s in states:
+        ticked = s.clone()
+        E._tick(ticked)
+        mask = E.legal_actions(ticked)
+        assert mask[E.A_NOOP]
+        for kind in range(1, E.N_ACTIONS):
+            assert mask[kind] == step_applies(s, kind), (s.step, kind)
+            seen[kind, int(mask[kind])] += 1
+    assert (seen[1:] > 0).all(), seen  # every id seen both legal and not
+
+
+def reference_random_legal_action(state: E.GameState, rng: np.random.Generator) -> E.Action:
+    """Uniform draw over the set bits of ``legal_actions``, then over ``free_cells`` for a build."""
+    ids = np.flatnonzero(E.legal_actions(state))
+    kind = int(ids[rng.integers(len(ids))])
+    if kind in E.BUILD_KINDS:
+        free = E.free_cells(state)
+        cell = int(free[rng.integers(len(free))])
+        return E.Action(kind, x=cell % E.GRID, y=cell // E.GRID)
+    return E.Action(kind)
+
+
+def test_random_legal_action_draws_as_mask_reference():
+    rng, ref_rng, policy = np.random.default_rng(17), np.random.default_rng(17), np.random.default_rng(18)
+    kinds = np.zeros(E.N_ACTIONS, dtype=int)
+    steps = 0
+    for seed in range(4):
+        s = E.reset(seed)
+        while s.step < s.horizon:
+            a = E.random_legal_action(s, rng)
+            assert a == reference_random_legal_action(s, ref_rng), (seed, s.step)
+            kinds[a.kind] += 1
+            steps += 1
+            s, _, _ = E.step(s, E.scripted_expert(s) if policy.random() < 0.5 else a)
+    assert steps >= 2000
+    assert (kinds > 0).all(), kinds
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ------------------------------------------------------------------ detect
 
 

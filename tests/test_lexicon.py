@@ -94,6 +94,68 @@ def test_skipgram_deterministic(corpus):
     assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
+def reference_train_skipgram(sentences, config, seed):
+    """The trainer with row-wise ``np.add.at`` scatters and ``rng.choice(p=noise)`` negatives."""
+    rng = np.random.default_rng(seed)
+    vocab = L.Vocab.build(sentences, min_count=config.min_count)
+    n_vocab = len(vocab)
+    centers, contexts = [], []
+    for sent in sentences:
+        ids = vocab.ids(L.tokenize(sent))
+        for i, cid in enumerate(ids):
+            if cid == 0:
+                continue
+            lo, hi = max(0, i - config.window), min(len(ids), i + config.window + 1)
+            for j in range(lo, hi):
+                if j != i and ids[j] != 0:
+                    centers.append(cid)
+                    contexts.append(ids[j])
+    centers = np.array(centers, dtype=np.int64)
+    contexts = np.array(contexts, dtype=np.int64)
+    noise = vocab.counts.astype(np.float64) ** 0.75
+    noise[0] = 0.0
+    noise /= noise.sum()
+    w_in = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(n_vocab, config.dim))
+    w_out = np.zeros((n_vocab, config.dim))
+    w_in[0] = 0.0
+    losses = []
+    n_pairs = centers.size
+    for epoch in range(config.epochs):
+        lr = config.lr * max(1.0 - epoch / config.epochs, 1e-4)
+        order = rng.permutation(n_pairs)
+        total = 0.0
+        for start in range(0, n_pairs, config.batch):
+            sel = order[start : start + config.batch]
+            c, p = centers[sel], contexts[sel]
+            n = rng.choice(n_vocab, size=(sel.size, config.negatives), p=noise)
+            v, up, un = w_in[c], w_out[p], w_out[n]
+            sp = L._sigmoid(np.einsum("bd,bd->b", v, up))
+            sn = L._sigmoid(np.einsum("bd,bkd->bk", v, un))
+            total += float(-(np.log(np.maximum(sp, 1e-12)).sum() + np.log(np.maximum(1 - sn, 1e-12)).sum()))
+            gp = sp - 1.0
+            dv = gp[:, None] * up + np.einsum("bk,bkd->bd", sn, un)
+            np.add.at(w_in, c, -lr * dv)
+            np.add.at(w_out, p, -lr * gp[:, None] * v)
+            np.add.at(w_out, n.reshape(-1), -lr * (sn[:, :, None] * v[:, None, :]).reshape(-1, config.dim))
+            w_in[0] = 0.0
+            w_out[0] = 0.0
+        losses.append(total / n_pairs)
+    return w_in.astype(np.float32), losses, n_pairs
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**31 + 7])
+def test_skipgram_bitwise_equals_row_scatter_reference(corpus, seed):
+    # Large batches repeat rows often, so a scatter that sums a row's
+    # updates before adding them shows in the float64 losses; the float32
+    # vectors can round the difference away.
+    cfg = L.SkipgramConfig(epochs=3, batch=1000)
+    vectors, losses, n_pairs = reference_train_skipgram(corpus, cfg, seed)
+    assert n_pairs % cfg.batch != 0  # a short last batch is covered
+    emb, got = L.train_skipgram(corpus, cfg, seed)
+    assert emb.vectors.tobytes() == vectors.tobytes()
+    assert got == losses
+
+
 def test_skipgram_loss_decreases_smoothed(trained):
     _, losses = trained
     smoothed = np.convolve(losses, np.ones(11) / 11, mode="valid")

@@ -1,18 +1,22 @@
-"""Time the network's hot paths in microseconds, one thread of BLAS.
+"""Time the set-up stages in milliseconds and the network's hot paths in
+microseconds, one thread of BLAS.
 
     PYTHONPATH=src python3 tools/timings.py
 
-Prints the median time per call of ``a3c_loss`` on a 32-step rollout,
-``mem_loss`` with gradients on a 32-sample batch over the shipped commands,
-``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset,
-``AgentNet.act`` and ``MemModel.encode_state`` on a repeated frame (the
-conv trunk's memo hits) and on two frames in turn (it misses every time),
-``adam_step`` over the agent's parameters, the state encoder's two convs
-forward and backward and its whole backward at batch 1 and 32, and the
-agent's LSTM (one step; 32 cached steps plus BPTT; and the 32-step
-``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the lowest
-of five medians, which damps the swings of a shared host; compare two
-commits by running it at each, alternately, on the same machine.
+Prints the time of ``train_skipgram`` for 10 epochs on the bundled corpus
+and of ``generate_dataset`` for ``Quotas(60, 300)`` (the benchmark's sizes
+for the ``grounding`` set-up), then the median time per call of
+``a3c_loss`` on a 32-step rollout, ``mem_loss`` with gradients on a
+32-sample batch over the shipped commands, ``evaluate_mem`` over all 900
+samples of a ``Quotas(60, 300)`` dataset, ``AgentNet.act`` and
+``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
+and on two frames in turn (it misses every time), ``adam_step`` over the
+agent's parameters, the state encoder's two convs forward and backward and
+its whole backward at batch 1 and 32, and the agent's LSTM (one step; 32
+cached steps plus BPTT; and the 32-step ``forward_seq`` plus BPTT that
+``a3c_loss`` runs). Each figure is the lowest of five medians (of five
+runs for a set-up stage), which damps the swings of a shared host; compare
+two commits by running it at each, alternately, on the same machine.
 """
 
 from __future__ import annotations
@@ -63,7 +67,16 @@ def main() -> None:
     obs = E.Observation(spatial[0], nonspatial[0])
     other = itertools.cycle([obs, E.Observation(spatial[1], nonspatial[1])])
     mask = np.ones(E.N_ACTIONS, bool)
-    emb, _ = L.train_skipgram(L.load_bundled_corpus(), L.SkipgramConfig(epochs=1), seed=3)
+    corpus = L.load_bundled_corpus()
+    stages = {
+        "train_skipgram epochs=10": micros(
+            lambda: L.train_skipgram(corpus, L.SkipgramConfig(epochs=10), seed=3), calls=1
+        ) / 1e3,
+        "generate_dataset Quotas(60,300)": micros(
+            lambda: M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11), calls=1
+        ) / 1e3,
+    }
+    emb, _ = L.train_skipgram(corpus, L.SkipgramConfig(epochs=1), seed=3)
     mem = M.MemModel(emb, np.random.default_rng(1))
     params = net.get_flat()
     grads = (1e-3 * rng.standard_normal(params.size)).astype(np.float32)
@@ -113,6 +126,8 @@ def main() -> None:
     out["LSTM forward_seq T=32 + backward_seq"] = micros(
         lambda: (core.forward_seq(feats, h0, c0), core.backward_seq(gh)), calls=20
     )
+    for name, value in stages.items():
+        print(f"{name:38s} {value:9.1f} ms")
     for name, value in out.items():
         print(f"{name:38s} {value:9.1f} us")
 
