@@ -3,9 +3,10 @@
 One network architecture serves three agents: narration-guided (embedding
 distance grants the shaping bonus, and the state/command embeddings enter
 the network as auxiliary features), subtask (detector events grant the
-same bonus, no auxiliary features), and an unshaped baseline. Training
-keeps one learner network. Each worker is an ``Actor`` that holds only its
-episode: environment, generator, recurrent state and shaping. The actors
+same bonus, no auxiliary features), and an unshaped baseline.
+``Actor.step`` is the one place an agent plays a step, for training and
+evaluation alike; ``Actor`` states each episode's env seed and generator.
+Training keeps one learner network and one actor per worker. The actors
 take turns in a fixed order, one rollout on the learner network and one
 Adam update per turn, so a run is bitwise reproducible at any worker
 count, and a worker that raises stops the run at once.
@@ -81,11 +82,10 @@ class AgentConfig:
 
 
 class AgentNet(Model):
-    """State encoder + dense trunk + LSTM core with action-id, x, y and value heads."""
+    """State encoder + dense trunk + LSTM core with action-id, x, y and value
+    heads. With no ``rng`` the weights start at zero, for callers that load them."""
 
     def __init__(self, rng: np.random.Generator | None = None, dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.dtype = dtype
         self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng, dtype)
         self.trunk = Sequential([Dense(self.encoder.out_dim + AUX_DIM, HIDDEN, rng, dtype=dtype), ReLU()])
@@ -139,7 +139,7 @@ class AgentNet(Model):
     ) -> tuple[E.Action, float, float, tuple[np.ndarray, np.ndarray]]:
         """Sample one action; spatial heads only participate for builds."""
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
-        h, c = self.core.step(x, h, c, cache=False)
+        h, c = self.core.step(x, h, c)
         logits = self.head_action.forward(h)[0]
         value = float(self.head_value.forward(h)[0, 0])
         logp_id = masked_log_softmax(logits, legal_mask)
@@ -158,7 +158,7 @@ class AgentNet(Model):
 
     def value_of(self, obs: E.Observation, aux: np.ndarray, h: np.ndarray, c: np.ndarray) -> float:
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
-        h, _ = self.core.step(x, h, c, cache=False)
+        h, _ = self.core.step(x, h, c)
         return float(self.head_value.forward(h)[0, 0])
 
 
@@ -442,32 +442,63 @@ class RunRecord:
 
 
 class Actor:
-    """One worker's episode in play, acted out on the learner's network.
+    """One stream of episodes in play on a network, one step at a time.
 
-    Worker ``k`` samples its actions from ``SeedSequence((base_seed, k))``
-    and plays its ``i``-th episode on env seed
-    ``base_seed + k * 1_000_003 + i``.
+    ``step`` is the one place an agent plays a step: training rolls out
+    through it and evaluation plays whole episodes through it. Episode
+    ``i`` of an actor plays env seed ``first_seed + i`` and samples its
+    actions from ``rng``, the generator passed in, so the seed schedule is:
+
+    - training: worker ``k`` is one actor with
+      ``first_seed = base_seed + k * 1_000_003`` and
+      ``SeedSequence((base_seed, k))``;
+    - evaluation: episode ``i`` is a one-episode actor on env seed
+      ``eval_seed + i`` with ``SeedSequence((eval_seed, i))``.
     """
 
-    def __init__(self, net: AgentNet, config: AgentConfig, worker_id: int, shaping: EpisodeShaping):
+    def __init__(
+        self,
+        net: AgentNet,
+        config: AgentConfig,
+        shaping: EpisodeShaping,
+        first_seed: int,
+        rng: np.random.Generator,
+        worker_id: int = 0,
+    ):
         self.net = net
         self.config = config
-        self.worker_id = worker_id
         self.shaping = shaping
-        self.rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, worker_id)))
+        self.first_seed = first_seed
+        self.rng = rng
+        self.worker_id = worker_id
         self.episode = 0
         self._start_episode()
 
     def _start_episode(self) -> None:
-        self.env = self.config.make_env(self.config.base_seed + self.worker_id * 1_000_003 + self.episode)
+        self.env = self.config.make_env(self.first_seed + self.episode)
         self.obs = self.env.observe()
         self.shaping.start(self.obs)
         self.h, self.c = self.net.zero_state()
         self.shaped_return = 0.0
 
+    def _choose(self, aux: np.ndarray) -> tuple[np.ndarray, E.Action, float]:
+        """The policy: (legal mask, action, value) for the current observation."""
+        mask = self.env.legal_mask()
+        action, _, value, (self.h, self.c) = self.net.act(self.obs, aux, self.h, self.c, mask, self.rng)
+        return mask, action, value
+
+    def step(self) -> tuple[E.Observation, np.ndarray, np.ndarray, E.Action, float, float, bool]:
+        """Play one step: (observation, aux, mask, action, value, shaped reward, done)."""
+        obs, shaping = self.obs, self.shaping
+        aux = shaping.aux()
+        mask, action, value = self._choose(aux)
+        self.obs, env_r, done, events = self.env.step(action)
+        reward = env_r + shaping.bonus(self.obs, events)
+        self.shaped_return += reward
+        return obs, aux, mask, action, value, reward, done
+
     def rollout(self) -> tuple[Rollout, bool]:
         """Play up to ``rollout_len`` steps; the flag is True when the episode ended."""
-        net, env, shaping, rng = self.net, self.env, self.shaping, self.rng
         t_len = self.config.rollout_len
         sp = np.empty((t_len, E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.float32)
         ns = np.empty((t_len, E.OBS_NONSPATIAL), dtype=np.float32)
@@ -478,26 +509,16 @@ class Actor:
         ays = np.empty(t_len, dtype=np.int64)
         rewards = np.empty(t_len, dtype=np.float32)
         values = np.empty(t_len, dtype=np.float32)
-        obs, h, c = self.obs, self.h, self.c
-        h0, c0 = h, c
+        h0, c0 = self.h, self.c
         done = False
         t = 0
-        while t < t_len:
-            aux_t = shaping.aux()
-            mask = env.legal_mask()
-            action, _, value, (h, c) = net.act(obs, aux_t, h, c, mask, rng)
-            next_obs, env_r, done, events = env.step(action)
-            reward = env_r + shaping.bonus(next_obs, events)
+        while t < t_len and not done:
+            obs, aux_t, mask, action, value, reward, done = self.step()
             sp[t], ns[t], aux[t] = obs.spatial, obs.nonspatial, aux_t
             masks[t], kinds[t], axs[t], ays[t] = mask, action.kind, action.x, action.y
             rewards[t], values[t] = reward, value
-            self.shaped_return += reward
-            obs = next_obs
             t += 1
-            if done:
-                break
-        bootstrap = 0.0 if done else net.value_of(obs, shaping.aux(), h, c)
-        self.obs, self.h, self.c = obs, h, c
+        bootstrap = 0.0 if done else self.net.value_of(self.obs, self.shaping.aux(), self.h, self.c)
         rollout = Rollout(
             spatial=sp[:t],
             nonspatial=ns[:t],
@@ -531,6 +552,17 @@ class Actor:
         return record
 
 
+class RandomActor(Actor):
+    """An actor that plays ``env.random_legal_action``: uniform over legal
+    action ids, build targets uniform over free cells, the same baseline
+    that plays the embedding dataset's self-play. It runs no network and
+    asks for no mask; it reads the game state from the env's ``state`` (as
+    ``env.Episode`` has)."""
+
+    def _choose(self, aux: np.ndarray) -> tuple[None, E.Action, float]:
+        return None, E.random_legal_action(self.env.state, self.rng), 0.0
+
+
 # -------------------------------------------------------------- evaluation
 
 
@@ -542,38 +574,27 @@ def evaluate_policy(
 ) -> dict:
     """Frozen-snapshot evaluation: fixed seeds, single-threaded, sampled policy.
 
-    Episode ``i`` plays env seed ``eval_seed + i`` with its own generator,
-    ``SeedSequence((eval_seed, i))``. The ``random`` variant ignores
-    ``params`` and plays ``env.random_legal_action`` with that generator:
-    uniform over legal action ids, build targets uniform over free cells,
-    the same baseline that plays the embedding dataset's self-play. It
-    reads the game state from the env's ``state`` (as ``env.Episode`` has).
+    Episode ``i`` is played to its end by a one-episode ``Actor`` on env
+    seed ``eval_seed + i`` with generator ``SeedSequence((eval_seed, i))``.
+    The ``random`` variant ignores ``params`` and plays a ``RandomActor``.
     """
     config.validate()
     random_variant = config.variant == "random"
     net = AgentNet()
     if not random_variant:
         net.set_flat(params)
+    actor_cls = RandomActor if random_variant else Actor
     shaping = EpisodeShaping(config, mem, commands)
 
     scores, shaped, completions = [], [], []
     for i in range(config.eval_episodes):
-        env = config.make_env(config.eval_seed + i)
         rng = np.random.default_rng(np.random.SeedSequence((config.eval_seed, i)))
-        obs = env.observe()
-        shaping.start(obs)
-        h, c = net.zero_state()
-        total_shaped = 0.0
+        actor = actor_cls(net, config, shaping, config.eval_seed + i, rng)
         done = False
         while not done:
-            if random_variant:
-                action = E.random_legal_action(env.state, rng)
-            else:
-                action, _, _, (h, c) = net.act(obs, shaping.aux(), h, c, env.legal_mask(), rng)
-            obs, env_r, done, events = env.step(action)
-            total_shaped += env_r + shaping.bonus(obs, events)
-        scores.append(float(env.score))
-        shaped.append(total_shaped)
+            done = actor.step()[-1]
+        scores.append(float(actor.env.score))
+        shaped.append(actor.shaped_return)
         completions.append(shaping.completions)
     n = len(scores)
     return {
@@ -634,7 +655,9 @@ def train(
     while not shared.should_stop():
         try:
             if wid == len(actors):
-                actors.append(Actor(net, config, wid, EpisodeShaping(config, mem, commands)))
+                rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, wid)))
+                shaping = EpisodeShaping(config, mem, commands)
+                actors.append(Actor(net, config, shaping, config.base_seed + wid * 1_000_003, rng, wid))
             rollout, done = actors[wid].rollout()
             _, grads = a3c_loss(rollout, net, config)
             for boundary in shared.apply_gradients(grads, len(rollout)):

@@ -85,7 +85,8 @@ def mem_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class MemModel(Model):
-    """Paired state and command encoders with shared output dimension."""
+    """Paired state and command encoders with shared output dimension. With
+    no ``rng`` the weights start at zero, for callers that load them."""
 
     def __init__(
         self,
@@ -94,8 +95,6 @@ class MemModel(Model):
         embed_dim: int = EMBED_DIM,
         dtype=np.float32,
     ):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.word_embeddings = word_embeddings  # frozen; not part of theta
         self.embed_dim = embed_dim
         self.dtype = dtype
@@ -153,7 +152,7 @@ class MemModel(Model):
         vecs = self.word_embeddings.embed_tokens(self._command_tokens(command)).astype(self.dtype)
         h, c = self.cmd_lstm.zero_state(1, dtype=self.dtype)
         for t in range(vecs.shape[0]):
-            h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c, cache=False)
+            h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c)
         return self.cmd_proj.forward(h)[0]
 
     def encode_command_batch(self, commands: list) -> np.ndarray:

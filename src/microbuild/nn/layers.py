@@ -222,17 +222,16 @@ class LSTM(Layer):
 
     - ``step`` runs one timestep of (B, n_in) inputs from state (h, c).
       Inference uses it: acting, where each input depends on the last
-      output, and encoding one command. With ``cache=True`` it appends the
-      step to the cache.
+      output, and encoding one command. It caches nothing.
     - ``forward_seq`` runs a whole (T, B, n_in) sequence known up front, as
       in training. The input projection of all T*B rows, plus the bias, is
       one product before the loop, which keeps only ``h @ w_h``, and the
-      underflow setting is entered once per sequence. It replaces the cache
-      with the sequence.
+      underflow setting is entered once per sequence. It caches the
+      sequence for ``backward_seq``.
 
     The two agree to float rounding: the hoisted product and the bias add
-    round in another order. ``backward_seq`` backpropagates through every
-    cached step.
+    round in another order. ``backward_seq`` backpropagates through the
+    sequence the last ``forward_seq`` cached.
     """
 
     param_names = ("w_x", "w_h", "bias")
@@ -249,8 +248,8 @@ class LSTM(Layer):
         self.bias = np.zeros(4 * n_hidden, dtype=dtype)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate
         self.zero_grads()
-        # (x, h entering, c entering, gates, tanh c) per chunk of steps, each (T_k, B, ...)
-        self._caches: list[tuple] = []
+        # (x, h entering, c entering, gates, tanh c) of the last forward_seq, each (T, B, ...)
+        self._cache: tuple | None = None
 
     def spec(self) -> dict:
         return {"kind": "lstm", "n_in": self.n_in, "n_hidden": self.n_hidden}
@@ -262,28 +261,19 @@ class LSTM(Layer):
             np.zeros((batch, self.n_hidden), dtype=dt),
         )
 
-    def reset_cache(self) -> None:
-        self._caches = []
-
-    def step(
-        self, x: np.ndarray, h: np.ndarray, c: np.ndarray, cache: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nh = self.n_hidden
         z = x @ self.w_x + h @ self.w_h + self.bias
         gates = _sigmoid(z)  # i, f and o; the g block then takes its tanh
         np.tanh(z[:, 2 * nh : 3 * nh], out=gates[:, 2 * nh : 3 * nh])
         i, f, g, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh : 3 * nh], gates[:, 3 * nh :]
         c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        if cache:
-            self._caches.append((x[None], h[None], c[None], gates[None], tc[None]))
-        return h_new, c_new
+        return o * np.tanh(c_new), c_new
 
     def forward_seq(self, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray) -> np.ndarray:
         """Run a (T, B, n_in) sequence from state (h0, c0); returns every h_t, (T, B, n_hidden).
 
-        Replaces the cache with this sequence, for ``backward_seq``.
+        Caches the sequence for ``backward_seq``.
         """
         n_steps, batch = xs.shape[:2]
         nh = self.n_hidden
@@ -305,7 +295,7 @@ class LSTM(Layer):
                 cs[t + 1] += i[t] * g[t]
                 np.tanh(cs[t + 1], out=tcs[t])
                 np.multiply(o[t], tcs[t], out=hs[t + 1])
-        self._caches = [(xs, hs[:-1], cs[:-1], gates, tcs)]
+        self._cache = (xs, hs[:-1], cs[:-1], gates, tcs)
         return hs[1:]
 
     def backward_seq(
@@ -314,7 +304,7 @@ class LSTM(Layer):
         gh_final: np.ndarray | None = None,
         gc_final: np.ndarray | None = None,
     ) -> np.ndarray:
-        """BPTT over all cached steps.
+        """BPTT over the sequence the last ``forward_seq`` cached.
 
         ``gh_seq`` (T, B, n_hidden) or None is the loss gradient flowing into
         each h_t from outside the recurrence (e.g. from heads);
@@ -323,12 +313,12 @@ class LSTM(Layer):
         gradients are one product each over all T*B gate-gradient rows.
         Returns the input gradients, (T, B, n_in), and clears the cache.
         """
-        caches, self._caches = self._caches, []
-        if not caches:
-            raise RuntimeError("backward called before forward")
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError("backward_seq called before forward_seq")
         nh = self.n_hidden
         # (T, B, ...) each; hs and cs are the states entering each step
-        xs, hs, cs, gates, tcs = (np.concatenate(a) for a in zip(*caches))
+        xs, hs, cs, gates, tcs = cache
         n_steps, batch = xs.shape[:2]
         i, f, g, o = gates[..., :nh], gates[..., nh : 2 * nh], gates[..., 2 * nh : 3 * nh], gates[..., 3 * nh :]
         # d c_t / d h_t, and d z_t per unit of d c_t (i, f, g blocks) and of d h_t (o block)
@@ -352,13 +342,3 @@ class LSTM(Layer):
         self.grads["w_h"] += hs.reshape(n_steps * batch, nh).T @ rows
         self.grads["bias"] += rows.sum(axis=0)
         return (rows @ self.w_x.T).reshape(n_steps, batch, self.n_in)
-
-    # single-step convenience used by grad checks
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h, c = self.zero_state(x.shape[0], dtype=x.dtype)
-        self.reset_cache()
-        h_new, _ = self.step(x, h, c)
-        return h_new
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        return self.backward_seq(gout[None])[0]

@@ -52,7 +52,7 @@ def make_rollout(net, n_steps, seed=0, rewards=None, kinds=None, dtype=np.float3
         obs = E.Observation(spatial=sp[t], nonspatial=ns[t])
         values[t] = net.value_of(obs, aux[t], h, c)
         x = net._features(sp[t : t + 1], ns[t : t + 1], aux[t : t + 1])
-        h, c = net.core.step(x, h, c, cache=False)
+        h, c = net.core.step(x, h, c)
     return A.Rollout(
         spatial=sp,
         nonspatial=ns,
@@ -540,6 +540,66 @@ def test_train_random_variant_matches_uniform_baseline():
     b = A.train(cfg)
     assert a.eval_rows == b.eval_rows
     assert a.eval_rows[0]["mean_score"] >= 0.0
+
+
+def reference_evaluate_policy(params, config, mem=None, commands=None):
+    """evaluate_policy as its own per-episode loop: fresh env, generator and
+    recurrent state per episode, the policy picked at every step."""
+    random_variant = config.variant == "random"
+    net = A.AgentNet()
+    if not random_variant:
+        net.set_flat(params)
+    shaping = A.EpisodeShaping(config, mem, commands)
+    scores, shaped, completions = [], [], []
+    for i in range(config.eval_episodes):
+        env = config.make_env(config.eval_seed + i)
+        rng = np.random.default_rng(np.random.SeedSequence((config.eval_seed, i)))
+        obs = env.observe()
+        shaping.start(obs)
+        h, c = net.zero_state()
+        total_shaped = 0.0
+        done = False
+        while not done:
+            if random_variant:
+                action = E.random_legal_action(env.state, rng)
+            else:
+                action, _, _, (h, c) = net.act(obs, shaping.aux(), h, c, env.legal_mask(), rng)
+            obs, env_r, done, events = env.step(action)
+            total_shaped += env_r + shaping.bonus(obs, events)
+        scores.append(float(env.score))
+        shaped.append(total_shaped)
+        completions.append(shaping.completions)
+    n = len(scores)
+    return {
+        "episodes": n,
+        "mean_score": float(np.mean(scores)),
+        "stderr_score": float(np.std(scores, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+        "mean_shaped": float(np.mean(shaped)),
+        "mean_completions": float(np.mean(completions)),
+    }
+
+
+class TallyEpisode(E.Episode):
+    """``env.Episode`` whose score also tallies every action played, weighted
+    by its step, so a change in any action shows in ``mean_score``."""
+
+    def step(self, action):
+        out = super().step(action)
+        self.score += 1e-6 * self.state.step * (1 + action.kind + 7 * action.x + 131 * action.y)
+        return out
+
+
+@pytest.mark.parametrize("eval_seed", [10_000, 77])
+@pytest.mark.parametrize("variant", ["none", "subtask", "narration", "random"])
+def test_evaluate_policy_equals_per_episode_reference(variant, eval_seed, tiny_mem, commands):
+    params = A.AgentNet(np.random.default_rng(21)).get_flat()
+    cfg = A.AgentConfig(
+        variant=variant, horizon=120, eval_episodes=3, eval_seed=eval_seed, tau=2.0,
+        env_factory=lambda seed: TallyEpisode(seed, 120),
+    )
+    row = A.evaluate_policy(params, cfg, tiny_mem, commands)
+    assert row == reference_evaluate_policy(params, cfg, tiny_mem, commands)
+    assert row["stderr_score"] > 0.0  # the episodes played apart
 
 
 def test_evaluate_policy_bitwise_reproducible(commands):

@@ -190,7 +190,7 @@ def unequal_batch():
 
 
 def reference_mem_loss(batch, model, commands, weight_decay):
-    """mem_loss with each distinct command run alone through LSTM.step, from
+    """mem_loss with each distinct command run alone through the LSTM, from
     its first token to its last, and backpropagated alone from its last."""
     model.zero_grads()
     xs = model.encode_state_batch(batch.spatial, batch.nonspatial)
@@ -203,10 +203,8 @@ def reference_mem_loss(batch, model, commands, weight_decay):
     model.backward_state_batch(g_xs)
     cell = model.cmd_lstm
     for cid in np.unique(batch.command_ids):
-        cell.reset_cache()
-        h, c = cell.zero_state(1)
-        for x in model.word_embeddings.embed_tokens(commands[cid].tokens):
-            h, c = cell.step(x[None].astype(np.float64), h, c)
+        xs = model.word_embeddings.embed_tokens(commands[cid].tokens)[:, None].astype(np.float64)
+        h = cell.forward_seq(xs, *cell.zero_state(1))[-1]
         model.cmd_proj.forward(h)
         g_h = model.cmd_proj.backward(-g_xs[batch.command_ids == cid].sum(axis=0, keepdims=True))
         cell.backward_seq(None, gh_final=g_h)

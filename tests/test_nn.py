@@ -75,7 +75,7 @@ def test_lstm_zero_weights_zero_output():
     cell = LSTM(3, 4, dtype=np.float64)
     cell.bias[:] = 0.0
     h, c = cell.zero_state(1, dtype=np.float64)
-    h2, c2 = cell.step(np.ones((1, 3)), h, c, cache=False)
+    h2, c2 = cell.step(np.ones((1, 3)), h, c)
     np.testing.assert_array_equal(h2, np.zeros((1, 4)))
     np.testing.assert_array_equal(c2, np.zeros((1, 4)))
 
@@ -85,7 +85,7 @@ def test_lstm_hidden_bounded():
     h, c = cell.zero_state(3, dtype=np.float64)
     r = rng(8)
     for _ in range(50):
-        h, c = cell.step(r.standard_normal((3, 6)) * 5, h, c, cache=False)
+        h, c = cell.step(r.standard_normal((3, 6)) * 5, h, c)
         assert np.abs(h).max() <= 1.0
 
 
@@ -111,6 +111,17 @@ def test_zero_output_grad_gives_zero_param_grads():
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
+class LSTMStep(LSTM):
+    """One LSTM step from the zero state, as the forward/backward pair
+    ``grad_check`` drives: a one-step ``forward_seq`` and its ``backward_seq``."""
+
+    def forward(self, x):
+        return self.forward_seq(x[None], *self.zero_state(x.shape[0], dtype=x.dtype))[0]
+
+    def backward(self, gout):
+        return self.backward_seq(gout[None])[0]
+
+
 @pytest.mark.parametrize(
     "make_net,in_shape",
     [
@@ -133,7 +144,7 @@ def test_zero_output_grad_gives_zero_param_grads():
             ),
             (2, 2, 7, 7),
         ),
-        (lambda r: LSTM(4, 3, r, dtype=np.float64), (2, 4)),
+        (lambda r: LSTMStep(4, 3, r, dtype=np.float64), (2, 4)),
     ],
     ids=["dense-tanh", "dense-relu-dense", "conv-relu", "conv-tanh-dense", "lstm-step"],
 )
@@ -153,10 +164,7 @@ def test_grad_check_lstm_unrolled_3_steps():
 
     def loss_fn():
         cell.zero_grads()
-        cell.reset_cache()
-        h, c = cell.zero_state(2, dtype=np.float64)
-        for t in range(3):
-            h, c = cell.step(xs[t], h, c)
+        h = cell.forward_seq(xs, *cell.zero_state(2, dtype=np.float64))[-1]
         loss = float((h * probe).sum())
         cell.backward_seq(None, gh_final=probe)
         return loss, [g.copy() for g in cell.grad_arrays()]
@@ -171,17 +179,13 @@ def test_lstm_input_grads_match_finite_differences():
     probe = r.standard_normal((2, 4))
 
     def run(inputs):
-        cell.reset_cache()
         h, c = cell.zero_state(2, dtype=np.float64)
         for t in range(3):
-            h, c = cell.step(inputs[t], h, c, cache=False)
+            h, c = cell.step(inputs[t], h, c)
         return float((h * probe).sum())
 
     cell.zero_grads()
-    cell.reset_cache()
-    h, c = cell.zero_state(2, dtype=np.float64)
-    for t in range(3):
-        h, c = cell.step(xs[t], h, c)
+    cell.forward_seq(xs, *cell.zero_state(2, dtype=np.float64))
     gx = cell.backward_seq(None, gh_final=probe)
 
     worst = 0.0
@@ -198,12 +202,13 @@ def test_lstm_input_grads_match_finite_differences():
     assert worst <= GC_TOL
 
 
-def reference_lstm(cell, xs, gh_seq, gh_final, gc_final):
-    """Forward from zero state, then step-by-step BPTT with per-step weight
-    updates and input products: (parameter gradients, input gradients)."""
+def reference_lstm(cell, xs, gh_seq, gh_final, gc_final, h0=None, c0=None):
+    """Forward from (h0, c0), zero by default, then step-by-step BPTT with
+    per-step weight updates and input products: (parameter gradients, input
+    gradients)."""
     nh = cell.n_hidden
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    h, c = cell.zero_state(xs.shape[1])
+    h, c = cell.zero_state(xs.shape[1]) if h0 is None else (h0, c0)
     steps = []
     for x in xs:
         z = x @ cell.w_x + h @ cell.w_h + cell.bias
@@ -242,12 +247,11 @@ def test_lstm_backward_seq_matches_per_step_reference(n_steps, batch, dtype, rto
     gh_final = r.standard_normal((batch, 5)).astype(dtype)
     gc_final = r.standard_normal((batch, 5)).astype(dtype)
     ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq, gh_final, gc_final)
+    with pytest.raises(RuntimeError):
+        cell.backward_seq(gh_seq)  # nothing cached yet
 
     cell.zero_grads()
-    cell.reset_cache()
-    h, c = cell.zero_state(batch)
-    for x in xs:
-        h, c = cell.step(x, h, c)
+    cell.forward_seq(xs, *cell.zero_state(batch))
     gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
     assert gx.shape == (n_steps, batch, 6) and gx.dtype == dtype
     for got, want in [(gx, ref_gx)] + [(cell.grads[n], ref_grads[n]) for n in cell.param_names]:
@@ -266,32 +270,32 @@ def test_lstm_grads_with_per_step_head_gradients_match_finite_differences():
     xs = r.standard_normal((n_steps, 2, 3))
     probes = r.standard_normal((n_steps, 2, 4))
 
-    def run(inputs, cache):
-        cell.reset_cache()
+    def run(inputs):
+        """The loss stepped one timestep at a time, as the agent acts."""
         h, c = cell.zero_state(2)
         loss = 0.0
         for t in range(n_steps):
-            h, c = cell.step(inputs[t], h, c, cache=cache)
+            h, c = cell.step(inputs[t], h, c)
             loss += float((h * probes[t]).sum())
         return loss
 
     def loss_fn():
         cell.zero_grads()
-        loss = run(xs, cache=True)
+        cell.forward_seq(xs, *cell.zero_state(2))
         cell.backward_seq(probes)
-        return loss, [g.copy() for g in cell.grad_arrays()]
+        return run(xs), [g.copy() for g in cell.grad_arrays()]
 
     assert grad_check_fn(loss_fn, cell.param_arrays(), eps=EPS) <= GC_TOL
 
-    run(xs, cache=True)
+    cell.forward_seq(xs, *cell.zero_state(2))
     gx = cell.backward_seq(probes)
     worst = 0.0
     for idx in np.ndindex(xs.shape):
         orig = xs[idx]
         xs[idx] = orig + EPS
-        up = run(xs, cache=False)
+        up = run(xs)
         xs[idx] = orig - EPS
-        down = run(xs, cache=False)
+        down = run(xs)
         xs[idx] = orig
         num = (up - down) / (2 * EPS)
         worst = max(worst, abs(num - gx[idx]) / max(abs(num), abs(gx[idx]), 1e-2))
@@ -299,9 +303,8 @@ def test_lstm_grads_with_per_step_head_gradients_match_finite_differences():
 
 
 def step_lstm(cell, xs, h, c):
-    """xs (T, B, n_in) through cell.step one timestep at a time, caching each:
-    every h_t, (T, B, n_hidden)."""
-    cell.reset_cache()
+    """xs (T, B, n_in) through cell.step one timestep at a time: every h_t,
+    (T, B, n_hidden)."""
     hs = []
     for x in xs:
         h, c = cell.step(x, h, c)
@@ -319,13 +322,12 @@ def test_lstm_forward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol
     h0, c0 = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
     gh_seq = r.standard_normal((n_steps, batch, 5)).astype(dtype)
     gh_final, gc_final = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
-    results = []
-    for run in (step_lstm, LSTM.forward_seq):
-        cell.zero_grads()
-        hs = run(cell, xs, h0, c0)
-        gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
-        results.append([hs, gx] + [cell.grads[n] for n in cell.param_names])
-    got, want = results
+    cell.zero_grads()
+    hs = cell.forward_seq(xs, h0, c0)
+    gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
+    ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq, gh_final, gc_final, h0, c0)
+    got = [hs, gx] + [cell.grads[n] for n in cell.param_names]
+    want = [step_lstm(cell, xs, h0, c0), ref_gx] + [ref_grads[n] for n in cell.param_names]
     assert got[0].shape == (n_steps, batch, 5) and got[0].dtype == dtype
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * np.abs(b).max())

@@ -3,20 +3,23 @@ microseconds, one thread of BLAS.
 
     PYTHONPATH=src python3 tools/timings.py
 
-Prints the time of ``train_skipgram`` for 10 epochs on the bundled corpus
-and of ``generate_dataset`` for ``Quotas(60, 300)`` (the benchmark's sizes
-for the ``grounding`` set-up), then the median time per call of
-``a3c_loss`` on a 32-step rollout, ``mem_loss`` with gradients on a
-32-sample batch over the shipped commands, ``evaluate_mem`` over all 900
-samples of a ``Quotas(60, 300)`` dataset, ``AgentNet.act`` and
+Prints the time of ``train_skipgram`` for 10 epochs on the bundled corpus,
+of ``generate_dataset`` for ``Quotas(60, 300)`` (the benchmark's sizes for
+the ``grounding`` set-up) and of ``evaluate_policy`` for 2 episodes of the
+``none`` variant at horizon 256, then the median time per call of
+``Actor.rollout`` for 32 steps of the ``none`` variant, ``a3c_loss`` on a
+32-step rollout, ``mem_loss`` with gradients on a 32-sample batch over the
+shipped commands, ``evaluate_mem`` over all 900 samples of a
+``Quotas(60, 300)`` dataset, ``AgentNet.act`` and
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
 and on two frames in turn (it misses every time), ``adam_step`` over the
 agent's parameters, the state encoder's two convs forward and backward and
 its whole backward at batch 1 and 32, and the agent's LSTM (one step; 32
-cached steps plus BPTT; and the 32-step ``forward_seq`` plus BPTT that
-``a3c_loss`` runs). Each figure is the lowest of five medians (of five
-runs for a set-up stage), which damps the swings of a shared host; compare
-two commits by running it at each, alternately, on the same machine.
+steps, as a rollout's ``act`` calls run them; and the 32-step
+``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the
+lowest of five medians (of five runs for a set-up stage), which damps the
+swings of a shared host; compare two commits by running it at each,
+alternately, on the same machine.
 """
 
 from __future__ import annotations
@@ -64,6 +67,14 @@ def main() -> None:
         values=rng.standard_normal(t_len).astype(np.float32), bootstrap=0.3, h0=h0, c0=c0,
     )
     cfg = A.AgentConfig()
+    eval_cfg = A.AgentConfig(variant="none", horizon=256, eval_episodes=2)
+    worker0 = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, 0)))
+    actor = A.Actor(net, cfg, A.EpisodeShaping(cfg, None, None), cfg.base_seed, worker0)
+
+    def play_rollout():
+        if actor.rollout()[1]:
+            actor.end_episode(0)
+
     obs = E.Observation(spatial[0], nonspatial[0])
     other = itertools.cycle([obs, E.Observation(spatial[1], nonspatial[1])])
     mask = np.ones(E.N_ACTIONS, bool)
@@ -74,6 +85,9 @@ def main() -> None:
         ) / 1e3,
         "generate_dataset Quotas(60,300)": micros(
             lambda: M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11), calls=1
+        ) / 1e3,
+        "evaluate_policy none 2x256": micros(
+            lambda: A.evaluate_policy(net.get_flat(), eval_cfg), calls=1
         ) / 1e3,
     }
     emb, _ = L.train_skipgram(corpus, L.SkipgramConfig(epochs=1), seed=3)
@@ -89,6 +103,7 @@ def main() -> None:
     mem_ds = M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11)
     everything = np.arange(mem_ds.n_samples())
     out = {
+        "Actor.rollout T=32": micros(play_rollout, calls=20),
         "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
         "mem_loss B=32": micros(lambda: M.mem_loss(mem_batch, mem, commands, wd), calls=50),
         f"evaluate_mem S={everything.size}": micros(
@@ -115,14 +130,13 @@ def main() -> None:
     core, feats = net.core, rng.standard_normal((t_len, 1, A.HIDDEN)).astype(np.float32)
     gh = rng.standard_normal((t_len, 1, A.HIDDEN)).astype(np.float32)
 
-    def bptt():
+    def steps():
         h, c = h0, c0
         for t in range(t_len):
             h, c = core.step(feats[t], h, c)
-        core.backward_seq(gh)
 
-    out["LSTM.step B=1"] = micros(lambda: core.step(feats[0], h0, c0, cache=False))
-    out["LSTM 32 steps + backward_seq"] = micros(bptt, calls=20)
+    out["LSTM.step B=1"] = micros(lambda: core.step(feats[0], h0, c0))
+    out["LSTM 32 steps"] = micros(steps, calls=20)
     out["LSTM forward_seq T=32 + backward_seq"] = micros(
         lambda: (core.forward_seq(feats, h0, c0), core.backward_seq(gh)), calls=20
     )
