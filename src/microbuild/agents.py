@@ -202,17 +202,15 @@ class Rollout:
 
 
 def compute_returns(
-    rewards: np.ndarray, bootstrap: float, gamma: float = 0.99, values: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """n-step bootstrapped returns, plus advantages when values are given."""
+    rewards: np.ndarray, bootstrap: float, gamma: float, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """n-step bootstrapped returns and their advantages over ``values``."""
     t = rewards.shape[0]
     returns = np.empty(t, dtype=np.float64)
     acc = float(bootstrap)
     for i in range(t - 1, -1, -1):
         acc = float(rewards[i]) + gamma * acc
         returns[i] = acc
-    if values is None:
-        return returns, None
     return returns, returns - values.astype(np.float64)
 
 
@@ -348,10 +346,12 @@ class EpisodeShaping:
         self.tau = config.tau
         self.tracker = None
         if config.variant in ("narration", "subtask"):
+            if not commands:
+                raise ValueError(f"{config.variant} variant needs a non-empty command list")
             self.tracker = InstructionTracker(commands, bonus=config.bonus)
         if self.narration:
-            if mem is None or commands is None:
-                raise ValueError("narration variant needs a trained embedding model and commands")
+            if mem is None:
+                raise ValueError("narration variant needs a trained embedding model")
             self.mem = mem
             self.command_vecs = np.stack([self.mem.encode_command(c) for c in commands])
         self._zero_aux = np.zeros(AUX_DIM, dtype=np.float32)

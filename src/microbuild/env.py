@@ -17,14 +17,14 @@ legality, apart from a build's target cell, for ``step`` and
 ``scripted_expert``; ``_legal_kinds`` adds the rule that a build needs a
 free cell, for ``legal_actions`` and ``random_legal_action``.
 ``free_cells`` decides which cells take a build or a new marine.
-``detect`` over ``counters`` is the one detector: episodes, trajectory
-records and the embedding dataset's labels all use it.
+``detect`` over ``counters`` is the one detector: episodes and the
+embedding dataset's labels both use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -439,44 +439,6 @@ def random_legal_action(state: GameState, rng: np.random.Generator) -> Action:
         cell = int(free[rng.integers(len(free))])
         return Action(kind, x=cell % GRID, y=cell // GRID)
     return Action(kind)
-
-
-def counts_dict(state: GameState) -> dict:
-    return {
-        "minerals": state.minerals,
-        "supply_used": state.supply_used,
-        "supply_cap": state.supply_cap,
-        "workers": state.n_workers,
-        "depots": state.n_depots,
-        "barracks": state.n_barracks,
-        "marines": state.n_marines,
-    }
-
-
-def trajectory_records(seed: int, actions: Iterable[Action], horizon: int = HORIZON) -> list[dict]:
-    """Replay actions from ``reset(seed)`` into one JSON-able record per step."""
-    state = reset(seed, horizon)
-    records = []
-    for action in actions:
-        prev = state
-        state, reward, done = step(state, action)
-        records.append(
-            {
-                "step": state.step,
-                "action": {
-                    "id": action.kind,
-                    "name": ACTION_NAMES[action.kind],
-                    "x": action.x if action.kind in BUILD_KINDS else None,
-                    "y": action.y if action.kind in BUILD_KINDS else None,
-                },
-                "reward": reward,
-                "counts": counts_dict(state),
-                "events": sorted(EVENT_NAMES[e] for e in detect(prev, state)),
-            }
-        )
-        if done:
-            break
-    return records
 
 
 class Episode:

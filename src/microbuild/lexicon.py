@@ -81,23 +81,6 @@ class WordEmbeddings:
             return np.zeros((0, self.dim), dtype=np.float32)
         return self.vectors[self.vocab.ids(tokens)]
 
-    def cosine(self, a: str, b: str) -> float:
-        va, vb = self.embed_tokens([a])[0], self.embed_tokens([b])[0]
-        denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
-        return float(va @ vb / denom) if denom > 0 else 0.0
-
-    def nearest_words(self, token: str, k: int = 5) -> list[str]:
-        tid = self.vocab.index.get(token, 0)
-        v = self.vectors[tid]
-        norms = np.linalg.norm(self.vectors, axis=1)
-        denom = norms * max(float(np.linalg.norm(v)), 1e-12)
-        sims = (self.vectors @ v) / np.maximum(denom, 1e-12)
-        sims[tid] = -np.inf
-        sims[0] = -np.inf
-        order = np.argsort(-sims)[:k]
-        names = self.vocab.tokens_by_id()
-        return [names[i] for i in order]
-
     def spec(self) -> dict:
         return {"kind": "word-embeddings", "dim": self.dim, "tokens": self.vocab.tokens_by_id()}
 
@@ -217,32 +200,3 @@ def train_skipgram(
 def load_bundled_corpus() -> list[str]:
     text = resources.files("microbuild.data").joinpath("corpus.txt").read_text(encoding="utf-8")
     return [line for line in text.splitlines() if line.strip()]
-
-
-def corpus_check(
-    sentences: list[str], required_tokens: list[str], min_sentences: int = 500, min_occurrences: int = 20
-) -> list[str]:
-    """Return a list of problems; empty means the corpus passes."""
-    problems = []
-    if len(sentences) < min_sentences:
-        problems.append(f"only {len(sentences)} sentences (need >= {min_sentences})")
-    freq = Counter(tok for s in sentences for tok in tokenize(s))
-    for tok in sorted(set(required_tokens)):
-        if freq[tok] < min_occurrences:
-            problems.append(f"token '{tok}' occurs {freq[tok]} times (need >= {min_occurrences})")
-    return problems
-
-
-def substituted_word_pairs(original_texts: list[str], alternate_texts: list[str]) -> list[tuple[str, str]]:
-    """Word swaps between paired phrasings, as (original, alternate) tuples.
-
-    Computed as the multiset difference of each text pair; phrasings that
-    only reorder shared words contribute nothing.
-    """
-    pairs = []
-    for orig, alt in zip(original_texts, alternate_texts):
-        a, b = Counter(tokenize(orig)), Counter(tokenize(alt))
-        removed = sorted((a - b).elements())
-        added = sorted((b - a).elements())
-        pairs.extend(zip(removed, added))
-    return sorted(set(pairs))

@@ -92,22 +92,20 @@ class MemModel(Model):
         self,
         word_embeddings: WordEmbeddings,
         rng: np.random.Generator | None = None,
-        embed_dim: int = EMBED_DIM,
         dtype=np.float32,
     ):
         self.word_embeddings = word_embeddings  # frozen; not part of theta
-        self.embed_dim = embed_dim
         self.dtype = dtype
         self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng, dtype)
-        self.state_proj = Dense(self.encoder.out_dim, embed_dim, rng, dtype=dtype)
-        self.cmd_lstm = LSTM(word_embeddings.dim, embed_dim, rng, dtype=dtype)
-        self.cmd_proj = Dense(embed_dim, embed_dim, rng, dtype=dtype)
+        self.state_proj = Dense(self.encoder.out_dim, EMBED_DIM, rng, dtype=dtype)
+        self.cmd_lstm = LSTM(word_embeddings.dim, EMBED_DIM, rng, dtype=dtype)
+        self.cmd_proj = Dense(EMBED_DIM, EMBED_DIM, rng, dtype=dtype)
         self.layers = [*self.encoder.layers, self.state_proj, self.cmd_lstm, self.cmd_proj]
 
     def spec(self) -> dict:
         return {
             "kind": "mutual-embedding",
-            "embed_dim": self.embed_dim,
+            "embed_dim": EMBED_DIM,
             "modules": [m.spec() for m in self.layers],
             "word": self.word_embeddings.spec(),
         }
@@ -123,7 +121,7 @@ class MemModel(Model):
             raise ValueError(f"{path}: not a mutual-embedding model file")
         word_spec = spec["word"]
         word_vecs = flat[-len(word_spec["tokens"]) * word_spec["dim"] :]
-        model = cls(WordEmbeddings.from_spec(word_spec, word_vecs), rng=None, embed_dim=spec["embed_dim"])
+        model = cls(WordEmbeddings.from_spec(word_spec, word_vecs))
         if model.spec() != spec:
             raise ValueError(f"{path}: architecture spec mismatch")
         model.set_flat(flat[: model.n_params()])
@@ -180,7 +178,7 @@ class MemModel(Model):
         """
         g_h = self.cmd_proj.backward(g_out)
         last = self._cmd_last
-        gh_seq = np.zeros((last.max() + 1, last.size, self.embed_dim), dtype=g_h.dtype)
+        gh_seq = np.zeros((last.max() + 1, last.size, EMBED_DIM), dtype=g_h.dtype)
         gh_seq[last, np.arange(last.size)] = g_h
         self.cmd_lstm.backward_seq(gh_seq)
 
@@ -220,9 +218,8 @@ def mem_loss(
     model: MemModel,
     commands: list[CommandSpec],
     weight_decay: float,
-    accumulate_grads: bool = True,
-) -> tuple[float, np.ndarray | None]:
-    """Contrastive distance loss and (optionally) flat parameter gradients.
+) -> tuple[float, np.ndarray]:
+    """Contrastive distance loss and flat parameter gradients.
 
     The states go through the encoder as one batch. The batch's distinct
     commands go through the LSTM as one batch too: a hoisted sequence pass
@@ -246,8 +243,6 @@ def mem_loss(
     flat = model_flat(model) if weight_decay else None
     if weight_decay:
         loss += weight_penalty(model, weight_decay, flat)
-    if not accumulate_grads:
-        return loss, None
 
     safe = np.where(dist > 0.0, dist, 1.0)
     scale = np.where(dist > 0.0, 2.0 * err / (n * safe), 0.0)
@@ -260,19 +255,6 @@ def mem_loss(
     if weight_decay:
         grads += 2.0 * weight_decay * flat.astype(grads.dtype, copy=False)  # float32, as get_flat()
     return loss, grads
-
-
-def is_satisfied(
-    model: MemModel,
-    obs: E.Observation,
-    command,
-    threshold: float = DEFAULT_THRESHOLD,
-    command_vec: np.ndarray | None = None,
-) -> bool:
-    """Distance test: command satisfied when closer than the threshold."""
-    if command_vec is None:
-        command_vec = model.encode_command(command)
-    return mem_distance(model.encode_state(obs), command_vec) < threshold
 
 
 # ----------------------------------------------------------------- dataset
@@ -373,8 +355,6 @@ NULL_STRIDE = 9  # keep every k-th eligible null transition
 def generate_dataset(
     quotas: Quotas,
     seed: int,
-    n_commands: int = E.N_COMMANDS,
-    horizon: int = E.HORIZON,
     expert_mix: float = 0.3,
     budget_steps: int = 4_000_000,
 ) -> MemDataset:
@@ -385,6 +365,7 @@ def generate_dataset(
     reproduces a pure random agent). Raises if any command's quota cannot
     be met within the step budget, naming the starving command.
     """
+    n_commands = E.N_COMMANDS
     seq = np.random.SeedSequence(seed)
     rng_policy, rng_pairs, rng_split, rng_env = [np.random.default_rng(s) for s in seq.spawn(4)]
 
@@ -406,11 +387,11 @@ def generate_dataset(
                 f"(fills: {fill}, nulls: {len(null_obs)}/{quotas.nulls})"
             )
         env_seed = int(rng_env.integers(2**31))
-        state = E.reset(env_seed, horizon)
+        state = E.reset(env_seed)
         ctr = E.counters(state)
         steps_since_event = NULL_WINDOW  # episode start counts as quiet
         episode += 1
-        while state.step < horizon and unmet:
+        while state.step < E.HORIZON and unmet:
             if rng_policy.random() < expert_mix:
                 action = E.scripted_expert(state)
             else:
@@ -613,33 +594,3 @@ def train_mem(
         model, dataset, dataset.split_test, commands, config.weight_decay, config.threshold
     )
     return model, metrics
-
-
-def shuffle_labels(dataset: MemDataset, seed: int) -> MemDataset:
-    """Leakage control: permute labels within the matched/mismatched pairs.
-
-    Only the paired goal samples (a 50/50 population) are shuffled and
-    kept; including the all-mismatched null samples would floor accuracy
-    at their base rate instead of at chance.
-    """
-    rng = np.random.default_rng(seed)
-    paired = np.flatnonzero(dataset.obs_label[dataset.sample_obs] >= 0)
-    labels = dataset.sample_label.copy()
-    labels[paired] = labels[paired][rng.permutation(paired.size)]
-    keep_mask = np.zeros(dataset.n_samples(), dtype=bool)
-    keep_mask[paired] = True
-    remap = np.cumsum(keep_mask) - 1
-    return MemDataset(
-        spatial=dataset.spatial,
-        nonspatial=dataset.nonspatial,
-        obs_label=dataset.obs_label,
-        obs_counters=dataset.obs_counters,
-        sample_obs=dataset.sample_obs[keep_mask],
-        sample_cmd=dataset.sample_cmd[keep_mask],
-        sample_label=labels[keep_mask],
-        split_train=remap[dataset.split_train[keep_mask[dataset.split_train]]].astype(np.int32),
-        split_val=remap[dataset.split_val[keep_mask[dataset.split_val]]].astype(np.int32),
-        split_test=remap[dataset.split_test[keep_mask[dataset.split_test]]].astype(np.int32),
-        quotas=dataset.quotas,
-        seed=seed,
-    )

@@ -3,8 +3,8 @@
 Everything is numpy, float32 by default, and deliberately small: static
 layer chains with cached activations, a ``Model`` base that owns the
 parameter plumbing, the ``StateEncoder`` shared by the agent and the
-embedding model, an Adam optimizer on flat parameter vectors, and a
-finite-difference gradient checker. No general autodiff.
+embedding model, and an Adam optimizer on flat parameter vectors. No
+general autodiff.
 """
 
 from .layers import (
@@ -28,7 +28,6 @@ from .network import (
     unflatten_into,
 )
 from .optim import AdamState, adam_step
-from .gradcheck import grad_check, grad_check_fn
 
 __all__ = [
     "AdamState",
@@ -45,8 +44,6 @@ __all__ = [
     "adam_step",
     "flatten_arrays",
     "glorot_uniform",
-    "grad_check",
-    "grad_check_fn",
     "load_model",
     "param_count",
     "save_model",

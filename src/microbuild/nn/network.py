@@ -159,19 +159,34 @@ def save_model(path, spec: dict, arrays: list[np.ndarray]) -> None:
         fh.write(flat.tobytes())
 
 
+def _read_exact(fh, n: int, path, part: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: truncated {part} ({len(data)} of {n} bytes)")
+    return data
+
+
 def load_model(path, expected_spec: dict | None = None) -> tuple[dict, np.ndarray]:
-    """Read (spec, flat float32 params); reject malformed or mismatched files."""
+    """Read (spec, flat float32 params); a malformed or mismatched file
+    (truncated anywhere, a header that is not a UTF-8 JSON object, a wrong
+    parameter count or spec) raises ``ValueError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a model file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "format version"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        spec = json.loads(fh.read(hlen).decode("utf-8"))
-        (n,) = struct.unpack("<Q", fh.read(8))
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
+        header = _read_exact(fh, hlen, path, "header")
+        (n,) = struct.unpack("<Q", _read_exact(fh, 8, path, "parameter count"))
         payload = fh.read()
+    try:
+        spec = json.loads(header.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValueError(f"{path}: undecodable header ({exc})") from exc
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     if len(payload) != 4 * n:
         raise ValueError(f"{path}: truncated parameter block ({len(payload)} bytes, expected {4 * n})")
     if expected_spec is not None and spec != expected_spec:

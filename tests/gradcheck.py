@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .layers import Layer
+from microbuild.nn import Layer
 
 
 def grad_check_fn(

@@ -10,7 +10,9 @@ from microbuild import agents as A
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
-from microbuild.nn import flatten_arrays, grad_check_fn
+from microbuild.nn import flatten_arrays
+
+from gradcheck import grad_check_fn
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,7 @@ def make_rollout(net, n_steps, seed=0, rewards=None, kinds=None, dtype=np.float3
 
 def test_returns_gamma_zero_is_rewards():
     r = np.array([1.0, 0.5, 2.0])
-    returns, _ = A.compute_returns(r, bootstrap=7.0, gamma=0.0)
+    returns, _ = A.compute_returns(r, bootstrap=7.0, gamma=0.0, values=np.zeros(3))
     np.testing.assert_allclose(returns, r)
 
 
@@ -86,7 +88,7 @@ def test_returns_all_zero_terminal():
 
 def test_returns_hand_case_matches_recurrence_oracle():
     # brute-force oracle: acc = v_boot; acc = r[i] + gamma * acc walking back
-    returns, _ = A.compute_returns(np.array([1.0, 0.0, 2.0]), bootstrap=1.0, gamma=0.5)
+    returns, _ = A.compute_returns(np.array([1.0, 0.0, 2.0]), bootstrap=1.0, gamma=0.5, values=np.zeros(3))
     np.testing.assert_allclose(returns, [1.625, 1.25, 2.5])
 
 
@@ -621,6 +623,19 @@ def test_train_rejects_zero_eval_setting_before_building_an_env(field):
     cfg = A.AgentConfig(**{field: 0}, env_factory=built.append)
     with pytest.raises(ValueError, match=field):
         A.train(cfg)
+    assert built == []
+
+
+@pytest.mark.parametrize("no_commands", [None, []], ids=["none", "empty"])
+@pytest.mark.parametrize("variant", ["narration", "subtask"])
+def test_shaped_variant_without_commands_raises_before_any_step(variant, no_commands, tiny_mem):
+    built = []
+    cfg = A.AgentConfig(variant=variant, workers=1, total_steps=32, horizon=40, eval_episodes=1,
+                        env_factory=built.append)
+    with pytest.raises(ValueError, match="non-empty command list"):
+        A.train(cfg, tiny_mem, no_commands)
+    with pytest.raises(ValueError, match="non-empty command list"):
+        A.evaluate_policy(A.AgentNet().get_flat(), cfg, tiny_mem, no_commands)
     assert built == []
 
 

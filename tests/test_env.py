@@ -392,6 +392,40 @@ def test_random_policy_bounded_by_oracle():
 # -------------------------------------------------------- trajectory dump
 
 
+def trajectory_records(seed: int, actions: list[E.Action]) -> list[dict]:
+    """Replay actions from ``reset(seed)`` into one JSON-able record per step."""
+    state = E.reset(seed)
+    records = []
+    for action in actions:
+        prev = state
+        state, reward, done = E.step(state, action)
+        records.append(
+            {
+                "step": state.step,
+                "action": {
+                    "id": action.kind,
+                    "name": E.ACTION_NAMES[action.kind],
+                    "x": action.x if action.kind in E.BUILD_KINDS else None,
+                    "y": action.y if action.kind in E.BUILD_KINDS else None,
+                },
+                "reward": reward,
+                "counts": {
+                    "minerals": state.minerals,
+                    "supply_used": state.supply_used,
+                    "supply_cap": state.supply_cap,
+                    "workers": state.n_workers,
+                    "depots": state.n_depots,
+                    "barracks": state.n_barracks,
+                    "marines": state.n_marines,
+                },
+                "events": sorted(E.EVENT_NAMES[e] for e in E.detect(prev, state)),
+            }
+        )
+        if done:
+            break
+    return records
+
+
 def test_trajectory_matches_golden_file():
     s = E.reset(0)
     actions = []
@@ -399,12 +433,12 @@ def test_trajectory_matches_golden_file():
         a = E.scripted_expert(s)
         actions.append(a)
         s, _, _ = E.step(s, a)
-    records = E.trajectory_records(0, actions)
+    records = trajectory_records(0, actions)
     golden = [json.loads(line) for line in (DATA / "expert_trace_seed0.jsonl").read_text().splitlines()]
     assert records == golden
 
 
 def test_trajectory_record_fields():
-    records = E.trajectory_records(0, [E.Action(E.A_SELECT_WORKER), E.NOOP])
+    records = trajectory_records(0, [E.Action(E.A_SELECT_WORKER), E.NOOP])
     assert [sorted(r.keys()) for r in records] == [["action", "counts", "events", "reward", "step"]] * 2
     assert records[0]["events"] == ["select-worker"]

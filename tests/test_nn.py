@@ -19,13 +19,13 @@ from microbuild.nn import (
     Tanh,
     adam_step,
     flatten_arrays,
-    grad_check,
-    grad_check_fn,
     load_model,
     save_model,
     unflatten_into,
 )
 from microbuild.nn.layers import _sigmoid
+
+from gradcheck import grad_check, grad_check_fn
 
 GC_TOL = 1e-4
 EPS = 1e-4
@@ -154,6 +154,22 @@ def test_grad_check_layers(make_net, in_shape):
     # keep relu inputs away from the kink
     x = r.standard_normal(in_shape) + 0.05
     assert grad_check(net, x, eps=EPS, rng=rng(12)) <= GC_TOL
+
+
+class BiasSignFlippedDense(Dense):
+    """A ``Dense`` whose analytic bias gradient has the wrong sign."""
+
+    def backward(self, gout):
+        gin = super().backward(gout)
+        self.grads["bias"] -= 2.0 * gout.sum(axis=0)
+        return gin
+
+
+def test_grad_check_reports_a_wrong_gradient():
+    x = rng(51).standard_normal((3, 5))
+    assert grad_check(Dense(5, 4, rng(52), dtype=np.float64), x, eps=EPS, rng=rng(53)) <= GC_TOL
+    wrong = BiasSignFlippedDense(5, 4, rng(52), dtype=np.float64)
+    assert grad_check(wrong, x, eps=EPS, rng=rng(53)) >= 100 * GC_TOL
 
 
 def test_grad_check_lstm_unrolled_3_steps():
@@ -650,6 +666,45 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a model at all")
     with pytest.raises(ValueError, match="bad magic"):
+        load_model(path)
+
+
+MODEL_FILE_FIELDS = ["magic", "version", "header-length", "header", "count"]
+
+
+def model_file_fields(data: bytes) -> dict[str, tuple[int, int]]:
+    """Byte range of each field before the parameter block of a model file."""
+    bounds = [0, 6, 10, 14]
+    bounds += [bounds[-1] + int.from_bytes(data[10:14], "little")]
+    bounds += [bounds[-1] + 8]
+    return dict(zip(MODEL_FILE_FIELDS, zip(bounds, bounds[1:])))
+
+
+@pytest.mark.parametrize("field", [*MODEL_FILE_FIELDS, "payload"])
+def test_load_rejects_every_truncation(tmp_path, field):
+    path = tmp_path / "agent.bin"
+    A.AgentNet(rng(4)).save(path)
+    data = path.read_bytes()
+    start, end = model_file_fields(data).get(field, (len(data) - 1, len(data)))
+    for cut in range(start, end):  # a cut inside the field or right before it
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            load_model(path)
+
+
+@pytest.mark.parametrize(
+    "header,match",
+    [(b"\xff" * 8, "undecodable header"), (b"{not json", "undecodable header"), (b"[1, 2]", "not a JSON object")],
+    ids=["not-utf8", "not-json", "json-list"],
+)
+def test_load_rejects_malformed_header(tmp_path, header, match):
+    good = tmp_path / "good.bin"
+    save_model(good, {"kind": "probe"}, [np.ones(3, dtype=np.float32)])
+    data = good.read_bytes()
+    start, end = model_file_fields(data)["header"]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data[:10] + len(header).to_bytes(4, "little") + header + data[end:])
+    with pytest.raises(ValueError, match=match):
         load_model(path)
 
 
