@@ -36,7 +36,6 @@ from .nn import (
     Sequential,
     StateEncoder,
     adam_step,
-    flatten_arrays,
     load_model,
     save_model,
 )
@@ -95,7 +94,7 @@ class AgentNet(Model):
         self.head_y = Dense(HIDDEN, E.GRID, rng, dtype=dtype)
         self.head_value = Dense(HIDDEN, 1, rng, dtype=dtype)
         self.layers = [
-            *self.encoder.layers,
+            self.encoder,
             self.trunk,
             self.core,
             self.head_action,
@@ -103,12 +102,14 @@ class AgentNet(Model):
             self.head_y,
             self.head_value,
         ]
+        self._own_params()
 
     def spec(self) -> dict:
-        return {"kind": "agent-net", "modules": [m.spec() for m in self.layers]}
+        modules = [*self.encoder.layers, *self.layers[1:]]
+        return {"kind": "agent-net", "modules": [m.spec() for m in modules]}
 
     def save(self, path) -> None:
-        save_model(path, self.spec(), self.param_arrays())
+        save_model(path, self.spec(), self.flat_params)
 
     @classmethod
     def load(cls, path) -> "AgentNet":
@@ -284,7 +285,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     gh += net.head_y.backward(g_y)
     gh += net.head_value.backward(g_v)
     net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
-    return loss, flatten_arrays(net.grad_arrays())
+    return loss, net.flat_grads.astype(np.float32)
 
 
 # ---------------------------------------------------------------- shaping
@@ -388,11 +389,11 @@ class EpisodeShaping:
 
 
 class SharedParams:
-    """The learner's parameter block: one clipped Adam update per turn, and
-    snapshots for evaluation."""
+    """The learner network's parameters: one clipped Adam update per turn,
+    in place on ``net.flat_params``, and snapshots for evaluation."""
 
-    def __init__(self, init_params: np.ndarray, config: AgentConfig):
-        self._params = init_params.astype(np.float32).copy()
+    def __init__(self, net: Model, config: AgentConfig):
+        self._params = net.flat_params
         self._adam = AdamState(self._params.size, lr=config.lr)
         self._clip = config.grad_clip
         self._eval_interval = config.eval_interval
@@ -402,10 +403,6 @@ class SharedParams:
 
     def snapshot(self) -> tuple[np.ndarray, int]:
         return self._params.copy(), self.version
-
-    def load_into(self, net: Model) -> None:
-        """Give ``net`` the current parameters."""
-        net.set_flat(self._params)
 
     def should_stop(self) -> bool:
         return self.steps >= self.total_steps
@@ -639,7 +636,7 @@ def train(
         return TrainResult([row], [], np.zeros(1, dtype=np.float32), 0, config)
 
     net = AgentNet(np.random.default_rng(config.base_seed))
-    shared = SharedParams(net.get_flat(), config)
+    shared = SharedParams(net, config)
     records: list[RunRecord] = []
     eval_rows: list[dict] = []
 
@@ -662,7 +659,6 @@ def train(
             _, grads = a3c_loss(rollout, net, config)
             for boundary in shared.apply_gradients(grads, len(rollout)):
                 run_eval(boundary)
-            shared.load_into(net)
             if done:
                 records.append(actors[wid].end_episode(shared.steps))
         except Exception as exc:

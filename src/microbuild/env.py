@@ -35,7 +35,6 @@ CELL_EMPTY, CELL_BASE, CELL_MINERAL, CELL_WORKER, CELL_DEPOT, CELL_BARRACKS, CEL
 
 A_NOOP, A_SELECT_WORKER, A_BUILD_DEPOT, A_BUILD_BARRACKS, A_SELECT_BARRACKS, A_TRAIN_MARINE = range(6)
 N_ACTIONS = 6
-ACTION_NAMES = ("noop", "select-worker", "build-depot", "build-barracks", "select-barracks", "train-marine")
 BUILD_KINDS = (A_BUILD_DEPOT, A_BUILD_BARRACKS)
 
 DEPOT_COST, BARRACKS_COST, MARINE_COST = 100, 150, 50
@@ -115,33 +114,6 @@ class GameState:
 
     def is_free(self, pos: tuple[int, int]) -> bool:
         return self.grid[pos] == CELL_EMPTY and pos not in self.build_sites
-
-    def fingerprint(self) -> bytes:
-        """Canonical byte encoding; equal iff the states are identical."""
-        parts = [
-            self.grid.tobytes(),
-            np.int64(
-                [
-                    self.minerals,
-                    self.supply_used,
-                    self.supply_cap,
-                    self.sel_kind,
-                    self.sel_pos[0],
-                    self.sel_pos[1],
-                    self.n_workers,
-                    self.n_depots,
-                    self.n_barracks,
-                    self.n_marines,
-                    self.step,
-                    self.horizon,
-                ]
-            ).tobytes(),
-            repr(sorted(self.build_sites.items())).encode(),
-            repr(sorted(self.train_jobs.items())).encode(),
-            repr(self.workers).encode(),
-            repr(self.barracks_list).encode(),
-        ]
-        return b"|".join(parts)
 
 
 @dataclass

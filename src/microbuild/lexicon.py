@@ -85,7 +85,7 @@ class WordEmbeddings:
         return {"kind": "word-embeddings", "dim": self.dim, "tokens": self.vocab.tokens_by_id()}
 
     def save(self, path) -> None:
-        save_model(path, self.spec(), [self.vectors])
+        save_model(path, self.spec(), self.vectors.ravel())
 
     @classmethod
     def load(cls, path) -> "WordEmbeddings":

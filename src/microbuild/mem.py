@@ -39,7 +39,6 @@ from .nn import (
     Model,
     StateEncoder,
     adam_step,
-    flatten_arrays,
     load_model,
     save_model,
 )
@@ -100,19 +99,20 @@ class MemModel(Model):
         self.state_proj = Dense(self.encoder.out_dim, EMBED_DIM, rng, dtype=dtype)
         self.cmd_lstm = LSTM(word_embeddings.dim, EMBED_DIM, rng, dtype=dtype)
         self.cmd_proj = Dense(EMBED_DIM, EMBED_DIM, rng, dtype=dtype)
-        self.layers = [*self.encoder.layers, self.state_proj, self.cmd_lstm, self.cmd_proj]
+        self.layers = [self.encoder, self.state_proj, self.cmd_lstm, self.cmd_proj]
+        self._own_params()
 
     def spec(self) -> dict:
         return {
             "kind": "mutual-embedding",
             "embed_dim": EMBED_DIM,
-            "modules": [m.spec() for m in self.layers],
+            "modules": [m.spec() for m in [*self.encoder.layers, *self.layers[1:]]],
             "word": self.word_embeddings.spec(),
         }
 
     def save(self, path) -> None:
-        arrays = self.param_arrays() + [self.word_embeddings.vectors]
-        save_model(path, self.spec(), arrays)
+        flat = np.concatenate([self.flat_params, self.word_embeddings.vectors.ravel()])
+        save_model(path, self.spec(), flat)
 
     @classmethod
     def load(cls, path) -> "MemModel":
@@ -193,19 +193,9 @@ class MemBatch:
     labels: np.ndarray  # (B,) 0 matched / 1 mismatched
 
 
-def model_flat(model: MemModel) -> np.ndarray:
-    """The parameters as one vector in the model's dtype (``get_flat`` is float32)."""
-    return flatten_arrays(model.param_arrays(), np.empty(model.n_params(), dtype=model.dtype))
-
-
-def weight_penalty(model: MemModel, weight_decay: float, flat: np.ndarray | None = None) -> float:
-    """``weight_decay`` times the sum of squared parameters, summed in float64 one array at a time.
-
-    ``flat`` is ``model_flat(model)`` when the caller has it already.
-    """
-    if flat is None:
-        flat = model_flat(model)
-    squares = np.square(flat, dtype=np.float64)
+def weight_penalty(model: MemModel, weight_decay: float) -> float:
+    """``weight_decay`` times the sum of squared parameters, summed in float64 one array at a time."""
+    squares = np.square(model.flat_params, dtype=np.float64)
     total, pos = 0.0, 0
     for p in model.param_arrays():
         total += float(squares[pos : pos + p.size].sum())
@@ -240,9 +230,8 @@ def mem_loss(
     labels = batch.labels.astype(np.float64)
     err = dist - labels
     loss = float((err * err).mean())
-    flat = model_flat(model) if weight_decay else None
     if weight_decay:
-        loss += weight_penalty(model, weight_decay, flat)
+        loss += weight_penalty(model, weight_decay)
 
     safe = np.where(dist > 0.0, dist, 1.0)
     scale = np.where(dist > 0.0, 2.0 * err / (n * safe), 0.0)
@@ -251,9 +240,9 @@ def mem_loss(
     g_cmd = np.zeros((cmd_ids.size, g_diff.shape[1]), dtype=g_diff.dtype)
     np.subtract.at(g_cmd, rows, g_diff)  # d loss / d xc, summed per distinct command
     model.backward_command(g_cmd)
-    grads = flatten_arrays(model.grad_arrays())
+    grads = model.flat_grads.astype(np.float32)
     if weight_decay:
-        grads += 2.0 * weight_decay * flat.astype(grads.dtype, copy=False)  # float32, as get_flat()
+        grads += 2.0 * weight_decay * model.flat_params.astype(grads.dtype, copy=False)
     return loss, grads
 
 
@@ -350,20 +339,18 @@ class MemDataset:
 
 NULL_WINDOW = 10  # steps with no detector fire before an obs counts as null
 NULL_STRIDE = 9  # keep every k-th eligible null transition
+EXPERT_MIX = 0.3  # chance that a self-play step takes the scripted expert's action
+BUDGET_STEPS = 4_000_000  # self-play steps allowed to fill every quota
 
 
-def generate_dataset(
-    quotas: Quotas,
-    seed: int,
-    expert_mix: float = 0.3,
-    budget_steps: int = 4_000_000,
-) -> MemDataset:
+def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
     """Collect labeled transitions from seeded self-play.
 
     The behavior policy takes a scripted-expert action with probability
-    ``expert_mix`` and a uniform legal action otherwise (``expert_mix=0``
-    reproduces a pure random agent). Raises if any command's quota cannot
-    be met within the step budget, naming the starving command.
+    ``EXPERT_MIX`` and a uniform legal action otherwise (0 would be a pure
+    random agent). Raises if any command's quota cannot be met within
+    ``BUDGET_STEPS``, naming the starving command. Both constants are read
+    at call time.
     """
     n_commands = E.N_COMMANDS
     seq = np.random.SeedSequence(seed)
@@ -378,11 +365,11 @@ def generate_dataset(
     # lists still short of their quota; each list fills up exactly once
     unmet = sum(len(g) < quotas.per_command for g in goal_obs) + (len(null_obs) < quotas.nulls)
     while unmet:
-        if steps_used >= budget_steps:
+        if steps_used >= BUDGET_STEPS:
             fill = {E.EVENT_NAMES[i]: len(g) for i, g in enumerate(goal_obs)}
             starving = min(range(n_commands), key=lambda i: len(goal_obs[i]))
             raise DatasetError(
-                f"step budget {budget_steps} exhausted; command "
+                f"step budget {BUDGET_STEPS} exhausted; command "
                 f"'{E.EVENT_NAMES[starving]}' has {len(goal_obs[starving])}/{quotas.per_command} "
                 f"(fills: {fill}, nulls: {len(null_obs)}/{quotas.nulls})"
             )
@@ -392,7 +379,7 @@ def generate_dataset(
         steps_since_event = NULL_WINDOW  # episode start counts as quiet
         episode += 1
         while state.step < E.HORIZON and unmet:
-            if rng_policy.random() < expert_mix:
+            if rng_policy.random() < EXPERT_MIX:
                 action = E.scripted_expert(state)
             else:
                 action = E.random_legal_action(state, rng_policy)
@@ -495,9 +482,8 @@ class MemTrainConfig:
 
 @dataclass
 class MemMetrics:
-    train_loss: list[float] = field(default_factory=list)
+    train_loss: list[float] = field(default_factory=list)  # per epoch: the mean of its minibatch losses
     val_loss: list[float] = field(default_factory=list)
-    train_acc: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     best_epoch: int = -1
     test_acc: float = float("nan")
@@ -554,18 +540,19 @@ def train_mem(
     config: MemTrainConfig,
     seed: int,
 ) -> tuple[MemModel, MemMetrics]:
-    """Adam on the contrastive loss; returns the minimum-validation snapshot."""
+    """Adam, in place on the model's parameters, on the contrastive loss;
+    returns the minimum-validation snapshot."""
     seq = np.random.SeedSequence(seed)
     rng_init, rng_order = [np.random.default_rng(s) for s in seq.spawn(2)]
     model = MemModel(word_embeddings, rng_init)
-    params = model.get_flat()
-    adam = AdamState(params.size, lr=config.lr)
+    adam = AdamState(model.n_params(), lr=config.lr)
     metrics = MemMetrics()
-    best = (np.inf, -1, params.copy())
+    best = (np.inf, -1, model.get_flat())
 
     train_idx = dataset.split_train
     for epoch in range(config.epochs):
         order = rng_order.permutation(train_idx.size)
+        losses = []
         for start in range(0, train_idx.size, config.batch):
             batch = dataset.batch(train_idx[order[start : start + config.batch]])
             loss, grads = mem_loss(batch, model, commands, config.weight_decay)
@@ -573,20 +560,16 @@ def train_mem(
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch} batch {start // config.batch}: loss={loss}"
                 )
-            adam_step(params, grads, adam)
-            model.set_flat(params)
-        tr_loss, tr_acc = evaluate_mem(
-            model, dataset, train_idx, commands, config.weight_decay, config.threshold
-        )
+            adam_step(model.flat_params, grads, adam)
+            losses.append(loss)
         va_loss, va_acc = evaluate_mem(
             model, dataset, dataset.split_val, commands, config.weight_decay, config.threshold
         )
-        metrics.train_loss.append(tr_loss)
+        metrics.train_loss.append(float(np.mean(losses)))
         metrics.val_loss.append(va_loss)
-        metrics.train_acc.append(tr_acc)
         metrics.val_acc.append(va_acc)
         if va_loss < best[0]:
-            best = (va_loss, epoch, params.copy())
+            best = (va_loss, epoch, model.get_flat())
 
     metrics.best_epoch = best[1]
     model.set_flat(best[2])

@@ -5,6 +5,11 @@ layer chains with cached activations, a ``Model`` base that owns the
 parameter plumbing, the ``StateEncoder`` shared by the agent and the
 embedding model, and an Adam optimizer on flat parameter vectors. No
 general autodiff.
+
+Each model owns two flat arrays, ``flat_params`` and ``flat_grads``, and
+its layers' parameters and gradients are views into them, so an optimizer
+updates a model in place and a loss reads its gradient from one array. A
+layer belongs to one model: the last model built from it holds its arrays.
 """
 
 from .layers import (
@@ -21,11 +26,8 @@ from .network import (
     Model,
     Sequential,
     StateEncoder,
-    flatten_arrays,
     load_model,
-    param_count,
     save_model,
-    unflatten_into,
 )
 from .optim import AdamState, adam_step
 
@@ -42,10 +44,7 @@ __all__ = [
     "StateEncoder",
     "Tanh",
     "adam_step",
-    "flatten_arrays",
     "glorot_uniform",
     "load_model",
-    "param_count",
     "save_model",
-    "unflatten_into",
 ]

@@ -2,9 +2,9 @@
 
 Shapes follow the usual conventions: dense inputs are (B, n_in), conv
 inputs are (B, C, H, W), LSTM steps take (B, n_in) plus (B, n_hidden)
-state. Parameters live in plain numpy arrays owned by the layer; gradient
-arrays of matching shape are produced by ``backward`` and accumulated into
-``layer.grads``.
+state. A layer's parameters and its gradients (``layer.grads``, which
+``backward`` accumulates into) start as arrays of its own; the model the
+layer is built into rebinds both to views of its flat arrays (``bind``).
 """
 
 from __future__ import annotations
@@ -30,12 +30,26 @@ class Layer:
     def param_arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
 
-    def grad_arrays(self) -> list[np.ndarray]:
-        return [self.grads[name] for name in self.param_names]
+    def _new_grads(self) -> None:
+        self.grads = {name: np.zeros_like(getattr(self, name)) for name in self.param_names}
 
     def zero_grads(self) -> None:
+        for g in self.grads.values():
+            g.fill(0)
+
+    def bind(self, params: np.ndarray, grads: np.ndarray, pos: int) -> int:
+        """Move the parameters and gradients, values kept, into views of the
+        flat ``params`` and ``grads`` from ``pos``; returns the end position."""
         for name in self.param_names:
-            self.grads[name] = np.zeros_like(getattr(self, name))
+            p = getattr(self, name)
+            end = pos + p.size
+            view, g_view = params[pos:end].reshape(p.shape), grads[pos:end].reshape(p.shape)
+            view[...] = p
+            g_view[...] = self.grads[name]
+            setattr(self, name, view)
+            self.grads[name] = g_view
+            pos = end
+        return pos
 
     def spec(self) -> dict:
         raise NotImplementedError
@@ -58,7 +72,7 @@ class Dense(Layer):
         else:
             self.weight = glorot_uniform(rng, n_in, n_out, (n_in, n_out), dtype)
         self.bias = np.zeros(n_out, dtype=dtype)
-        self.zero_grads()
+        self._new_grads()
         self._x: np.ndarray | None = None
 
     def spec(self) -> dict:
@@ -124,7 +138,7 @@ def _patch_index(c: int, h: int, w: int, k: int, stride: int) -> np.ndarray:
 
 
 class Conv2d(Layer):
-    """2-D convolution (cross-correlation) via im2col, square kernel."""
+    """2-D convolution (cross-correlation) via im2col, square kernel, no padding."""
 
     param_names = ("weight", "bias")
 
@@ -134,12 +148,11 @@ class Conv2d(Layer):
         c_out: int,
         k: int,
         stride: int = 1,
-        pad: int = 0,
         rng: np.random.Generator | None = None,
         dtype=DTYPE,
     ):
         super().__init__()
-        self.c_in, self.c_out, self.k, self.stride, self.pad = c_in, c_out, k, stride, pad
+        self.c_in, self.c_out, self.k, self.stride = c_in, c_out, k, stride
         fan_in = c_in * k * k
         fan_out = c_out * k * k
         if rng is None:
@@ -147,8 +160,8 @@ class Conv2d(Layer):
         else:
             self.weight = glorot_uniform(rng, fan_in, fan_out, (c_out, c_in, k, k), dtype)
         self.bias = np.zeros(c_out, dtype=dtype)
-        self.zero_grads()
-        self._index: tuple[tuple, np.ndarray | None] = ((), None)  # (padded C, H, W), patch index
+        self._new_grads()
+        self._index: tuple[tuple, np.ndarray | None] = ((), None)  # (C, H, W), patch index
 
     def spec(self) -> dict:
         return {
@@ -157,24 +170,21 @@ class Conv2d(Layer):
             "c_out": self.c_out,
             "k": self.k,
             "stride": self.stride,
-            "pad": self.pad,
+            "pad": 0,  # model-file headers carry the key
         }
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        k, s, p = self.k, self.stride, self.pad
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        return (h - self.k) // self.stride + 1, (w - self.k) // self.stride + 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise ValueError(f"conv2d expects (B,{self.c_in},H,W), got {x.shape}")
         b, (ho, wo) = x.shape[0], self.out_hw(*x.shape[2:])
-        if self.pad:
-            x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
         chw, index = self._index
         if chw != x.shape[1:]:
             index = _patch_index(*x.shape[1:], self.k, self.stride)
             self._index = (x.shape[1:], index)
-        self._x_padded_shape = x.shape
+        self._x_shape = x.shape
         self._cols = x.reshape(b, -1).take(index, axis=1)  # (B, Ho*Wo, C*k*k)
         w_mat = self.weight.reshape(self.c_out, -1)
         out = self._cols @ w_mat.T + self.bias  # (B, Ho*Wo, c_out)
@@ -189,14 +199,11 @@ class Conv2d(Layer):
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         g = self.backward_params(gout)
-        b, n = gout.shape[0], int(np.prod(self._x_padded_shape[1:]))
+        b, n = gout.shape[0], int(np.prod(self._x_shape[1:]))
         gcols = g @ self.weight.reshape(self.c_out, -1)  # (B*Ho*Wo, C*k*k)
         # col2im: sum every patch entry into its input position
         at = (self._index[1] + n * np.arange(b)[:, None, None]).ravel()
-        gx = np.bincount(at, gcols.ravel(), minlength=b * n).astype(gout.dtype).reshape(self._x_padded_shape)
-        if self.pad:
-            gx = gx[:, :, self.pad : -self.pad, self.pad : -self.pad]
-        return gx
+        return np.bincount(at, gcols.ravel(), minlength=b * n).astype(gout.dtype).reshape(self._x_shape)
 
 
 def _logistic(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -247,7 +254,7 @@ class LSTM(Layer):
             self.w_h = glorot_uniform(rng, n_hidden, n_hidden, (n_hidden, 4 * n_hidden), dtype)
         self.bias = np.zeros(4 * n_hidden, dtype=dtype)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate
-        self.zero_grads()
+        self._new_grads()
         # (x, h entering, c entering, gates, tanh c) of the last forward_seq, each (T, B, ...)
         self._cache: tuple | None = None
 

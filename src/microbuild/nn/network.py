@@ -1,8 +1,9 @@
-"""Models, layer chains, flat parameter views, and the model file format.
+"""Models, layer chains, flat parameter arrays, and the model file format.
 
-``Model`` owns the parameter plumbing (arrays, gradients, flat views) for
-anything built from a list of layers: ``Sequential`` chains, the
-``StateEncoder`` and the agent and embedding networks built on it.
+``Model`` owns the parameter plumbing for anything built from a list of
+layers: ``Sequential`` chains, the ``StateEncoder`` and the agent and
+embedding networks built on it. A model's parameters live in one flat
+array and its gradients in another; every layer holds views into them.
 
 Model files are versioned binaries: magic, format version, a JSON header
 describing the architecture, then one little-endian float32 block holding
@@ -17,35 +18,63 @@ import struct
 
 import numpy as np
 
-from .layers import Conv2d, Dense, Flatten, Layer, ReLU, Tanh
+from .layers import DTYPE, Conv2d, Dense, Flatten, Layer, ReLU, Tanh
 
 _MAGIC = b"MBNET\x00"
 _VERSION = 1
 
 
 class Model:
-    """Parameters, gradients and flat views over the layers in ``self.layers``."""
+    """Parameters and gradients of the layers in ``self.layers``, each held
+    in one flat array: ``flat_params`` and ``flat_grads``.
 
-    layers: list[Layer]
+    A model binds them once it has built its layers (``_own_params``):
+    every layer's parameters and gradients become views into them, in
+    declaration order, and a model among the layers is rebound to its
+    slice of the outer arrays. So a write to ``flat_params`` (``set_flat``
+    or an in-place optimizer step) is a write to the layers, and the
+    gradients ``backward`` accumulates read out as ``flat_grads``. A layer
+    belongs to one model: building another model from it moves its arrays
+    into the new one, and the old model no longer sees them.
+    """
+
+    layers: list
+    flat_params: np.ndarray
+    flat_grads: np.ndarray
+
+    def _own_params(self) -> None:
+        """Bind the layers to new flat arrays holding their current values."""
+        arrays = self.param_arrays()
+        n = sum(a.size for a in arrays)
+        dtype = np.result_type(*arrays) if arrays else DTYPE
+        self.bind(np.empty(n, dtype), np.empty(n, dtype), 0)
+
+    def bind(self, params: np.ndarray, grads: np.ndarray, pos: int) -> int:
+        """Rebind every layer, in order, to views of ``params`` and ``grads``
+        from ``pos``, and take the slice they fill; returns its end."""
+        start = pos
+        for l in self.layers:
+            pos = l.bind(params, grads, pos)
+        self.flat_params, self.flat_grads = params[start:pos], grads[start:pos]
+        return pos
 
     def param_arrays(self) -> list[np.ndarray]:
         return [a for l in self.layers for a in l.param_arrays()]
 
-    def grad_arrays(self) -> list[np.ndarray]:
-        return [g for l in self.layers for g in l.grad_arrays()]
-
     def zero_grads(self) -> None:
-        for l in self.layers:
-            l.zero_grads()
+        self.flat_grads.fill(0)
 
     def get_flat(self) -> np.ndarray:
-        return flatten_arrays(self.param_arrays())
+        """A float32 copy of the parameters."""
+        return self.flat_params.astype(np.float32)
 
     def set_flat(self, flat: np.ndarray) -> None:
-        unflatten_into(flat, self.param_arrays())
+        if flat.shape != self.flat_params.shape:
+            raise ValueError(f"expected {self.flat_params.size} parameters, got shape {flat.shape}")
+        self.flat_params[...] = flat
 
     def n_params(self) -> int:
-        return param_count(self.param_arrays())
+        return self.flat_params.size
 
 
 class Sequential(Model, Layer):
@@ -54,6 +83,7 @@ class Sequential(Model, Layer):
     def __init__(self, layers: list[Layer]):
         super().__init__()
         self.layers = layers
+        self._own_params()
 
     def spec(self) -> dict:
         return {"kind": "sequential", "layers": [l.spec() for l in self.layers]}
@@ -78,13 +108,14 @@ class StateEncoder(Model):
 
     A one-row forward reuses the conv trunk's last one-row output when the
     trunk would see the same thing again. The memo's key is the input's
-    dtype, shape and bytes plus the bytes of the trunk's parameters, so a
-    new frame, ``set_flat`` or an in-place write to a weight never returns
-    a stale value; within one game most steps leave the spatial planes as
-    they were. Invariant: every call that runs the trunk replaces the memo
-    and a batched call clears it, so the layer caches a later ``backward``
-    reads always belong to the memoised input. Run the trunk only through
-    this class, or a memo hit may pair with another input's caches.
+    dtype, shape and bytes plus the bytes of the trunk's flat parameters,
+    so a new frame, ``set_flat``, an optimizer step or an in-place write to
+    a weight never returns a stale value; within one game most steps leave
+    the spatial planes as they were. Invariant: every call that runs the
+    trunk replaces the memo and a batched call clears it, so the layer
+    caches a later ``backward`` reads always belong to the memoised input.
+    Run the trunk only through this class, or a memo hit may pair with
+    another input's caches.
     """
 
     def __init__(self, channels: int, grid: int, n_scalars: int, hidden: int, rng, dtype):
@@ -94,9 +125,9 @@ class StateEncoder(Model):
         self.spatial_net = Sequential([conv1, ReLU(), conv2, ReLU(), Flatten()])
         self.nonspatial_net = Sequential([Dense(n_scalars, hidden, rng, dtype=dtype), Tanh()])
         self.layers = [self.spatial_net, self.nonspatial_net]
+        self._own_params()
         self.n_spatial = conv2.c_out * h * w
         self.out_dim = self.n_spatial + hidden
-        self._convs = (conv1, conv2)  # the trunk's parameters, read afresh for every memo key
         self._memo: tuple[tuple, np.ndarray] | None = None  # (key, trunk output) of the last one-row run
 
     def forward(self, spatial: np.ndarray, nonspatial: np.ndarray, *extra: np.ndarray) -> np.ndarray:
@@ -109,8 +140,7 @@ class StateEncoder(Model):
         if spatial.shape[0] != 1:
             self._memo = None
             return self.spatial_net.forward(spatial)
-        params = (p.tobytes() for conv in self._convs for p in (conv.weight, conv.bias))
-        key = (spatial.dtype, spatial.shape, spatial.tobytes(), *params)
+        key = (spatial.dtype, spatial.shape, spatial.tobytes(), self.spatial_net.flat_params.tobytes())
         memo = self._memo
         if memo is not None and memo[0] == key:
             return memo[1]
@@ -121,35 +151,16 @@ class StateEncoder(Model):
     def backward(self, g: np.ndarray) -> None:
         """Backpropagate the first ``out_dim`` columns; those of ``extra`` are dropped."""
         conv1, *above = self.spatial_net.layers  # the observation takes no gradient
-        conv1.backward_params(Sequential(above).backward(g[:, : self.n_spatial]))
+        g_spatial = g[:, : self.n_spatial]
+        for l in reversed(above):
+            g_spatial = l.backward(g_spatial)
+        conv1.backward_params(g_spatial)
         self.nonspatial_net.backward(g[:, self.n_spatial : self.out_dim])
 
 
-def param_count(arrays: list[np.ndarray]) -> int:
-    return int(sum(a.size for a in arrays))
-
-
-def flatten_arrays(arrays: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    n = param_count(arrays)
-    if out is None:
-        out = np.empty(n, dtype=np.float32)
-    pos = 0
-    for a in arrays:
-        out[pos : pos + a.size] = a.ravel()
-        pos += a.size
-    return out
-
-
-def unflatten_into(flat: np.ndarray, arrays: list[np.ndarray]) -> None:
-    pos = 0
-    for a in arrays:
-        a[...] = flat[pos : pos + a.size].reshape(a.shape)
-        pos += a.size
-
-
-def save_model(path, spec: dict, arrays: list[np.ndarray]) -> None:
+def save_model(path, spec: dict, flat: np.ndarray) -> None:
     header = json.dumps(spec, sort_keys=True).encode("utf-8")
-    flat = flatten_arrays(arrays).astype("<f4")
+    flat = flat.astype("<f4")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from microbuild.nn import Layer
+from microbuild.nn import Layer, Model
 
 
 def grad_check_fn(
@@ -56,6 +56,13 @@ def grad_check_fn(
     return worst
 
 
+def grad_arrays(net: Layer | Model) -> list[np.ndarray]:
+    """The gradient arrays of a layer, or of every layer of a model, aligned with ``net.param_arrays()``."""
+    if isinstance(net, Model):
+        return [g for l in net.layers for g in grad_arrays(l)]
+    return [net.grads[name] for name in net.param_names]
+
+
 def grad_check(net: Layer, x: np.ndarray, eps: float = 1e-4, rng: np.random.Generator | None = None) -> float:
     """Check a layer/chain's parameter gradients under a fixed linear readout.
 
@@ -73,6 +80,6 @@ def grad_check(net: Layer, x: np.ndarray, eps: float = 1e-4, rng: np.random.Gene
             probe["r"] = rng.standard_normal(out.shape)
         loss = float((out * probe["r"]).sum())
         net.backward(probe["r"].astype(out.dtype))
-        return loss, [g.copy() for g in net.grad_arrays()]
+        return loss, [g.copy() for g in grad_arrays(net)]
 
     return grad_check_fn(loss_fn, net.param_arrays(), eps)

@@ -10,7 +10,6 @@ from microbuild import agents as A
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
-from microbuild.nn import flatten_arrays
 
 from gradcheck import grad_check_fn
 
@@ -242,7 +241,7 @@ def reference_a3c_loss(rollout, net, config):
     gh += net.head_y.backward(gouts[2])
     gh += net.head_value.backward(g_v)
     net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
-    return loss, flatten_arrays(net.grad_arrays())
+    return loss, net.flat_grads.astype(np.float32)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -334,9 +333,16 @@ def test_narration_wraps_after_last_command(commands):
 # ------------------------------------------------------------ shared state
 
 
+@dataclass
+class FlatParams:
+    """All ``SharedParams`` reads of a network: its flat parameter array."""
+
+    flat_params: np.ndarray
+
+
 def test_shared_params_version_counts_updates():
     cfg = A.AgentConfig(total_steps=10_000, eval_interval=1_000_000, lr=1e-3)
-    shared = A.SharedParams(np.zeros(10, dtype=np.float32), cfg)
+    shared = A.SharedParams(FlatParams(np.zeros(10, dtype=np.float32)), cfg)
     g = np.ones(10, dtype=np.float32)
     for i in range(7):
         shared.apply_gradients(g, n_steps=32)
@@ -346,7 +352,7 @@ def test_shared_params_version_counts_updates():
 
 def test_shared_params_eval_boundaries():
     cfg = A.AgentConfig(total_steps=300, eval_interval=100)
-    shared = A.SharedParams(np.zeros(3, dtype=np.float32), cfg)
+    shared = A.SharedParams(FlatParams(np.zeros(3, dtype=np.float32)), cfg)
     crossed = shared.apply_gradients(np.ones(3, dtype=np.float32), n_steps=150)
     assert crossed == [100]
     crossed = shared.apply_gradients(np.ones(3, dtype=np.float32), n_steps=150)
@@ -355,10 +361,16 @@ def test_shared_params_eval_boundaries():
 
 def test_shared_params_snapshot_consistent():
     cfg = A.AgentConfig(total_steps=100, eval_interval=1000)
-    shared = A.SharedParams(np.arange(4, dtype=np.float32), cfg)
+    net = FlatParams(np.arange(4, dtype=np.float32))
+    shared = A.SharedParams(net, cfg)
     params, version = shared.snapshot()
     np.testing.assert_array_equal(params, np.arange(4, dtype=np.float32))
     assert version == 0
+    # the update lands in the network's own array; the snapshot is a copy
+    shared.apply_gradients(np.ones(4, dtype=np.float32), n_steps=1)
+    assert (net.flat_params < np.arange(4)).all()
+    np.testing.assert_array_equal(params, np.arange(4, dtype=np.float32))
+    np.testing.assert_array_equal(shared.snapshot()[0], net.flat_params)
 
 
 # ------------------------------------------------------------------ actors

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
-from microbuild.nn import flatten_arrays
 
 from gradcheck import grad_check_fn
 
@@ -210,7 +209,7 @@ def reference_mem_loss(batch, model, commands, weight_decay):
         model.cmd_proj.forward(h)
         g_h = model.cmd_proj.backward(-g_xs[batch.command_ids == cid].sum(axis=0, keepdims=True))
         cell.backward_seq(None, gh_final=g_h)
-    return loss, flatten_arrays(model.grad_arrays()) + 2.0 * weight_decay * model.get_flat()
+    return loss, model.flat_grads.astype(np.float32) + 2.0 * weight_decay * model.get_flat()
 
 
 def test_loss_unequal_command_lengths_match_per_command_reference(word_emb, unequal_commands):
@@ -303,10 +302,12 @@ def test_dataset_save_load_round_trip(tmp_path, small_dataset):
     assert loaded.quotas == small_dataset.quotas
 
 
-def test_dataset_budget_failure_names_starving_command():
+def test_dataset_budget_failure_names_starving_command(monkeypatch):
+    # pure-random play rarely trains marines; tiny budget must starve it
+    monkeypatch.setattr(M, "EXPERT_MIX", 0.0)
+    monkeypatch.setattr(M, "BUDGET_STEPS", 1500)
     with pytest.raises(M.DatasetError, match="train-marine"):
-        # pure-random play rarely trains marines; tiny budget must starve it
-        M.generate_dataset(M.Quotas(per_command=50, nulls=50), seed=1, expert_mix=0.0, budget_steps=1500)
+        M.generate_dataset(M.Quotas(per_command=50, nulls=50), seed=1)
 
 
 def test_default_split_ratio_exact():
@@ -320,9 +321,27 @@ def test_default_split_ratio_exact():
 
 def test_train_mem_smoke_and_model_selection(word_emb, commands, small_dataset):
     model, metrics = M.train_mem(small_dataset, word_emb, commands, M.MemTrainConfig(epochs=4), seed=5)
-    assert len(metrics.val_loss) == 4
+    assert len(metrics.train_loss) == len(metrics.val_loss) == len(metrics.val_acc) == 4
     assert metrics.best_epoch == int(np.argmin(metrics.val_loss))
     assert np.isfinite(metrics.test_acc)
+
+
+def test_train_mem_train_loss_is_the_mean_of_each_epochs_batch_losses(monkeypatch, word_emb, commands):
+    ds = M.generate_dataset(M.Quotas(per_command=25, nulls=100), seed=21)
+    losses = []
+    mem_loss = M.mem_loss
+
+    def recording(*args):
+        loss, grads = mem_loss(*args)
+        losses.append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(M, "mem_loss", recording)
+    cfg = M.MemTrainConfig(epochs=2)
+    _, metrics = M.train_mem(ds, word_emb, commands, cfg, seed=9)
+    per_epoch = -(-ds.split_train.size // cfg.batch)
+    assert len(losses) == 2 * per_epoch
+    assert metrics.train_loss == [float(np.mean(losses[:per_epoch])), float(np.mean(losses[per_epoch:]))]
 
 
 def test_train_mem_deterministic(word_emb, commands):

@@ -18,14 +18,12 @@ from microbuild.nn import (
     StateEncoder,
     Tanh,
     adam_step,
-    flatten_arrays,
     load_model,
     save_model,
-    unflatten_into,
 )
 from microbuild.nn.layers import _sigmoid
 
-from gradcheck import grad_check, grad_check_fn
+from gradcheck import grad_arrays, grad_check, grad_check_fn
 
 GC_TOL = 1e-4
 EPS = 1e-4
@@ -49,12 +47,6 @@ def test_dense_shape_mismatch_raises():
     d = Dense(3, 2, rng(0))
     with pytest.raises(ValueError):
         d.forward(np.zeros((1, 4), dtype=np.float32))
-
-
-def test_conv_same_padding_preserves_hw():
-    c = Conv2d(3, 5, k=3, stride=1, pad=1, rng=rng(2))
-    out = c.forward(rng(3).standard_normal((2, 3, 7, 7)).astype(np.float32))
-    assert out.shape == (2, 5, 7, 7)
 
 
 def test_conv_strided_shape():
@@ -107,8 +99,7 @@ def test_zero_output_grad_gives_zero_param_grads():
     net.zero_grads()
     net.forward(rng(1).standard_normal((2, 4)))
     net.backward(np.zeros((2, 3)))
-    for g in net.grad_arrays():
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    np.testing.assert_array_equal(net.flat_grads, np.zeros_like(net.flat_grads))
 
 
 class LSTMStep(LSTM):
@@ -129,7 +120,7 @@ class LSTMStep(LSTM):
         (lambda r: Sequential([Dense(5, 4, r, dtype=np.float64), ReLU(), Dense(4, 2, r, dtype=np.float64)]), (3, 5)),
         (
             lambda r: Sequential(
-                [Conv2d(2, 3, k=3, stride=1, pad=1, rng=r, dtype=np.float64), ReLU(), Flatten()]
+                [Conv2d(2, 3, k=3, stride=1, rng=r, dtype=np.float64), ReLU(), Flatten()]
             ),
             (2, 2, 5, 5),
         ),
@@ -183,7 +174,7 @@ def test_grad_check_lstm_unrolled_3_steps():
         h = cell.forward_seq(xs, *cell.zero_state(2, dtype=np.float64))[-1]
         loss = float((h * probe).sum())
         cell.backward_seq(None, gh_final=probe)
-        return loss, [g.copy() for g in cell.grad_arrays()]
+        return loss, [g.copy() for g in grad_arrays(cell)]
 
     assert grad_check_fn(loss_fn, cell.param_arrays(), eps=EPS) <= GC_TOL
 
@@ -299,7 +290,7 @@ def test_lstm_grads_with_per_step_head_gradients_match_finite_differences():
         cell.zero_grads()
         cell.forward_seq(xs, *cell.zero_state(2))
         cell.backward_seq(probes)
-        return run(xs), [g.copy() for g in cell.grad_arrays()]
+        return run(xs), [g.copy() for g in grad_arrays(cell)]
 
     assert grad_check_fn(loss_fn, cell.param_arrays(), eps=EPS) <= GC_TOL
 
@@ -364,7 +355,7 @@ def test_lstm_forward_seq_grads_with_per_step_head_gradients_match_finite_differ
         cell.zero_grads()
         loss = run(xs)
         cell.backward_seq(probes)
-        return loss, [g.copy() for g in cell.grad_arrays()]
+        return loss, [g.copy() for g in grad_arrays(cell)]
 
     assert grad_check_fn(loss_fn, cell.param_arrays(), eps=EPS) <= GC_TOL
 
@@ -388,8 +379,6 @@ def test_lstm_forward_seq_grads_with_per_step_head_gradients_match_finite_differ
 
 def sliding_window_conv(conv, x):
     """Conv2d forward with the patch matrix built by sliding_window_view."""
-    if conv.pad:
-        x = np.pad(x, ((0, 0), (0, 0), (conv.pad, conv.pad), (conv.pad, conv.pad)))
     windows = np.lib.stride_tricks.sliding_window_view(x, (conv.k, conv.k), axis=(2, 3))
     windows = windows[:, :, :: conv.stride, :: conv.stride]  # (B, C, Ho, Wo, k, k)
     b, c, ho, wo, k, _ = windows.shape
@@ -398,11 +387,10 @@ def sliding_window_conv(conv, x):
     return out.transpose(0, 2, 1).reshape(b, conv.c_out, ho, wo)
 
 
-@pytest.mark.parametrize("pad", [0, 1])
 @pytest.mark.parametrize("stride", [1, 2])
-def test_conv_forward_bitwise_equals_sliding_window_reference(pad, stride):
+def test_conv_forward_bitwise_equals_sliding_window_reference(stride):
     r = rng(71)
-    conv = Conv2d(3, 4, k=3, stride=stride, pad=pad, rng=r)
+    conv = Conv2d(3, 4, k=3, stride=stride, rng=r)
     conv.bias[:] = r.standard_normal(4)
     # the size change in the middle must rebuild the cached patch index
     for batch, hw in [(1, 9), (32, 9), (1, 12), (32, 9)]:
@@ -560,8 +548,7 @@ def test_trunk_memo_backward_after_batched_forward_matches_fresh_network():
     fresh.forward(sp[:1], ns[:1])
     fresh.zero_grads()
     fresh.backward(g)
-    for got, want in zip(enc.grad_arrays(), fresh.grad_arrays()):
-        assert got.tobytes() == want.tobytes()
+    assert enc.flat_grads.tobytes() == fresh.flat_grads.tobytes()
 
 
 # ------------------------------------------------------------------- adam
@@ -647,17 +634,17 @@ def test_adam_in_place_bitwise_equals_reference(param_dtype, grad_dtype):
 def test_save_load_round_trip(tmp_path):
     net = Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))])
     path = tmp_path / "model.bin"
-    save_model(path, net.spec(), net.param_arrays())
+    save_model(path, net.spec(), net.flat_params)
     spec, flat = load_model(path, expected_spec=net.spec())
     assert spec == net.spec()
-    np.testing.assert_array_equal(flat, flatten_arrays(net.param_arrays()))
+    np.testing.assert_array_equal(flat, net.get_flat())
 
 
 def test_load_rejects_spec_mismatch(tmp_path):
     net = Sequential([Dense(3, 4, rng(0))])
     other = Sequential([Dense(4, 3, rng(0))])
     path = tmp_path / "model.bin"
-    save_model(path, net.spec(), net.param_arrays())
+    save_model(path, net.spec(), net.flat_params)
     with pytest.raises(ValueError, match="spec mismatch"):
         load_model(path, expected_spec=other.spec())
 
@@ -699,7 +686,7 @@ def test_load_rejects_every_truncation(tmp_path, field):
 )
 def test_load_rejects_malformed_header(tmp_path, header, match):
     good = tmp_path / "good.bin"
-    save_model(good, {"kind": "probe"}, [np.ones(3, dtype=np.float32)])
+    save_model(good, {"kind": "probe"}, np.ones(3, dtype=np.float32))
     data = good.read_bytes()
     start, end = model_file_fields(data)["header"]
     path = tmp_path / "bad.bin"
@@ -709,9 +696,66 @@ def test_load_rejects_malformed_header(tmp_path, header, match):
 
 
 def test_flatten_unflatten_round_trip():
-    arrays = [rng(0).standard_normal((3, 4)).astype(np.float32), rng(1).standard_normal(5).astype(np.float32)]
-    flat = flatten_arrays(arrays)
-    targets = [np.zeros_like(a) for a in arrays]
-    unflatten_into(flat, targets)
-    for a, b in zip(arrays, targets):
+    net = Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))])
+    flat = net.get_flat()
+    assert flat.dtype == np.float32 and flat.size == net.n_params() == 3 * 4 + 4 + 4 * 2 + 2
+    np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in net.param_arrays()]))
+    other = Sequential([Dense(3, 4), Tanh(), Dense(4, 2)])
+    other.set_flat(flat)
+    for a, b in zip(net.param_arrays(), other.param_arrays()):
         np.testing.assert_array_equal(a, b)
+    flat[0] += 1.0  # a copy: the model does not see it
+    assert net.layers[0].weight[0, 0] == other.layers[0].weight[0, 0]
+    for wrong in (flat[:1], np.append(flat, 0.0)):  # a one-entry vector would broadcast
+        with pytest.raises(ValueError, match="expected 26 parameters"):
+            other.set_flat(wrong)
+
+
+# ------------------------------------------------------------ flat arrays
+
+
+def test_layers_are_views_of_the_model_flat_arrays():
+    net = A.AgentNet(rng(3))
+    n = net.n_params()
+    assert net.flat_params.shape == net.flat_grads.shape == (n,)
+    pos = 0
+    for p in net.param_arrays():
+        assert np.shares_memory(p, net.flat_params[pos : pos + p.size])
+        pos += p.size
+    assert pos == n
+    for l in [net.core, net.head_value, *net.encoder.spatial_net.layers]:
+        for name in l.param_names:
+            assert np.shares_memory(l.grads[name], net.flat_grads)
+    # inner models are rebound to their slice of the outer arrays
+    enc = net.encoder
+    assert np.shares_memory(enc.flat_params, net.flat_params)
+    assert np.shares_memory(enc.spatial_net.flat_params, enc.flat_params)
+    assert enc.n_params() == sum(p.size for p in enc.param_arrays())
+    # a write to the flat array is a write to the layers, and back
+    net.set_flat(np.arange(n, dtype=np.float32))
+    assert net.head_value.bias[0] == n - 1
+    net.core.w_x[0, 0] = -7.0
+    assert net.flat_params[enc.n_params() + net.trunk.n_params()] == -7.0
+
+
+def test_zero_grads_clears_in_place():
+    net = A.AgentNet(rng(8))
+    net.flat_grads[:] = 1.0
+    g = net.head_x.grads["weight"]
+    net.zero_grads()
+    assert g is net.head_x.grads["weight"] and not g.any()
+    dense = Dense(2, 3, rng(9))
+    g = dense.grads["bias"]
+    g += 1.0
+    dense.zero_grads()
+    assert g is dense.grads["bias"] and not g.any()
+
+
+def test_a_layer_belongs_to_the_last_model_built_from_it():
+    dense = Dense(2, 3, rng(4))
+    first = Sequential([dense])
+    second = Sequential([dense, Tanh()])
+    np.testing.assert_array_equal(second.flat_params, first.flat_params)
+    dense.bias[:] = 5.0
+    assert (second.flat_params[-3:] == 5.0).all()
+    assert not (first.flat_params[-3:] == 5.0).any()
