@@ -16,6 +16,11 @@ pointer: satisfying the current instruction grants the bonus and advances
 the pointer, cycling back to the first instruction after the last.
 ``EpisodeShaping`` is the one place a variant's bonus and aux features
 are computed, for training (``Actor``) and evaluation alike.
+
+``sample_from_logp`` draws by inverse CDF. When rounding leaves the
+cumulative mass short of 1 and a draw lands past it, the draw takes the
+last entry with nonzero probability. So an agent never samples a masked
+action.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import env as E
-from .mem import NONSPATIAL_HIDDEN, CommandSpec, MemModel, mem_distance
+from .mem import EMBED_DIM, NONSPATIAL_HIDDEN, CommandSpec, MemModel, mem_distance
 from .nn import (
     AdamState,
     Dense,
@@ -168,14 +173,19 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarra
     ``mask`` is False get zero mass (-inf logp). Each row is computed as if alone."""
     if mask is not None:
         logits = np.where(mask, logits, -np.inf)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def sample_from_logp(logp: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn with probabilities ``exp(logp)`` by inverse CDF; a
+    draw past the cumulative mass takes the last entry with nonzero mass."""
     p = np.exp(logp)
-    p /= p.sum()
-    return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), p.size - 1)
+    p /= np.add.reduce(p)
+    i = int(p.cumsum().searchsorted(rng.random(), side="right"))
+    if i == p.size:
+        i = int(np.flatnonzero(p)[-1])
+    return i
 
 
 # ---------------------------------------------------------------- rollouts
@@ -368,7 +378,10 @@ class EpisodeShaping:
         """The agent's aux input for the current observation."""
         if not self.narration:
             return self._zero_aux
-        return np.concatenate([self.state_vec, self.command_vecs[self.tracker.pointer]]).astype(np.float32)
+        aux = np.empty(AUX_DIM, dtype=np.float32)
+        aux[:EMBED_DIM] = self.state_vec
+        aux[EMBED_DIM:] = self.command_vecs[self.tracker.pointer]
+        return aux
 
     def bonus(self, obs: E.Observation, events: frozenset[int]) -> float:
         """Shaping bonus for the step that led to ``obs`` with detector ``events``."""

@@ -129,21 +129,25 @@ def reset(seed: int, horizon: int = HORIZON) -> GameState:
     base = (int(rng.integers(5, 11)), int(rng.integers(5, 11)))
     grid[base] = CELL_BASE
 
-    def ring(center, lo, hi):
-        out = []
-        for r in range(GRID):
-            for c in range(GRID):
-                d = max(abs(r - center[0]), abs(c - center[1]))
-                if lo <= d <= hi and grid[r, c] == CELL_EMPTY:
-                    out.append((r, c))
-        return out
+    def ring(lo, hi):
+        """Empty cells at Chebyshev distance lo..hi from the base, row-major;
+        only the (2 * hi + 1)^2 box around the base can hold them."""
+        r0, c0 = base
+        rows = range(max(r0 - hi, 0), min(r0 + hi + 1, GRID))
+        cols = range(max(c0 - hi, 0), min(c0 + hi + 1, GRID))
+        return [
+            (r, c)
+            for r in rows
+            for c in cols
+            if lo <= max(abs(r - r0), abs(c - c0)) and grid[r, c] == CELL_EMPTY
+        ]
 
-    patch_cells = ring(base, 2, 3)
+    patch_cells = ring(2, 3)
     idx = rng.choice(len(patch_cells), size=6, replace=False)
     for i in idx:
         grid[patch_cells[i]] = CELL_MINERAL
 
-    worker_cells = ring(base, 1, 2)
+    worker_cells = ring(1, 2)
     idx = rng.choice(len(worker_cells), size=N_STARTING_WORKERS, replace=False)
     workers = tuple(sorted(worker_cells[i] for i in idx))
     for pos in workers:
@@ -334,10 +338,10 @@ _UNIT_TYPES = np.arange(CELL_BASE, CELL_MARINE + 1, dtype=np.uint8).reshape(6, 1
 
 
 def _frame_layers(state: GameState, out: np.ndarray) -> None:
-    out[:6] = state.grid[None, :, :] == _UNIT_TYPES
+    np.equal(state.grid, _UNIT_TYPES, out=out[:6])
     out[6] = 0.0
     if state.sel_kind != SEL_NONE:
-        out[6][state.sel_pos] = 1.0
+        out[(6, *state.sel_pos)] = 1.0
 
 
 def encode_observation(prev_state: GameState | None, state: GameState) -> Observation:
@@ -347,25 +351,27 @@ def encode_observation(prev_state: GameState | None, state: GameState) -> Observ
     """
     if prev_state is None:
         prev_state = state
-    spatial = np.zeros((OBS_CHANNELS, GRID, GRID), dtype=np.float32)
+    spatial = np.empty((OBS_CHANNELS, GRID, GRID), dtype=np.float32)
     _frame_layers(prev_state, spatial[:7])
     _frame_layers(state, spatial[7:])
+    # Scalars are never negative and 0 and 1 are exact, so capping each
+    # one before the float32 array is built equals clipping after.
+    sel = state.sel_kind
     nonspatial = np.array(
         [
-            state.minerals / 1000.0,
-            state.supply_used / 64.0,
-            state.supply_cap / 64.0,
-            state.n_workers / 32.0,
-            state.n_depots / 32.0,
-            state.n_barracks / 32.0,
-            state.n_marines / 32.0,
-            1.0 if state.sel_kind == SEL_NONE else 0.0,
-            1.0 if state.sel_kind == SEL_WORKER else 0.0,
-            1.0 if state.sel_kind == SEL_BARRACKS else 0.0,
+            min(state.minerals / 1000.0, 1.0),
+            min(state.supply_used / 64.0, 1.0),
+            min(state.supply_cap / 64.0, 1.0),
+            min(state.n_workers / 32.0, 1.0),
+            min(state.n_depots / 32.0, 1.0),
+            min(state.n_barracks / 32.0, 1.0),
+            min(state.n_marines / 32.0, 1.0),
+            1.0 if sel == SEL_NONE else 0.0,
+            1.0 if sel == SEL_WORKER else 0.0,
+            1.0 if sel == SEL_BARRACKS else 0.0,
         ],
         dtype=np.float32,
     )
-    np.clip(nonspatial, 0.0, 1.0, out=nonspatial)
     return Observation(spatial=spatial, nonspatial=nonspatial)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -80,7 +81,8 @@ def mem_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between two embedding vectors."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    return math.sqrt(d.dot(d))  # what np.linalg.norm computes for a vector
 
 
 class MemModel(Model):

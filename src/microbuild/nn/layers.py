@@ -270,11 +270,14 @@ class LSTM(Layer):
 
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nh = self.n_hidden
-        z = x @ self.w_x + h @ self.w_h + self.bias
+        z = x @ self.w_x
+        z += h @ self.w_h
+        z += self.bias
         gates = _sigmoid(z)  # i, f and o; the g block then takes its tanh
         np.tanh(z[:, 2 * nh : 3 * nh], out=gates[:, 2 * nh : 3 * nh])
         i, f, g, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh : 3 * nh], gates[:, 3 * nh :]
-        c_new = f * c + i * g
+        c_new = f * c
+        c_new += i * g
         return o * np.tanh(c_new), c_new
 
     def forward_seq(self, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray) -> np.ndarray:

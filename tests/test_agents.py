@@ -106,6 +106,97 @@ def test_masked_log_softmax_is_distribution():
         assert p[mask].sum() == pytest.approx(1.0, abs=1e-6)
 
 
+def reference_log_softmax(logits, mask):
+    """``masked_log_softmax`` through the ndarray ``max`` and ``sum`` methods."""
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def reference_sample(logp, rng):
+    """``sample_from_logp`` through numpy's functions, clamped to the last entry."""
+    p = np.exp(logp)
+    p /= p.sum()
+    return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), p.size - 1)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("shape", [(6,), (16,), (32, 6)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_log_softmax_bitwise_equals_reference(masked, shape, dtype):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        logits = (rng.standard_normal(shape) * rng.uniform(0.1, 30)).astype(dtype)
+        mask = None
+        if masked:
+            mask = rng.random(shape) < 0.5
+            mask[..., 0] = True
+        got, want = A.masked_log_softmax(logits, mask), reference_log_softmax(logits, mask)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class ConstantDraws:
+    """A generator stand-in whose every uniform draw is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def test_sample_from_logp_bitwise_equals_reference():
+    """10k draws over masked id heads and unmasked coordinate heads in both
+    dtypes pick the reference's index and leave the generator in its state."""
+    inputs = np.random.default_rng(5)
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for i in range(10_000):
+        n = (E.N_ACTIONS, E.GRID)[i % 2]
+        logits = (inputs.standard_normal(n) * inputs.uniform(0.1, 10)).astype((np.float32, np.float64)[i // 2 % 2])
+        mask = None
+        if n == E.N_ACTIONS:
+            mask = inputs.random(n) < 0.6
+            mask[inputs.integers(n)] = True
+        logp = A.masked_log_softmax(logits, mask)
+        assert A.sample_from_logp(logp, rng) == reference_sample(logp, ref_rng)
+        if i >= 500:
+            continue
+        # draws on each step of the cumulative mass and either side of it,
+        # short of its total, where one rounding changes the index
+        p = np.exp(logp)
+        p /= p.sum()
+        cdf = np.cumsum(p).astype(np.float64)
+        for u in (*cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 1.0)):
+            if u < cdf[-1]:
+                assert A.sample_from_logp(logp, ConstantDraws(u)) == reference_sample(logp, ConstantDraws(u))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_never_takes_a_masked_entry_past_the_cumulative_mass():
+    """The float32 cumulative mass of the legal entries can end below 1; the
+    largest draw under 1 must still take a legal action with finite logp."""
+    mask = np.array([True, True, True, False, False, False])
+    found = np.random.default_rng(0)
+    while True:
+        logits = found.standard_normal(E.N_ACTIONS).astype(np.float32)
+        p = np.exp(A.masked_log_softmax(logits, mask))
+        p /= p.sum()
+        if np.cumsum(p)[-1] < 1.0:
+            break
+    top = ConstantDraws(np.nextafter(1.0, 0.0))
+    logp = A.masked_log_softmax(logits, mask)
+    kind = A.sample_from_logp(logp, top)
+    assert kind == 2 and np.isfinite(logp[kind])
+    net = zeroed_net()
+    net.head_action.bias[...] = logits  # a zero net's logits are the bias
+    h, c = net.zero_state()
+    obs = E.encode_observation(None, E.reset(0))
+    action, logp_action, _, _ = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, top)
+    assert mask[action.kind] and np.isfinite(logp_action)
+
+
 def test_act_uniform_over_legal_for_zero_net():
     net = zeroed_net()
     s = E.reset(0)
@@ -319,6 +410,24 @@ def test_narration_far_observation_no_advance(tiny_mem, commands):
     state_vec = tiny_mem.encode_state(obs)
     bonus = A.shape_narration(state_vec, tr, tau=0.5, command_vecs=far_vecs)
     assert bonus == 0.0 and tr.pointer == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_narration_aux_equals_concatenated_embeddings(dtype, tiny_mem, commands):
+    mem = M.MemModel(tiny_mem.word_embeddings, np.random.default_rng(2), dtype=dtype)
+    shaping = A.EpisodeShaping(A.AgentConfig(variant="narration", tau=2.0), mem, commands)
+    ep = E.Episode(0, 60)
+    shaping.start(ep.observe())
+    pointers = set()
+    for _ in range(60):
+        aux = shaping.aux()
+        pointer = shaping.tracker.pointer
+        want = np.concatenate([shaping.state_vec, shaping.command_vecs[pointer]]).astype(np.float32)
+        assert aux.dtype == want.dtype and aux.tobytes() == want.tobytes()
+        pointers.add(pointer)
+        obs, _, _, events = ep.step(E.scripted_expert(ep.state))
+        shaping.bonus(obs, events)
+    assert len(pointers) > 1
 
 
 def test_narration_wraps_after_last_command(commands):

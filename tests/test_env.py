@@ -79,6 +79,40 @@ def test_reset_seeds_vary_layout():
     assert fingerprint(E.reset(0)) != fingerprint(E.reset(1))
 
 
+def reference_reset(seed: int) -> E.GameState:
+    """``reset`` with its rings found by scanning the whole grid."""
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((E.GRID, E.GRID), dtype=np.uint8)
+    base = (int(rng.integers(5, 11)), int(rng.integers(5, 11)))
+    grid[base] = E.CELL_BASE
+
+    def ring(lo, hi):
+        out = []
+        for r in range(E.GRID):
+            for c in range(E.GRID):
+                d = max(abs(r - base[0]), abs(c - base[1]))
+                if lo <= d <= hi and grid[r, c] == E.CELL_EMPTY:
+                    out.append((r, c))
+        return out
+
+    patch_cells = ring(2, 3)
+    for i in rng.choice(len(patch_cells), size=6, replace=False):
+        grid[patch_cells[i]] = E.CELL_MINERAL
+    worker_cells = ring(1, 2)
+    idx = rng.choice(len(worker_cells), size=E.N_STARTING_WORKERS, replace=False)
+    workers = tuple(sorted(worker_cells[i] for i in idx))
+    for pos in workers:
+        grid[pos] = E.CELL_WORKER
+    state = E.reset(seed)
+    state.grid, state.workers = grid, workers
+    return state
+
+
+def test_reset_layout_equals_full_grid_ring_scan():
+    for seed in range(2000):
+        assert fingerprint(E.reset(seed)) == fingerprint(reference_reset(seed)), seed
+
+
 # ------------------------------------------------------------------- step
 
 
@@ -389,6 +423,69 @@ def test_observation_deterministic():
     b = E.encode_observation(s, s)
     assert a.spatial.tobytes() == b.spatial.tobytes()
     assert a.nonspatial.tobytes() == b.nonspatial.tobytes()
+
+
+def reference_observation(prev: E.GameState, state: E.GameState) -> E.Observation:
+    """``encode_observation`` as a zeroed array filled frame by frame, its
+    scalars clipped as a float32 array."""
+    spatial = np.zeros((E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.float32)
+    for frame, s in ((spatial[:7], prev), (spatial[7:], state)):
+        for k, cell in enumerate(range(E.CELL_BASE, E.CELL_MARINE + 1)):
+            frame[k] = s.grid == cell
+        if s.sel_kind != E.SEL_NONE:
+            frame[6][s.sel_pos] = 1.0
+    nonspatial = np.array(
+        [
+            state.minerals / 1000.0,
+            state.supply_used / 64.0,
+            state.supply_cap / 64.0,
+            state.n_workers / 32.0,
+            state.n_depots / 32.0,
+            state.n_barracks / 32.0,
+            state.n_marines / 32.0,
+            state.sel_kind == E.SEL_NONE,
+            state.sel_kind == E.SEL_WORKER,
+            state.sel_kind == E.SEL_BARRACKS,
+        ],
+        dtype=np.float32,
+    )
+    np.clip(nonspatial, 0.0, 1.0, out=nonspatial)
+    return E.Observation(spatial, nonspatial)
+
+
+def assert_same_observation(obs: E.Observation, ref: E.Observation) -> None:
+    for got, want in ((obs.spatial, ref.spatial), (obs.nonspatial, ref.nonspatial)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["expert", "random"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_episode_observations_equal_encode_observation(policy, seed):
+    """Every observation an ``Episode`` returns, at the start, after each
+    step and from a mid-episode ``observe``, equals ``encode_observation``
+    of its (prev, state) pair, and that equals the reference encoding. The
+    caller scribbles over each returned observation, which must not reach
+    a later one, and a later step must not write into an earlier one."""
+    rng = np.random.default_rng(seed)
+    ep = E.Episode(seed)
+    obs = ep.observe()
+    done = False
+    while True:
+        assert_same_observation(obs, E.encode_observation(ep.prev, ep.state))
+        assert_same_observation(obs, reference_observation(ep.prev, ep.state))
+        obs.spatial.fill(7.0)
+        obs.nonspatial.fill(7.0)
+        if done:
+            break
+        if ep.state.step % 97 == 50:
+            assert_same_observation(ep.observe(), reference_observation(ep.prev, ep.state))
+        action = E.scripted_expert(ep.state) if policy == "expert" else E.random_legal_action(ep.state, rng)
+        held = obs
+        obs, _, done, _ = ep.step(action)
+        assert (held.spatial == 7.0).all() and (held.nonspatial == 7.0).all()
+    # a cap binds by the end: more than 32 depots or marines
+    assert max(ep.state.n_depots, ep.state.n_marines) > 32
 
 
 # --------------------------------------------------------- scripted expert

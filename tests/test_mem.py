@@ -52,6 +52,14 @@ def test_distance_hand_value():
     assert M.mem_distance(a, b) == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distance_bitwise_equals_norm_of_float64_difference(dtype):
+    r = np.random.default_rng(4)
+    for _ in range(200):
+        a, b = ((r.standard_normal(M.EMBED_DIM) * r.uniform(0.01, 100)).astype(dtype) for _ in range(2))
+        assert M.mem_distance(a, b) == float(np.linalg.norm(a.astype(np.float64) - b.astype(np.float64)))
+
+
 def test_distance_dim_mismatch_rejected():
     with pytest.raises(ValueError):
         M.mem_distance(np.zeros(3), np.zeros(4))

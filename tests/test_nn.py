@@ -81,6 +81,36 @@ def test_lstm_hidden_bounded():
         assert np.abs(h).max() <= 1.0
 
 
+def reference_lstm_step(cell, x, h, c):
+    """``LSTM.step`` with its sums formed as new arrays."""
+    nh = cell.n_hidden
+    z = x @ cell.w_x + h @ cell.w_h + cell.bias
+    gates = _sigmoid(z)
+    np.tanh(z[:, 2 * nh : 3 * nh], out=gates[:, 2 * nh : 3 * nh])
+    i, f, g, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh : 3 * nh], gates[:, 3 * nh :]
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_lstm_step_bitwise_equals_reference(batch, dtype):
+    """Equal bits, and no floating-point error raised, with every third
+    pre-activation below -104, where float32 exp underflows to 0."""
+    r = rng(71)
+    cell = LSTM(6, 8, r, dtype=dtype)
+    cell.bias[::3] = -120.0
+    h, c = (r.standard_normal((batch, 8)).astype(dtype) for _ in range(2))
+    with np.errstate(all="raise"):
+        for _ in range(10):
+            x = r.standard_normal((batch, 6)).astype(dtype)
+            assert ((x @ cell.w_x + h @ cell.w_h + cell.bias) < -104).any()
+            got, want = cell.step(x, h, c), reference_lstm_step(cell, x, h, c)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+            h, c = got
+
+
 # --------------------------------------------------------------- backward
 
 

@@ -5,9 +5,11 @@ microseconds, one thread of BLAS.
 
 Prints the time of ``train_skipgram`` for 10 epochs on the bundled corpus,
 of ``generate_dataset`` for ``Quotas(60, 300)`` (the benchmark's sizes for
-the ``grounding`` set-up) and of ``evaluate_policy`` for 2 episodes of the
-``none`` variant at horizon 256, then the median time per call of
-``Actor.rollout`` for 32 steps of the ``none`` variant, ``a3c_loss`` on a
+the ``grounding`` set-up) and of ``evaluate_policy`` for 2 episodes at
+horizon 256 of the ``none`` variant and of the ``narration`` variant on an
+untrained MEM, then the median time per call of ``env.reset``, of
+``Episode.step`` (env step plus observation, replaying a scripted-expert
+game), of ``Actor.rollout`` for 32 steps of the ``none`` variant, ``a3c_loss`` on a
 32-step rollout, ``mem_loss`` with gradients on a 32-sample batch over the
 shipped commands, ``evaluate_mem`` over all 900 samples of a
 ``Quotas(60, 300)`` dataset, ``AgentNet.act`` and
@@ -79,6 +81,10 @@ def main() -> None:
     other = itertools.cycle([obs, E.Observation(spatial[1], nonspatial[1])])
     mask = np.ones(E.N_ACTIONS, bool)
     corpus = L.load_bundled_corpus()
+    emb, _ = L.train_skipgram(corpus, L.SkipgramConfig(epochs=1), seed=3)
+    mem = M.MemModel(emb, np.random.default_rng(1))
+    narration_cfg = A.AgentConfig(variant="narration", horizon=256, eval_episodes=2)
+    commands, wd = M.load_commands(), M.MemTrainConfig().weight_decay
     stages = {
         "train_skipgram epochs=10": micros(
             lambda: L.train_skipgram(corpus, L.SkipgramConfig(epochs=10), seed=3), calls=1
@@ -89,9 +95,10 @@ def main() -> None:
         "evaluate_policy none 2x256": micros(
             lambda: A.evaluate_policy(net.get_flat(), eval_cfg), calls=1
         ) / 1e3,
+        "evaluate_policy narration 2x256": micros(
+            lambda: A.evaluate_policy(net.get_flat(), narration_cfg, mem, commands), calls=1
+        ) / 1e3,
     }
-    emb, _ = L.train_skipgram(corpus, L.SkipgramConfig(epochs=1), seed=3)
-    mem = M.MemModel(emb, np.random.default_rng(1))
     params = net.get_flat()
     grads = (1e-3 * rng.standard_normal(params.size)).astype(np.float32)
     adam = AdamState(params.size, lr=1e-4)
@@ -99,10 +106,22 @@ def main() -> None:
         spatial=spatial, nonspatial=nonspatial, command_ids=rng.integers(0, E.N_COMMANDS, t_len),
         labels=rng.integers(0, 2, t_len),
     )
-    commands, wd = M.load_commands(), M.MemTrainConfig().weight_decay
     mem_ds = M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11)
     everything = np.arange(mem_ds.n_samples())
+    expert = E.Episode(0, 256)
+    game = [E.scripted_expert(expert.state)]
+    while not expert.step(game[-1])[2]:
+        game.append(E.scripted_expert(expert.state))
+    replay, actions = [E.Episode(0, 256)], itertools.cycle(game)
+
+    def episode_step():
+        if replay[0].step(next(actions))[2]:
+            replay[0] = E.Episode(0, 256)  # the game starts over, one call in 256
+
+    seeds = itertools.count()
     out = {
+        "env.reset": micros(lambda: E.reset(next(seeds))),
+        "Episode.step": micros(episode_step, calls=256),
         "Actor.rollout T=32": micros(play_rollout, calls=20),
         "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
         "mem_loss B=32": micros(lambda: M.mem_loss(mem_batch, mem, commands, wd), calls=50),
