@@ -107,7 +107,6 @@ class AgentNet(Model):
             self.head_y,
             self.head_value,
         ]
-        self._own_params()
 
     def spec(self) -> dict:
         modules = [*self.encoder.layers, *self.layers[1:]]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -102,7 +103,6 @@ class MemModel(Model):
         self.cmd_lstm = LSTM(word_embeddings.dim, EMBED_DIM, rng, dtype=dtype)
         self.cmd_proj = Dense(EMBED_DIM, EMBED_DIM, rng, dtype=dtype)
         self.layers = [self.encoder, self.state_proj, self.cmd_lstm, self.cmd_proj]
-        self._own_params()
 
     def spec(self) -> dict:
         return {
@@ -198,11 +198,7 @@ class MemBatch:
 def weight_penalty(model: MemModel, weight_decay: float) -> float:
     """``weight_decay`` times the sum of squared parameters, summed in float64 one array at a time."""
     squares = np.square(model.flat_params, dtype=np.float64)
-    total, pos = 0.0, 0
-    for p in model.param_arrays():
-        total += float(squares[pos : pos + p.size].sum())
-        pos += p.size
-    return weight_decay * total
+    return weight_decay * sum(float(squares[s].sum()) for s in model.param_slices)
 
 
 def mem_loss(
@@ -296,7 +292,7 @@ class MemDataset:
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The dataset's arrays by field name, in the order they are hashed and saved."""
-        return {f.name: getattr(self, f.name) for f in fields(MemDataset) if f.name not in ("quotas", "seed")}
+        return {name: getattr(self, name) for name in _ARRAY_NAMES}
 
     def hash(self) -> str:
         h = hashlib.sha256()
@@ -325,18 +321,39 @@ class MemDataset:
 
     @classmethod
     def load(cls, path) -> "MemDataset":
+        """Read what ``save`` wrote. Files that are not a saved dataset raise
+        ``ValueError``: a sidecar that is not a JSON object with integer
+        ``per_command``, ``nulls`` and ``seed`` and a string ``hash``, an
+        ``.npz`` that is not a zip of exactly the dataset's arrays, or
+        arrays whose content hash is not the sidecar's."""
         npz_path, sidecar_path = cls._paths(path)
-        data = np.load(npz_path)
         with open(sidecar_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+            try:
+                sidecar = json.load(fh)
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                raise ValueError(f"{sidecar_path}: not JSON ({exc})") from exc
+        if not isinstance(sidecar, dict) or any(not isinstance(sidecar.get(k), t) for k, t in _SIDECAR_KEYS.items()):
+            raise ValueError(f"{sidecar_path}: not a dataset sidecar (needs {', '.join(_SIDECAR_KEYS)})")
+        with open(npz_path, "rb") as fh:  # np.load leaves a path it opened open when the archive is bad
+            try:
+                with np.load(fh) as data:
+                    arrays = {k: data[k] for k in data.files}
+            except zipfile.BadZipFile as exc:
+                raise ValueError(f"{npz_path}: not an .npz archive ({exc})") from exc
+        if sorted(arrays) != sorted(_ARRAY_NAMES):
+            raise ValueError(f"{npz_path}: arrays {sorted(arrays)}, expected {sorted(_ARRAY_NAMES)}")
         ds = cls(
             quotas=Quotas(per_command=sidecar["per_command"], nulls=sidecar["nulls"]),
             seed=sidecar["seed"],
-            **{k: data[k] for k in data.files},
+            **arrays,
         )
         if ds.hash() != sidecar["hash"]:
-            raise DatasetError(f"{npz_path}: content hash mismatch")
+            raise ValueError(f"{npz_path}: content hash mismatch")
         return ds
+
+
+_ARRAY_NAMES = tuple(f.name for f in fields(MemDataset) if f.name not in ("quotas", "seed"))
+_SIDECAR_KEYS = {"per_command": int, "nulls": int, "seed": int, "hash": str}
 
 
 NULL_WINDOW = 10  # steps with no detector fire before an obs counts as null
@@ -492,6 +509,9 @@ class MemMetrics:
     test_loss: float = float("nan")
 
 
+_ENCODE_BLOCK = 64  # distinct observations per state-encoder call in ``evaluate_mem``
+
+
 def evaluate_mem(
     model: MemModel,
     dataset: MemDataset,
@@ -503,25 +523,39 @@ def evaluate_mem(
 ) -> tuple[float, float]:
     """(mean loss incl. penalty, accuracy) over the given sample indices.
 
-    Each distinct observation among the samples is encoded once: one
-    sample per observation goes through ``dataset.batch``, ``chunk``
-    observations at a time, and every sample is scored from its
-    observation's state row. The squared errors are summed in float64 per
-    ``chunk`` samples, in the given order.
+    Each distinct observation among the samples is encoded once, and every
+    sample is scored from its observation's state row.
 
-    This keeps the bits of encoding every sample with its chunk of samples.
+    - Encoding runs in blocks of ``_ENCODE_BLOCK`` distinct observations:
+      one sample per observation goes through ``dataset.batch``, and the
+      block through ``encode_state_batch``. A one-row tail joins the block
+      before it, so a block holds 2 to ``_ENCODE_BLOCK + 1`` rows, or one
+      when there is only one distinct observation.
+    - ``chunk`` only groups the scoring: the squared errors are summed in
+      float64 per ``chunk`` samples, in the given order.
+
+    The bits are those of one ``encode_state_batch`` over all the distinct
+    observations, and of encoding every sample with its chunk of samples.
     The conv products run one GEMM per observation, and a row of a dense
     product over two or more rows does not depend on the other rows
     (OpenBLAS; the whole state encoder checked at 2 to 511 rows against
     512), so a state row is the same in any batch of two or more. A batch
     of one row runs its dense products as vector products, which round
-    differently.
+    differently; hence the tail rule.
+
+    Memory: one block's float32 observations and conv1 patch matrix
+    (about 0.9 and 3.2 MB at 64 rows) set the peak, whatever the number of
+    observations; beyond them only the state rows (256 bytes per distinct
+    observation) and the index arrays (tens of bytes per sample) grow.
     """
     if sample_idx.size == 0:
         raise ValueError("empty sample set")
     cmd_vecs = np.stack([model.encode_command(c) for c in commands])
     _, first, obs_row = np.unique(dataset.sample_obs[sample_idx], return_index=True, return_inverse=True)
-    batches = (dataset.batch(sample_idx[first[start : start + chunk]]) for start in range(0, first.size, chunk))
+    starts = list(range(0, first.size, _ENCODE_BLOCK))
+    if first.size - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()  # a one-row block would round differently
+    batches = (dataset.batch(sample_idx[first[a:b]]) for a, b in zip(starts, [*starts[1:], first.size]))
     states = np.concatenate([model.encode_state_batch(b.spatial, b.nonspatial) for b in batches])
     total_sq, correct = 0.0, 0
     for start in range(0, sample_idx.size, chunk):

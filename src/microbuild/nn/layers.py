@@ -2,9 +2,10 @@
 
 Shapes follow the usual conventions: dense inputs are (B, n_in), conv
 inputs are (B, C, H, W), LSTM steps take (B, n_in) plus (B, n_hidden)
-state. A layer's parameters and its gradients (``layer.grads``, which
-``backward`` accumulates into) start as arrays of its own; the model the
-layer is built into rebinds both to views of its flat arrays (``bind``).
+state. A layer's parameters start as arrays of its own, and its gradients
+(``layer.grads``, which ``backward`` accumulates into) as zeros made on
+first use; the model the layer is built into rebinds both to views of its
+flat arrays (``bind``).
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ class Layer:
     param_names: tuple[str, ...] = ()
 
     def __init__(self):
-        self.grads: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] | None = None  # made on first use or by bind
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        if self._grads is None:
+            self._grads = {name: np.zeros_like(getattr(self, name)) for name in self.param_names}
+        return self._grads
 
     def param_arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
-
-    def _new_grads(self) -> None:
-        self.grads = {name: np.zeros_like(getattr(self, name)) for name in self.param_names}
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -39,15 +43,19 @@ class Layer:
 
     def bind(self, params: np.ndarray, grads: np.ndarray, pos: int) -> int:
         """Move the parameters and gradients, values kept, into views of the
-        flat ``params`` and ``grads`` from ``pos``; returns the end position."""
+        flat ``params`` and ``grads`` from ``pos``; returns the end position.
+        A layer with no gradients yet takes ``grads`` as it is, so a new
+        flat ``grads`` must be zeros."""
+        own, self._grads = self._grads, {}
         for name in self.param_names:
             p = getattr(self, name)
             end = pos + p.size
             view, g_view = params[pos:end].reshape(p.shape), grads[pos:end].reshape(p.shape)
             view[...] = p
-            g_view[...] = self.grads[name]
+            if own is not None:
+                g_view[...] = own[name]
             setattr(self, name, view)
-            self.grads[name] = g_view
+            self._grads[name] = g_view
             pos = end
         return pos
 
@@ -72,7 +80,6 @@ class Dense(Layer):
         else:
             self.weight = glorot_uniform(rng, n_in, n_out, (n_in, n_out), dtype)
         self.bias = np.zeros(n_out, dtype=dtype)
-        self._new_grads()
         self._x: np.ndarray | None = None
 
     def spec(self) -> dict:
@@ -160,7 +167,6 @@ class Conv2d(Layer):
         else:
             self.weight = glorot_uniform(rng, fan_in, fan_out, (c_out, c_in, k, k), dtype)
         self.bias = np.zeros(c_out, dtype=dtype)
-        self._new_grads()
         self._index: tuple[tuple, np.ndarray | None] = ((), None)  # (C, H, W), patch index
 
     def spec(self) -> dict:
@@ -254,7 +260,6 @@ class LSTM(Layer):
             self.w_h = glorot_uniform(rng, n_hidden, n_hidden, (n_hidden, 4 * n_hidden), dtype)
         self.bias = np.zeros(4 * n_hidden, dtype=dtype)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate
-        self._new_grads()
         # (x, h entering, c entering, gates, tanh c) of the last forward_seq, each (T, B, ...)
         self._cache: tuple | None = None
 

@@ -13,8 +13,10 @@ the expected spec and the parameter count against the payload size.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import struct
+from functools import cached_property
 
 import numpy as np
 
@@ -23,19 +25,39 @@ from .layers import DTYPE, Conv2d, Dense, Flatten, Layer, ReLU, Tanh
 _MAGIC = b"MBNET\x00"
 _VERSION = 1
 
+# true while a model's constructor runs; a model built then is bound by the outer one
+_building = contextvars.ContextVar("building", default=False)
 
-class Model:
+
+class _BoundOnReturn(type):
+    """Binds a model to new flat arrays (``_own_params``) when its
+    constructor returns, unless another model's constructor is running: a
+    model built inside one is bound with that model's other layers, so
+    every parameter is copied into a flat array once."""
+
+    def __call__(cls, *args, **kwargs):
+        token = _building.set(True)
+        try:
+            model = super().__call__(*args, **kwargs)
+        finally:
+            _building.reset(token)
+        if not _building.get():
+            model._own_params()
+        return model
+
+
+class Model(metaclass=_BoundOnReturn):
     """Parameters and gradients of the layers in ``self.layers``, each held
     in one flat array: ``flat_params`` and ``flat_grads``.
 
-    A model binds them once it has built its layers (``_own_params``):
-    every layer's parameters and gradients become views into them, in
-    declaration order, and a model among the layers is rebound to its
-    slice of the outer arrays. So a write to ``flat_params`` (``set_flat``
-    or an in-place optimizer step) is a write to the layers, and the
-    gradients ``backward`` accumulates read out as ``flat_grads``. A layer
-    belongs to one model: building another model from it moves its arrays
-    into the new one, and the old model no longer sees them.
+    A model is bound to them when its constructor returns: every layer's
+    parameters and gradients become views into them, in declaration
+    order, and a model among the layers takes its slice of the outer
+    arrays. So a write to ``flat_params`` (``set_flat`` or an in-place
+    optimizer step) is a write to the layers, and the gradients
+    ``backward`` accumulates read out as ``flat_grads``. A layer belongs to
+    one model: building another model from it moves its arrays into the
+    new one, and the old model no longer sees them.
     """
 
     layers: list
@@ -47,7 +69,7 @@ class Model:
         arrays = self.param_arrays()
         n = sum(a.size for a in arrays)
         dtype = np.result_type(*arrays) if arrays else DTYPE
-        self.bind(np.empty(n, dtype), np.empty(n, dtype), 0)
+        self.bind(np.empty(n, dtype), np.zeros(n, dtype), 0)
 
     def bind(self, params: np.ndarray, grads: np.ndarray, pos: int) -> int:
         """Rebind every layer, in order, to views of ``params`` and ``grads``
@@ -60,6 +82,12 @@ class Model:
 
     def param_arrays(self) -> list[np.ndarray]:
         return [a for l in self.layers for a in l.param_arrays()]
+
+    @cached_property
+    def param_slices(self) -> list[slice]:
+        """Where each of ``param_arrays()`` lies in ``flat_params``, in order."""
+        ends = np.cumsum([a.size for a in self.param_arrays()]).tolist()
+        return [slice(start, end) for start, end in zip([0, *ends], ends)]
 
     def zero_grads(self) -> None:
         self.flat_grads.fill(0)
@@ -83,7 +111,6 @@ class Sequential(Model, Layer):
     def __init__(self, layers: list[Layer]):
         super().__init__()
         self.layers = layers
-        self._own_params()
 
     def spec(self) -> dict:
         return {"kind": "sequential", "layers": [l.spec() for l in self.layers]}
@@ -125,7 +152,6 @@ class StateEncoder(Model):
         self.spatial_net = Sequential([conv1, ReLU(), conv2, ReLU(), Flatten()])
         self.nonspatial_net = Sequential([Dense(n_scalars, hidden, rng, dtype=dtype), Tanh()])
         self.layers = [self.spatial_net, self.nonspatial_net]
-        self._own_params()
         self.n_spatial = conv2.c_out * h * w
         self.out_dim = self.n_spatial + hidden
         self._memo: tuple[tuple, np.ndarray] | None = None  # (key, trunk output) of the last one-row run

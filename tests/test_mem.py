@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,6 +313,59 @@ def test_dataset_save_load_round_trip(tmp_path, small_dataset):
     assert loaded.quotas == small_dataset.quotas
 
 
+def break_sidecar(npz, sidecar):
+    sidecar.write_text("{not json", encoding="utf-8")
+
+
+def drop_sidecar_key(npz, sidecar):
+    fields = json.loads(sidecar.read_text(encoding="utf-8"))
+    del fields["hash"]
+    sidecar.write_text(json.dumps(fields), encoding="utf-8")
+
+
+def list_sidecar(npz, sidecar):
+    sidecar.write_text("[1, 2]", encoding="utf-8")
+
+
+def rewrite_arrays(edit):
+    def rewrite(npz, sidecar):
+        with np.load(npz) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        np.savez_compressed(npz, **arrays)
+
+    return rewrite
+
+
+def flip_one_label(arrays):
+    arrays["sample_label"][0] ^= 1
+
+
+def truncate_npz(npz, sidecar):
+    npz.write_bytes(npz.read_bytes()[:-100])
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (break_sidecar, "not JSON"),
+        (drop_sidecar_key, "not a dataset sidecar"),
+        (list_sidecar, "not a dataset sidecar"),
+        (rewrite_arrays(lambda a: a.pop("obs_label")), "expected"),
+        (rewrite_arrays(lambda a: a.update(extra=np.zeros(3))), "expected"),
+        (rewrite_arrays(flip_one_label), "content hash mismatch"),
+        (truncate_npz, "not an .npz archive"),
+    ],
+    ids=["sidecar-not-json", "sidecar-missing-key", "sidecar-not-object", "missing-array", "extra-array",
+         "hash-mismatch", "npz-truncated"],
+)
+def test_dataset_load_rejects_malformed_files(tmp_path, small_dataset, corrupt, match):
+    small_dataset.save(tmp_path / "ds")
+    corrupt(tmp_path / "ds.npz", tmp_path / "ds.json")
+    with pytest.raises(ValueError, match=match):
+        M.MemDataset.load(tmp_path / "ds")
+
+
 def test_dataset_budget_failure_names_starving_command(monkeypatch):
     # pure-random play rarely trains marines; tiny budget must starve it
     monkeypatch.setattr(M, "EXPERT_MIX", 0.0)
@@ -373,16 +429,31 @@ def test_model_save_load_round_trip(tmp_path, word_emb, commands):
     )
 
 
+def test_weight_penalty_sums_each_array_in_float64_in_order(word_emb):
+    for seed, dtype in [(0, np.float32), (4, np.float32), (2, np.float64)]:
+        model = M.MemModel(word_emb, np.random.default_rng(seed), dtype=dtype)
+        arrays = model.param_arrays()
+        assert [model.flat_params[s].tobytes() for s in model.param_slices] == [a.tobytes() for a in arrays]
+        want = 0.0
+        for p in arrays:
+            want += float((p.astype(np.float64) ** 2).sum())
+        assert M.weight_penalty(model, 2.5e-3) == 2.5e-3 * want
+
+
 # -------------------------------------------------------------- evaluation
 
 
-def reference_evaluate_mem(model, dataset, sample_idx, commands, weight_decay, threshold, chunk):
-    """evaluate_mem encoding every sample's observation, chunk by chunk of samples."""
+def reference_evaluate_mem(model, dataset, sample_idx, commands, weight_decay, threshold, chunk, sample_states=None):
+    """evaluate_mem encoding every sample's observation, chunk by chunk of samples,
+    or scoring each sample's row of ``sample_states`` when given."""
     cmd_vecs = np.stack([model.encode_command(c) for c in commands])
     total_sq, correct = 0.0, 0
     for start in range(0, sample_idx.size, chunk):
         batch = dataset.batch(sample_idx[start : start + chunk])
-        xs = model.encode_state_batch(batch.spatial, batch.nonspatial)
+        if sample_states is None:
+            xs = model.encode_state_batch(batch.spatial, batch.nonspatial)
+        else:
+            xs = sample_states[start : start + chunk]
         diff = (xs - cmd_vecs[batch.command_ids]).astype(np.float64)
         dist = np.sqrt((diff * diff).sum(axis=1))
         err = dist - batch.labels
@@ -441,6 +512,62 @@ def test_evaluate_mem_encodes_each_observation_once(word_emb, commands, small_da
     want = [ds.spatial[i].astype(np.float32).tobytes() + ds.nonspatial[i].tobytes() for i in obs]
     assert len(rows) == obs.size < idx.size
     assert sorted(rows) == sorted(want)
+
+
+def samples_of(ds, n_obs, seed=0):
+    """A shuffled sample list over ``n_obs`` distinct observations, every sample of each."""
+    r = np.random.default_rng(seed)
+    chosen = r.choice(np.unique(ds.sample_obs), size=n_obs, replace=False)
+    return r.permutation(np.flatnonzero(np.isin(ds.sample_obs, chosen)))
+
+
+BLOCK = M._ENCODE_BLOCK
+
+
+@pytest.mark.parametrize("n_obs", [1, 2, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 1])
+def test_evaluate_mem_encodes_blocks_with_the_bits_of_one_batch(word_emb, commands, small_dataset, n_obs):
+    ds = small_dataset
+    idx = samples_of(ds, n_obs)
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    obs, obs_row = np.unique(ds.sample_obs[idx], return_inverse=True)
+    one_batch = model.encode_state_batch(ds.spatial[obs].astype(np.float32), ds.nonspatial[obs])
+    want = reference_evaluate_mem(model, ds, idx, commands, 0.0, EVAL_THRESHOLD, 100, one_batch[obs_row])
+    blocks = []
+    encode = model.encode_state_batch
+
+    def recording(spatial, nonspatial):
+        blocks.append(encode(spatial, nonspatial))
+        return blocks[-1]
+
+    model.encode_state_batch = recording
+    got = M.evaluate_mem(model, ds, idx, commands, 0.0, EVAL_THRESHOLD, chunk=100)
+    sizes = [b.shape[0] for b in blocks]
+    # a one-row block runs its dense products as vector products, which round differently
+    if n_obs == 1:
+        assert sizes == [1]
+    else:
+        assert all(2 <= n <= BLOCK + 1 for n in sizes) and len(sizes) == max(n_obs // BLOCK, 1)
+    assert np.concatenate(blocks).tobytes() == one_batch.tobytes()
+    assert got == want
+
+
+def test_evaluate_mem_peak_memory_does_not_grow_with_the_observations(word_emb, commands, small_dataset):
+    ds = small_dataset
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+
+    def peak(idx):
+        M.evaluate_mem(model, ds, idx, commands, 2.5e-3)  # the layers' caches now hold a block already
+        tracemalloc.start()
+        try:
+            M.evaluate_mem(model, ds, idx, commands, 2.5e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(samples_of(ds, 4 * BLOCK)), peak(samples_of(ds, 8 * BLOCK))
+    # only the state rows (256 bytes) and index arrays grow per observation; a batch of
+    # all of them would add about 70 KB per observation (its patch matrix and frames)
+    assert many - few < 1024 * 4 * BLOCK
 
 
 def test_evaluate_mem_rejects_empty_sample_set(word_emb, commands, small_dataset):

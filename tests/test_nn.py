@@ -13,6 +13,7 @@ from microbuild.nn import (
     Dense,
     Flatten,
     LSTM,
+    Layer,
     ReLU,
     Sequential,
     StateEncoder,
@@ -766,6 +767,51 @@ def test_layers_are_views_of_the_model_flat_arrays():
     assert net.head_value.bias[0] == n - 1
     net.core.w_x[0, 0] = -7.0
     assert net.flat_params[enc.n_params() + net.trunk.n_params()] == -7.0
+
+
+def leaf_layers(model):
+    return [leaf for l in model.layers for leaf in (leaf_layers(l) if hasattr(l, "layers") else [l])]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: A.AgentNet(rng(3)),
+        lambda: A.AgentNet(),
+        lambda: tiny_mem_model(2),
+        lambda: make_encoder(1),
+        lambda: Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))]),
+    ],
+    ids=["agent", "agent-zeros", "mem", "encoder", "sequential"],
+)
+def test_building_a_model_binds_each_layer_once(monkeypatch, build):
+    bound = []
+    bind = Layer.bind
+
+    def recording(layer, params, grads, pos):
+        bound.append(layer)
+        return bind(layer, params, grads, pos)
+
+    monkeypatch.setattr(Layer, "bind", recording)
+    model = build()
+    leaves = leaf_layers(model)
+    assert [id(l) for l in bound] == [id(l) for l in leaves]
+    pos = 0
+    for p in model.param_arrays():
+        assert np.shares_memory(p, model.flat_params[pos : pos + p.size])
+        pos += p.size
+    assert pos == model.n_params() and not model.flat_grads.any()
+
+
+def test_binding_keeps_the_gradients_a_layer_has():
+    dense = Dense(3, 2, rng(2))
+    dense.forward(rng(3).standard_normal((4, 3)).astype(np.float32))
+    dense.backward(rng(4).standard_normal((4, 2)).astype(np.float32))
+    want = np.concatenate([dense.grads["weight"].ravel(), dense.grads["bias"]])
+    assert want.any()
+    net = Sequential([dense])
+    assert net.flat_grads.tobytes() == want.tobytes()
+    assert np.shares_memory(dense.grads["bias"], net.flat_grads)
 
 
 def test_zero_grads_clears_in_place():

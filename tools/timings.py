@@ -12,7 +12,8 @@ untrained MEM, then the median time per call of ``env.reset``, of
 game), of ``Actor.rollout`` for 32 steps of the ``none`` variant, ``a3c_loss`` on a
 32-step rollout, ``mem_loss`` with gradients on a 32-sample batch over the
 shipped commands, ``evaluate_mem`` over all 900 samples of a
-``Quotas(60, 300)`` dataset, ``AgentNet.act`` and
+``Quotas(60, 300)`` dataset, ``AgentNet()`` with no ``rng`` (as
+``evaluate_policy`` and ``AgentNet.load`` build it), ``AgentNet.act`` and
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
 and on two frames in turn (it misses every time), ``adam_step`` over the
 agent's parameters, the state encoder's two convs forward and backward and
@@ -21,7 +22,9 @@ steps, as a rollout's ``act`` calls run them; and the 32-step
 ``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the
 lowest of five medians (of five runs for a set-up stage), which damps the
 swings of a shared host; compare two commits by running it at each,
-alternately, on the same machine.
+alternately, on the same machine. Last comes the peak memory, in MB, that
+``tracemalloc`` sees numpy and Python allocate during that
+``evaluate_mem`` call, after a call that left the layers' caches filled.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import itertools  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -128,6 +132,7 @@ def main() -> None:
         f"evaluate_mem S={everything.size}": micros(
             lambda: M.evaluate_mem(mem, mem_ds, everything, commands, wd), calls=10
         ),
+        "AgentNet()": micros(A.AgentNet, calls=50),
         "AgentNet.act repeated": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
         "AgentNet.act alternating": micros(lambda: net.act(next(other), aux[0], h0, c0, mask, rng)),
         "MemModel.encode_state repeated": micros(lambda: mem.encode_state(obs)),
@@ -159,10 +164,18 @@ def main() -> None:
     out["LSTM forward_seq T=32 + backward_seq"] = micros(
         lambda: (core.forward_seq(feats, h0, c0), core.backward_seq(gh)), calls=20
     )
+    M.evaluate_mem(mem, mem_ds, everything, commands, wd)
+    tracemalloc.start()
+    try:
+        M.evaluate_mem(mem, mem_ds, everything, commands, wd)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
     for name, value in stages.items():
         print(f"{name:38s} {value:9.1f} ms")
     for name, value in out.items():
         print(f"{name:38s} {value:9.1f} us")
+    print(f"{f'evaluate_mem S={everything.size} peak':38s} {peak_mb:9.1f} MB")
 
 
 if __name__ == "__main__":
