@@ -14,12 +14,20 @@ The ``infer_*`` lines run forward passes only, on untrained parameters: a
 change that keeps every forward value keeps them bit for bit even where
 training drifts by float32 rounding. Values computed with BLAS are only
 comparable on the same machine and BLAS build.
+
+A header of ``#`` lines comes first. It names the platform, CPU model, the
+SIMD extensions numpy found, Python, numpy, the BLAS build (``np.show_config``) and the BLAS thread
+setting; its ``no-blas`` line lists the fingerprints that use no BLAS or
+other machine-dependent float arithmetic (RNG draws, integer game play,
+file bytes), which hold on any machine. ``tests/data/fingerprints.txt``
+pins this output, and ``tests/test_fingerprints.py`` checks it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import tempfile
 
 import numpy as np
@@ -48,6 +56,37 @@ def file_bytes(model) -> bytes:
         model.save(path)
         with open(path, "rb") as fh:
             return fh.read()
+
+
+# fingerprints free of BLAS and of float arithmetic that varies by machine
+NO_BLAS = ("agent_init", "mem_init", "dataset", "agent_file", "random")
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def header() -> dict[str, str]:
+    """What the BLAS lines depend on, plus which lines use no BLAS."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "platform": f"{platform.system()} {platform.machine()}",
+        "cpu": cpu_model(),
+        "simd": " ".join(config["SIMD Extensions"]["found"]),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}: {blas.get('openblas configuration', '')}",
+        "threads": f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
+        "no-blas": " ".join(NO_BLAS),
+    }
 
 
 def main() -> None:
@@ -99,6 +138,8 @@ def main() -> None:
     cfg = A.AgentConfig(variant="random", horizon=720, eval_episodes=20, eval_seed=10_000)
     row = A.evaluate_policy(np.zeros(1, dtype=np.float32), cfg)
     out["random"] = f"{sha(row)} mean_score={row['mean_score']}"
+    for key, value in header().items():
+        print(f"# {key:9s} {value}")
     for key, value in out.items():
         print(f"{key:16s} {value}")
 
