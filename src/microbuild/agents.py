@@ -89,15 +89,14 @@ class AgentNet(Model):
     """State encoder + dense trunk + LSTM core with action-id, x, y and value
     heads. With no ``rng`` the weights start at zero, for callers that load them."""
 
-    def __init__(self, rng: np.random.Generator | None = None, dtype=np.float32):
-        self.dtype = dtype
-        self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng, dtype)
-        self.trunk = Sequential([Dense(self.encoder.out_dim + AUX_DIM, HIDDEN, rng, dtype=dtype), ReLU()])
-        self.core = LSTM(HIDDEN, HIDDEN, rng, dtype=dtype)
-        self.head_action = Dense(HIDDEN, E.N_ACTIONS, rng, dtype=dtype)
-        self.head_x = Dense(HIDDEN, E.GRID, rng, dtype=dtype)
-        self.head_y = Dense(HIDDEN, E.GRID, rng, dtype=dtype)
-        self.head_value = Dense(HIDDEN, 1, rng, dtype=dtype)
+    def __init__(self, rng: np.random.Generator | None = None):
+        self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng)
+        self.trunk = Sequential([Dense(self.encoder.out_dim + AUX_DIM, HIDDEN, rng), ReLU()])
+        self.core = LSTM(HIDDEN, HIDDEN, rng)
+        self.head_action = Dense(HIDDEN, E.N_ACTIONS, rng)
+        self.head_x = Dense(HIDDEN, E.GRID, rng)
+        self.head_y = Dense(HIDDEN, E.GRID, rng)
+        self.head_value = Dense(HIDDEN, 1, rng)
         self.layers = [
             self.encoder,
             self.trunk,
@@ -107,6 +106,7 @@ class AgentNet(Model):
             self.head_y,
             self.head_value,
         ]
+        self._own_params()
 
     def spec(self) -> dict:
         modules = [*self.encoder.layers, *self.layers[1:]]
@@ -123,7 +123,7 @@ class AgentNet(Model):
         return net
 
     def zero_state(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.core.zero_state(1, dtype=self.dtype)
+        return self.core.zero_state(1)
 
     # ------------------------------------------------------------ forward
 
@@ -288,7 +288,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
         bad = [t for t in range(t_len) if not np.isfinite(values[t])]
         raise FloatingPointError(f"non-finite loss in rollout (suspect timesteps {bad[:4]})")
 
-    g_v = (2.0 * c_v * verr).astype(net.dtype)[:, None]
+    g_v = (2.0 * c_v * verr).astype(net.flat_params.dtype)[:, None]
     gh = net.head_action.backward(g_id)
     gh += net.head_x.backward(g_x)
     gh += net.head_y.backward(g_y)

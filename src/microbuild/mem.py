@@ -90,19 +90,14 @@ class MemModel(Model):
     """Paired state and command encoders with shared output dimension. With
     no ``rng`` the weights start at zero, for callers that load them."""
 
-    def __init__(
-        self,
-        word_embeddings: WordEmbeddings,
-        rng: np.random.Generator | None = None,
-        dtype=np.float32,
-    ):
+    def __init__(self, word_embeddings: WordEmbeddings, rng: np.random.Generator | None = None):
         self.word_embeddings = word_embeddings  # frozen; not part of theta
-        self.dtype = dtype
-        self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng, dtype)
-        self.state_proj = Dense(self.encoder.out_dim, EMBED_DIM, rng, dtype=dtype)
-        self.cmd_lstm = LSTM(word_embeddings.dim, EMBED_DIM, rng, dtype=dtype)
-        self.cmd_proj = Dense(EMBED_DIM, EMBED_DIM, rng, dtype=dtype)
+        self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng)
+        self.state_proj = Dense(self.encoder.out_dim, EMBED_DIM, rng)
+        self.cmd_lstm = LSTM(word_embeddings.dim, EMBED_DIM, rng)
+        self.cmd_proj = Dense(EMBED_DIM, EMBED_DIM, rng)
         self.layers = [self.encoder, self.state_proj, self.cmd_lstm, self.cmd_proj]
+        self._own_params()
 
     def spec(self) -> dict:
         return {
@@ -132,7 +127,8 @@ class MemModel(Model):
     # ------------------------------------------------------------ forward
 
     def encode_state_batch(self, spatial: np.ndarray, nonspatial: np.ndarray) -> np.ndarray:
-        features = self.encoder.forward(spatial.astype(self.dtype, copy=False), nonspatial.astype(self.dtype, copy=False))
+        dt = self.flat_params.dtype
+        features = self.encoder.forward(spatial.astype(dt, copy=False), nonspatial.astype(dt, copy=False))
         return self.state_proj.forward(features)
 
     def backward_state_batch(self, g_out: np.ndarray) -> None:
@@ -149,8 +145,8 @@ class MemModel(Model):
 
     def encode_command(self, command) -> np.ndarray:
         """Project a command (CommandSpec or raw text) into the shared space."""
-        vecs = self.word_embeddings.embed_tokens(self._command_tokens(command)).astype(self.dtype)
-        h, c = self.cmd_lstm.zero_state(1, dtype=self.dtype)
+        vecs = self.word_embeddings.embed_tokens(self._command_tokens(command)).astype(self.flat_params.dtype)
+        h, c = self.cmd_lstm.zero_state(1)
         for t in range(vecs.shape[0]):
             h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c)
         return self.cmd_proj.forward(h)[0]
@@ -164,10 +160,10 @@ class MemModel(Model):
         """
         token_lists = [self._command_tokens(c) for c in commands]
         lengths = np.array([len(tokens) for tokens in token_lists])
-        xs = np.zeros((lengths.max(), len(commands), self.word_embeddings.dim), dtype=self.dtype)
+        xs = np.zeros((lengths.max(), len(commands), self.word_embeddings.dim), dtype=self.flat_params.dtype)
         for u, tokens in enumerate(token_lists):
             xs[: lengths[u], u] = self.word_embeddings.embed_tokens(tokens)
-        h0, c0 = self.cmd_lstm.zero_state(len(commands), dtype=self.dtype)
+        h0, c0 = self.cmd_lstm.zero_state(len(commands))
         hs = self.cmd_lstm.forward_seq(xs, h0, c0)  # (T_max, U, embed_dim)
         self._cmd_last = lengths - 1
         return self.cmd_proj.forward(hs[self._cmd_last, np.arange(len(commands))])
@@ -233,7 +229,7 @@ def mem_loss(
 
     safe = np.where(dist > 0.0, dist, 1.0)
     scale = np.where(dist > 0.0, 2.0 * err / (n * safe), 0.0)
-    g_diff = (scale[:, None] * diff).astype(model.dtype)  # d loss / d xs
+    g_diff = (scale[:, None] * diff).astype(model.flat_params.dtype)  # d loss / d xs
     model.backward_state_batch(g_diff)
     g_cmd = np.zeros((cmd_ids.size, g_diff.shape[1]), dtype=g_diff.dtype)
     np.subtract.at(g_cmd, rows, g_diff)  # d loss / d xc, summed per distinct command

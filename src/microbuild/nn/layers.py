@@ -2,60 +2,42 @@
 
 Shapes follow the usual conventions: dense inputs are (B, n_in), conv
 inputs are (B, C, H, W), LSTM steps take (B, n_in) plus (B, n_hidden)
-state. A layer's parameters start as arrays of its own, and its gradients
-(``layer.grads``, which ``backward`` accumulates into) as zeros made on
-first use; the model the layer is built into rebinds both to views of its
-flat arrays (``bind``).
+state. Every network is float32. A layer's parameters start as arrays of
+its own. The model the layer is built into binds it (``bind``): the
+parameters move into views of the model's flat array, and ``layer.grads``,
+which ``backward`` accumulates into, becomes views of its flat gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DTYPE = np.float32
-
-
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape, dtype=DTYPE):
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class Layer:
     """Base class: subclasses define param_names, forward and backward."""
 
     param_names: tuple[str, ...] = ()
-
-    def __init__(self):
-        self._grads: dict[str, np.ndarray] | None = None  # made on first use or by bind
-
-    @property
-    def grads(self) -> dict[str, np.ndarray]:
-        if self._grads is None:
-            self._grads = {name: np.zeros_like(getattr(self, name)) for name in self.param_names}
-        return self._grads
+    grads: dict[str, np.ndarray]  # views of the flat gradients, set by bind
 
     def param_arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g.fill(0)
-
     def bind(self, params: np.ndarray, grads: np.ndarray, pos: int) -> int:
-        """Move the parameters and gradients, values kept, into views of the
-        flat ``params`` and ``grads`` from ``pos``; returns the end position.
-        A layer with no gradients yet takes ``grads`` as it is, so a new
-        flat ``grads`` must be zeros."""
-        own, self._grads = self._grads, {}
+        """Move the parameters, values kept, into views of the flat
+        ``params`` from ``pos``, and take the views of ``grads`` there as
+        the gradients; returns the end position."""
+        self.grads = {}
         for name in self.param_names:
             p = getattr(self, name)
             end = pos + p.size
-            view, g_view = params[pos:end].reshape(p.shape), grads[pos:end].reshape(p.shape)
+            view = params[pos:end].reshape(p.shape)
             view[...] = p
-            if own is not None:
-                g_view[...] = own[name]
             setattr(self, name, view)
-            self._grads[name] = g_view
+            self.grads[name] = grads[pos:end].reshape(p.shape)
             pos = end
         return pos
 
@@ -72,14 +54,13 @@ class Layer:
 class Dense(Layer):
     param_names = ("weight", "bias")
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None, dtype=DTYPE):
-        super().__init__()
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None):
         self.n_in, self.n_out = n_in, n_out
         if rng is None:
-            self.weight = np.zeros((n_in, n_out), dtype=dtype)
+            self.weight = np.zeros((n_in, n_out), dtype=np.float32)
         else:
-            self.weight = glorot_uniform(rng, n_in, n_out, (n_in, n_out), dtype)
-        self.bias = np.zeros(n_out, dtype=dtype)
+            self.weight = glorot_uniform(rng, n_in, n_out, (n_in, n_out))
+        self.bias = np.zeros(n_out, dtype=np.float32)
         self._x: np.ndarray | None = None
 
     def spec(self) -> dict:
@@ -156,17 +137,15 @@ class Conv2d(Layer):
         k: int,
         stride: int = 1,
         rng: np.random.Generator | None = None,
-        dtype=DTYPE,
     ):
-        super().__init__()
         self.c_in, self.c_out, self.k, self.stride = c_in, c_out, k, stride
         fan_in = c_in * k * k
         fan_out = c_out * k * k
         if rng is None:
-            self.weight = np.zeros((c_out, c_in, k, k), dtype=dtype)
+            self.weight = np.zeros((c_out, c_in, k, k), dtype=np.float32)
         else:
-            self.weight = glorot_uniform(rng, fan_in, fan_out, (c_out, c_in, k, k), dtype)
-        self.bias = np.zeros(c_out, dtype=dtype)
+            self.weight = glorot_uniform(rng, fan_in, fan_out, (c_out, c_in, k, k))
+        self.bias = np.zeros(c_out, dtype=np.float32)
         self._index: tuple[tuple, np.ndarray | None] = ((), None)  # (C, H, W), patch index
 
     def spec(self) -> dict:
@@ -249,16 +228,15 @@ class LSTM(Layer):
 
     param_names = ("w_x", "w_h", "bias")
 
-    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator | None = None, dtype=DTYPE):
-        super().__init__()
+    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator | None = None):
         self.n_in, self.n_hidden = n_in, n_hidden
         if rng is None:
-            self.w_x = np.zeros((n_in, 4 * n_hidden), dtype=dtype)
-            self.w_h = np.zeros((n_hidden, 4 * n_hidden), dtype=dtype)
+            self.w_x = np.zeros((n_in, 4 * n_hidden), dtype=np.float32)
+            self.w_h = np.zeros((n_hidden, 4 * n_hidden), dtype=np.float32)
         else:
-            self.w_x = glorot_uniform(rng, n_in, n_hidden, (n_in, 4 * n_hidden), dtype)
-            self.w_h = glorot_uniform(rng, n_hidden, n_hidden, (n_hidden, 4 * n_hidden), dtype)
-        self.bias = np.zeros(4 * n_hidden, dtype=dtype)
+            self.w_x = glorot_uniform(rng, n_in, n_hidden, (n_in, 4 * n_hidden))
+            self.w_h = glorot_uniform(rng, n_hidden, n_hidden, (n_hidden, 4 * n_hidden))
+        self.bias = np.zeros(4 * n_hidden, dtype=np.float32)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate
         # (x, h entering, c entering, gates, tanh c) of the last forward_seq, each (T, B, ...)
         self._cache: tuple | None = None
@@ -266,11 +244,10 @@ class LSTM(Layer):
     def spec(self) -> dict:
         return {"kind": "lstm", "n_in": self.n_in, "n_hidden": self.n_hidden}
 
-    def zero_state(self, batch: int, dtype=None) -> tuple[np.ndarray, np.ndarray]:
-        dt = dtype if dtype is not None else self.w_x.dtype
+    def zero_state(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
         return (
-            np.zeros((batch, self.n_hidden), dtype=dt),
-            np.zeros((batch, self.n_hidden), dtype=dt),
+            np.zeros((batch, self.n_hidden), dtype=self.w_x.dtype),
+            np.zeros((batch, self.n_hidden), dtype=self.w_x.dtype),
         )
 
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,51 +13,31 @@ the expected spec and the parameter count against the payload size.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import struct
 from functools import cached_property
 
 import numpy as np
 
-from .layers import DTYPE, Conv2d, Dense, Flatten, Layer, ReLU, Tanh
+from .layers import Conv2d, Dense, Flatten, Layer, ReLU, Tanh
 
 _MAGIC = b"MBNET\x00"
 _VERSION = 1
 
-# true while a model's constructor runs; a model built then is bound by the outer one
-_building = contextvars.ContextVar("building", default=False)
 
-
-class _BoundOnReturn(type):
-    """Binds a model to new flat arrays (``_own_params``) when its
-    constructor returns, unless another model's constructor is running: a
-    model built inside one is bound with that model's other layers, so
-    every parameter is copied into a flat array once."""
-
-    def __call__(cls, *args, **kwargs):
-        token = _building.set(True)
-        try:
-            model = super().__call__(*args, **kwargs)
-        finally:
-            _building.reset(token)
-        if not _building.get():
-            model._own_params()
-        return model
-
-
-class Model(metaclass=_BoundOnReturn):
+class Model:
     """Parameters and gradients of the layers in ``self.layers``, each held
     in one flat array: ``flat_params`` and ``flat_grads``.
 
-    A model is bound to them when its constructor returns: every layer's
-    parameters and gradients become views into them, in declaration
-    order, and a model among the layers takes its slice of the outer
-    arrays. So a write to ``flat_params`` (``set_flat`` or an in-place
-    optimizer step) is a write to the layers, and the gradients
-    ``backward`` accumulates read out as ``flat_grads``. A layer belongs to
-    one model: building another model from it moves its arrays into the
-    new one, and the old model no longer sees them.
+    A model is built, then bound to them: the outermost model's
+    constructor ends with ``_own_params``, which makes both arrays and
+    binds every layer, in declaration order, to views into them; a model
+    among the layers takes its slice of the outer arrays. So a write to
+    ``flat_params`` (``set_flat`` or an in-place optimizer step) is a write
+    to the layers, and the gradients ``backward`` accumulates read out as
+    ``flat_grads``. A layer belongs to one model: binding another model
+    built from it moves its arrays into the new one, and the old model no
+    longer sees them.
     """
 
     layers: list
@@ -65,11 +45,10 @@ class Model(metaclass=_BoundOnReturn):
     flat_grads: np.ndarray
 
     def _own_params(self) -> None:
-        """Bind the layers to new flat arrays holding their current values."""
-        arrays = self.param_arrays()
-        n = sum(a.size for a in arrays)
-        dtype = np.result_type(*arrays) if arrays else DTYPE
-        self.bind(np.empty(n, dtype), np.zeros(n, dtype), 0)
+        """Bind the layers to new float32 flat arrays: the parameters keep
+        their values, the gradients start at zero."""
+        n = sum(a.size for a in self.param_arrays())
+        self.bind(np.empty(n, np.float32), np.zeros(n, np.float32), 0)
 
     def bind(self, params: np.ndarray, grads: np.ndarray, pos: int) -> int:
         """Rebind every layer, in order, to views of ``params`` and ``grads``
@@ -109,7 +88,6 @@ class Sequential(Model, Layer):
     """A chain of layers applied in order; backward runs them in reverse."""
 
     def __init__(self, layers: list[Layer]):
-        super().__init__()
         self.layers = layers
 
     def spec(self) -> dict:
@@ -145,12 +123,12 @@ class StateEncoder(Model):
     another input's caches.
     """
 
-    def __init__(self, channels: int, grid: int, n_scalars: int, hidden: int, rng, dtype):
-        conv1 = Conv2d(channels, 8, k=5, stride=2, rng=rng, dtype=dtype)
-        conv2 = Conv2d(8, 16, k=3, stride=2, rng=rng, dtype=dtype)
+    def __init__(self, channels: int, grid: int, n_scalars: int, hidden: int, rng):
+        conv1 = Conv2d(channels, 8, k=5, stride=2, rng=rng)
+        conv2 = Conv2d(8, 16, k=3, stride=2, rng=rng)
         h, w = conv2.out_hw(*conv1.out_hw(grid, grid))
         self.spatial_net = Sequential([conv1, ReLU(), conv2, ReLU(), Flatten()])
-        self.nonspatial_net = Sequential([Dense(n_scalars, hidden, rng, dtype=dtype), Tanh()])
+        self.nonspatial_net = Sequential([Dense(n_scalars, hidden, rng), Tanh()])
         self.layers = [self.spatial_net, self.nonspatial_net]
         self.n_spatial = conv2.c_out * h * w
         self.out_dim = self.n_spatial + hidden

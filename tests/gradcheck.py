@@ -56,6 +56,22 @@ def grad_check_fn(
     return worst
 
 
+def bound(net: Layer | Model, dtype=np.float64):
+    """``net`` bound to new flat arrays of ``dtype``, and returned: its
+    parameters keep their values and its gradients start at zero.
+
+    A layer or chain a test builds on its own takes its gradients this way,
+    and a float64 model is the float32 one it was built as, widened."""
+    n = sum(a.size for a in net.param_arrays())
+    net.bind(np.empty(n, dtype), np.zeros(n, dtype), 0)
+    return net
+
+
+def zero_grads(net: Layer | Model) -> None:
+    for g in grad_arrays(net):
+        g.fill(0)
+
+
 def grad_arrays(net: Layer | Model) -> list[np.ndarray]:
     """The gradient arrays of a layer, or of every layer of a model, aligned with ``net.param_arrays()``."""
     if isinstance(net, Model):
@@ -74,7 +90,7 @@ def grad_check(net: Layer, x: np.ndarray, eps: float = 1e-4, rng: np.random.Gene
     probe: dict[str, np.ndarray] = {}
 
     def loss_fn() -> tuple[float, list[np.ndarray]]:
-        net.zero_grads()
+        zero_grads(net)
         out = net.forward(x)
         if "r" not in probe:
             probe["r"] = rng.standard_normal(out.shape)

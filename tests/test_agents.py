@@ -11,7 +11,7 @@ from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
 
-from gradcheck import grad_check_fn
+from gradcheck import bound, grad_check_fn
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +25,8 @@ def commands():
     return M.load_commands()
 
 
-def zeroed_net(dtype=np.float32) -> A.AgentNet:
-    net = A.AgentNet(dtype=dtype)
+def zeroed_net() -> A.AgentNet:
+    net = A.AgentNet()
     for arr in net.param_arrays():
         arr[...] = 0.0
     return net
@@ -273,7 +273,7 @@ def test_a3c_loss_entropy_bounded_per_step():
 
 
 def test_a3c_loss_gradients_match_finite_differences():
-    net = A.AgentNet(np.random.default_rng(7), dtype=np.float64)
+    net = bound(A.AgentNet(np.random.default_rng(7)))
     roll = make_rollout(net, 2, seed=11, kinds=[2, 5], dtype=np.float64)  # build + train heads
     cfg = A.AgentConfig()
 
@@ -326,7 +326,7 @@ def reference_a3c_loss(rollout, net, config):
             gouts[k][t][legal] += g
         verr = float(values[t]) - ret
         loss += c_v * verr * verr
-    g_v = (2.0 * c_v * (values.astype(np.float64) - returns)).astype(net.dtype)[:, None]
+    g_v = (2.0 * c_v * (values.astype(np.float64) - returns)).astype(net.flat_params.dtype)[:, None]
     gh = net.head_action.backward(gouts[0])
     gh += net.head_x.backward(gouts[1])
     gh += net.head_y.backward(gouts[2])
@@ -342,7 +342,7 @@ def test_a3c_loss_bitwise_equals_per_step_reference(n_steps, kinds, dtype):
     r = np.random.default_rng(n_steps)
     kind_choices = {"all-build": E.BUILD_KINDS, "no-build": (0, 1, 4, 5), "mixed": range(E.N_ACTIONS)}
     chosen = r.choice(list(kind_choices[kinds]), size=n_steps)
-    net = A.AgentNet(np.random.default_rng(17), dtype=dtype)
+    net = bound(A.AgentNet(np.random.default_rng(17)), dtype)
     roll = make_rollout(net, n_steps, seed=n_steps, kinds=chosen, dtype=dtype)
     masks = r.random((n_steps, E.N_ACTIONS)) < 0.6
     masks[:, E.A_NOOP] = True
@@ -414,7 +414,7 @@ def test_narration_far_observation_no_advance(tiny_mem, commands):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_narration_aux_equals_concatenated_embeddings(dtype, tiny_mem, commands):
-    mem = M.MemModel(tiny_mem.word_embeddings, np.random.default_rng(2), dtype=dtype)
+    mem = bound(M.MemModel(tiny_mem.word_embeddings, np.random.default_rng(2)), dtype)
     shaping = A.EpisodeShaping(A.AgentConfig(variant="narration", tau=2.0), mem, commands)
     ep = E.Episode(0, 60)
     shaping.start(ep.observe())

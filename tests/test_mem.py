@@ -12,7 +12,7 @@ from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
 
-from gradcheck import grad_check_fn
+from gradcheck import bound, grad_check_fn
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ def test_encode_state_rejects_bad_shape(word_emb):
 
 def test_loss_zero_for_matched_identical_embeddings(word_emb, commands):
     # force both encoders to constant zero output: distance 0, label 0
-    model = M.MemModel(word_emb, np.random.default_rng(0), dtype=np.float64)
+    model = bound(M.MemModel(word_emb, np.random.default_rng(0)))
     for arr in model.param_arrays():
         arr[...] = 0.0
     batch = M.MemBatch(
@@ -132,7 +132,7 @@ def test_loss_zero_for_matched_identical_embeddings(word_emb, commands):
 
 
 def test_loss_zero_for_mismatched_at_unit_distance(word_emb, commands):
-    model = M.MemModel(word_emb, np.random.default_rng(0), dtype=np.float64)
+    model = bound(M.MemModel(word_emb, np.random.default_rng(0)))
     for arr in model.param_arrays():
         arr[...] = 0.0
     # bias the state projection to produce a unit-norm constant vector
@@ -148,7 +148,7 @@ def test_loss_zero_for_mismatched_at_unit_distance(word_emb, commands):
 
 
 def test_loss_matches_independent_scalar_recompute(word_emb, commands):
-    model = M.MemModel(word_emb, np.random.default_rng(3), dtype=np.float64)
+    model = bound(M.MemModel(word_emb, np.random.default_rng(3)))
     rng = np.random.default_rng(4)
     wd = 2.5e-3
     for _ in range(5):
@@ -167,7 +167,7 @@ def test_loss_matches_independent_scalar_recompute(word_emb, commands):
 
 
 def test_loss_gradients_match_finite_differences(word_emb, commands):
-    model = M.MemModel(word_emb, np.random.default_rng(0), dtype=np.float64)
+    model = bound(M.MemModel(word_emb, np.random.default_rng(0)))
     batch = make_batch(np.random.default_rng(5), n=4)
 
     def loss_fn():
@@ -224,7 +224,7 @@ def reference_mem_loss(batch, model, commands, weight_decay):
 
 
 def test_loss_unequal_command_lengths_match_per_command_reference(word_emb, unequal_commands):
-    model = M.MemModel(word_emb, np.random.default_rng(8), dtype=np.float64)
+    model = bound(M.MemModel(word_emb, np.random.default_rng(8)))
     batch = unequal_batch()
     loss, grads = M.mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
     want_loss, want_grads = reference_mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
@@ -236,7 +236,7 @@ def test_loss_unequal_command_lengths_match_per_command_reference(word_emb, uneq
 
 
 def test_loss_unequal_command_lengths_gradients_match_finite_differences(word_emb, unequal_commands):
-    model = M.MemModel(word_emb, np.random.default_rng(9), dtype=np.float64)
+    model = bound(M.MemModel(word_emb, np.random.default_rng(9)))
     batch = unequal_batch()
     cmd_params = model.cmd_lstm.param_arrays() + model.cmd_proj.param_arrays()  # the last in the flat layout
 
@@ -431,7 +431,7 @@ def test_model_save_load_round_trip(tmp_path, word_emb, commands):
 
 def test_weight_penalty_sums_each_array_in_float64_in_order(word_emb):
     for seed, dtype in [(0, np.float32), (4, np.float32), (2, np.float64)]:
-        model = M.MemModel(word_emb, np.random.default_rng(seed), dtype=dtype)
+        model = bound(M.MemModel(word_emb, np.random.default_rng(seed)), dtype)
         arrays = model.param_arrays()
         assert [model.flat_params[s].tobytes() for s in model.param_slices] == [a.tobytes() for a in arrays]
         want = 0.0

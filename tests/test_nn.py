@@ -24,7 +24,7 @@ from microbuild.nn import (
 )
 from microbuild.nn.layers import _sigmoid
 
-from gradcheck import grad_arrays, grad_check, grad_check_fn
+from gradcheck import bound, grad_arrays, grad_check, grad_check_fn, zero_grads
 
 GC_TOL = 1e-4
 EPS = 1e-4
@@ -38,7 +38,7 @@ def rng(seed=0):
 
 
 def test_dense_identity():
-    d = Dense(2, 2, dtype=np.float64)
+    d = bound(Dense(2, 2))
     d.weight[:] = np.eye(2)
     out = d.forward(np.array([[3.0, 4.0]]))
     np.testing.assert_array_equal(out, [[3.0, 4.0]])
@@ -65,17 +65,17 @@ def test_forward_determinism_bitwise():
 
 
 def test_lstm_zero_weights_zero_output():
-    cell = LSTM(3, 4, dtype=np.float64)
+    cell = bound(LSTM(3, 4))
     cell.bias[:] = 0.0
-    h, c = cell.zero_state(1, dtype=np.float64)
+    h, c = cell.zero_state(1)
     h2, c2 = cell.step(np.ones((1, 3)), h, c)
     np.testing.assert_array_equal(h2, np.zeros((1, 4)))
     np.testing.assert_array_equal(c2, np.zeros((1, 4)))
 
 
 def test_lstm_hidden_bounded():
-    cell = LSTM(6, 5, rng(4), dtype=np.float64)
-    h, c = cell.zero_state(3, dtype=np.float64)
+    cell = bound(LSTM(6, 5, rng(4)))
+    h, c = cell.zero_state(3)
     r = rng(8)
     for _ in range(50):
         h, c = cell.step(r.standard_normal((3, 6)) * 5, h, c)
@@ -99,7 +99,7 @@ def test_lstm_step_bitwise_equals_reference(batch, dtype):
     """Equal bits, and no floating-point error raised, with every third
     pre-activation below -104, where float32 exp underflows to 0."""
     r = rng(71)
-    cell = LSTM(6, 8, r, dtype=dtype)
+    cell = bound(LSTM(6, 8, r), dtype)
     cell.bias[::3] = -120.0
     h, c = (r.standard_normal((batch, 8)).astype(dtype) for _ in range(2))
     with np.errstate(all="raise"):
@@ -116,7 +116,7 @@ def test_lstm_step_bitwise_equals_reference(batch, dtype):
 
 
 def test_identity_chain_passes_grad_through():
-    net = Sequential([Flatten()])
+    net = bound(Sequential([Flatten()]))
     x = rng(0).standard_normal((2, 3, 4)).astype(np.float64)
     net.zero_grads()
     net.forward(x)
@@ -126,7 +126,7 @@ def test_identity_chain_passes_grad_through():
 
 
 def test_zero_output_grad_gives_zero_param_grads():
-    net = Sequential([Dense(4, 3, rng(0), dtype=np.float64), Tanh()])
+    net = bound(Sequential([Dense(4, 3, rng(0)), Tanh()]))
     net.zero_grads()
     net.forward(rng(1).standard_normal((2, 4)))
     net.backward(np.zeros((2, 3)))
@@ -138,7 +138,7 @@ class LSTMStep(LSTM):
     ``grad_check`` drives: a one-step ``forward_seq`` and its ``backward_seq``."""
 
     def forward(self, x):
-        return self.forward_seq(x[None], *self.zero_state(x.shape[0], dtype=x.dtype))[0]
+        return self.forward_seq(x[None], *self.zero_state(x.shape[0]))[0]
 
     def backward(self, gout):
         return self.backward_seq(gout[None])[0]
@@ -147,26 +147,14 @@ class LSTMStep(LSTM):
 @pytest.mark.parametrize(
     "make_net,in_shape",
     [
-        (lambda r: Sequential([Dense(5, 4, r, dtype=np.float64), Tanh()]), (3, 5)),
-        (lambda r: Sequential([Dense(5, 4, r, dtype=np.float64), ReLU(), Dense(4, 2, r, dtype=np.float64)]), (3, 5)),
+        (lambda r: bound(Sequential([Dense(5, 4, r), Tanh()])), (3, 5)),
+        (lambda r: bound(Sequential([Dense(5, 4, r), ReLU(), Dense(4, 2, r)])), (3, 5)),
+        (lambda r: bound(Sequential([Conv2d(2, 3, k=3, stride=1, rng=r), ReLU(), Flatten()])), (2, 2, 5, 5)),
         (
-            lambda r: Sequential(
-                [Conv2d(2, 3, k=3, stride=1, rng=r, dtype=np.float64), ReLU(), Flatten()]
-            ),
-            (2, 2, 5, 5),
-        ),
-        (
-            lambda r: Sequential(
-                [
-                    Conv2d(2, 3, k=3, stride=2, rng=r, dtype=np.float64),
-                    Tanh(),
-                    Flatten(),
-                    Dense(27, 3, r, dtype=np.float64),
-                ]
-            ),
+            lambda r: bound(Sequential([Conv2d(2, 3, k=3, stride=2, rng=r), Tanh(), Flatten(), Dense(27, 3, r)])),
             (2, 2, 7, 7),
         ),
-        (lambda r: LSTMStep(4, 3, r, dtype=np.float64), (2, 4)),
+        (lambda r: bound(LSTMStep(4, 3, r)), (2, 4)),
     ],
     ids=["dense-tanh", "dense-relu-dense", "conv-relu", "conv-tanh-dense", "lstm-step"],
 )
@@ -189,20 +177,20 @@ class BiasSignFlippedDense(Dense):
 
 def test_grad_check_reports_a_wrong_gradient():
     x = rng(51).standard_normal((3, 5))
-    assert grad_check(Dense(5, 4, rng(52), dtype=np.float64), x, eps=EPS, rng=rng(53)) <= GC_TOL
-    wrong = BiasSignFlippedDense(5, 4, rng(52), dtype=np.float64)
+    assert grad_check(bound(Dense(5, 4, rng(52))), x, eps=EPS, rng=rng(53)) <= GC_TOL
+    wrong = bound(BiasSignFlippedDense(5, 4, rng(52)))
     assert grad_check(wrong, x, eps=EPS, rng=rng(53)) >= 100 * GC_TOL
 
 
 def test_grad_check_lstm_unrolled_3_steps():
     r = rng(21)
-    cell = LSTM(3, 4, r, dtype=np.float64)
+    cell = bound(LSTM(3, 4, r))
     xs = r.standard_normal((3, 2, 3))
     probe = r.standard_normal((2, 4))
 
     def loss_fn():
-        cell.zero_grads()
-        h = cell.forward_seq(xs, *cell.zero_state(2, dtype=np.float64))[-1]
+        zero_grads(cell)
+        h = cell.forward_seq(xs, *cell.zero_state(2))[-1]
         loss = float((h * probe).sum())
         cell.backward_seq(None, gh_final=probe)
         return loss, [g.copy() for g in grad_arrays(cell)]
@@ -212,18 +200,17 @@ def test_grad_check_lstm_unrolled_3_steps():
 
 def test_lstm_input_grads_match_finite_differences():
     r = rng(31)
-    cell = LSTM(3, 4, r, dtype=np.float64)
+    cell = bound(LSTM(3, 4, r))
     xs = r.standard_normal((3, 2, 3))
     probe = r.standard_normal((2, 4))
 
     def run(inputs):
-        h, c = cell.zero_state(2, dtype=np.float64)
+        h, c = cell.zero_state(2)
         for t in range(3):
             h, c = cell.step(inputs[t], h, c)
         return float((h * probe).sum())
 
-    cell.zero_grads()
-    cell.forward_seq(xs, *cell.zero_state(2, dtype=np.float64))
+    cell.forward_seq(xs, *cell.zero_state(2))
     gx = cell.backward_seq(None, gh_final=probe)
 
     worst = 0.0
@@ -279,7 +266,7 @@ def reference_lstm(cell, xs, gh_seq, gh_final, gc_final, h0=None, c0=None):
 @pytest.mark.parametrize("n_steps", [1, 5, 32])
 def test_lstm_backward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol):
     r = rng(51)
-    cell = LSTM(6, 5, r, dtype=dtype)
+    cell = bound(LSTM(6, 5, r), dtype)
     xs = r.standard_normal((n_steps, batch, 6)).astype(dtype)
     gh_seq = r.standard_normal((n_steps, batch, 5)).astype(dtype)
     gh_final = r.standard_normal((batch, 5)).astype(dtype)
@@ -288,7 +275,6 @@ def test_lstm_backward_seq_matches_per_step_reference(n_steps, batch, dtype, rto
     with pytest.raises(RuntimeError):
         cell.backward_seq(gh_seq)  # nothing cached yet
 
-    cell.zero_grads()
     cell.forward_seq(xs, *cell.zero_state(batch))
     gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
     assert gx.shape == (n_steps, batch, 6) and gx.dtype == dtype
@@ -303,7 +289,7 @@ def test_lstm_backward_seq_matches_per_step_reference(n_steps, batch, dtype, rto
 def test_lstm_grads_with_per_step_head_gradients_match_finite_differences():
     # the path a3c_loss takes: every h_t feeds the loss, not only the last
     r = rng(61)
-    cell = LSTM(3, 4, r, dtype=np.float64)
+    cell = bound(LSTM(3, 4, r))
     n_steps = 5
     xs = r.standard_normal((n_steps, 2, 3))
     probes = r.standard_normal((n_steps, 2, 4))
@@ -318,7 +304,7 @@ def test_lstm_grads_with_per_step_head_gradients_match_finite_differences():
         return loss
 
     def loss_fn():
-        cell.zero_grads()
+        zero_grads(cell)
         cell.forward_seq(xs, *cell.zero_state(2))
         cell.backward_seq(probes)
         return run(xs), [g.copy() for g in grad_arrays(cell)]
@@ -355,12 +341,11 @@ def step_lstm(cell, xs, h, c):
 @pytest.mark.parametrize("n_steps", [1, 5, 32])
 def test_lstm_forward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol):
     r = rng(56)
-    cell = LSTM(6, 5, r, dtype=dtype)
+    cell = bound(LSTM(6, 5, r), dtype)
     xs = r.standard_normal((n_steps, batch, 6)).astype(dtype)
     h0, c0 = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
     gh_seq = r.standard_normal((n_steps, batch, 5)).astype(dtype)
     gh_final, gc_final = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
-    cell.zero_grads()
     hs = cell.forward_seq(xs, h0, c0)
     gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
     ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq, gh_final, gc_final, h0, c0)
@@ -373,7 +358,7 @@ def test_lstm_forward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol
 
 def test_lstm_forward_seq_grads_with_per_step_head_gradients_match_finite_differences():
     r = rng(66)
-    cell = LSTM(3, 4, r, dtype=np.float64)
+    cell = bound(LSTM(3, 4, r))
     n_steps = 5
     xs = r.standard_normal((n_steps, 2, 3))
     h0, c0 = r.standard_normal((2, 4)), r.standard_normal((2, 4))
@@ -383,7 +368,7 @@ def test_lstm_forward_seq_grads_with_per_step_head_gradients_match_finite_differ
         return float((cell.forward_seq(inputs, h0, c0) * probes).sum())
 
     def loss_fn():
-        cell.zero_grads()
+        zero_grads(cell)
         loss = run(xs)
         cell.backward_seq(probes)
         return loss, [g.copy() for g in grad_arrays(cell)]
@@ -453,11 +438,11 @@ def test_grad_check_random_compositions():
     # randomized small chains over all layer kinds
     r = rng(41)
     for trial in range(5):
-        layers = [Dense(6, 6, r, dtype=np.float64)]
+        layers = [Dense(6, 6, r)]
         for _ in range(int(r.integers(1, 4))):
             layers.append(r.choice([ReLU, Tanh])())
-            layers.append(Dense(6, 6, r, dtype=np.float64))
-        net = Sequential(layers)
+            layers.append(Dense(6, 6, r))
+        net = bound(Sequential(layers))
         x = r.standard_normal((2, 6)) + 0.05
         assert grad_check(net, x, eps=EPS, rng=rng(42 + trial)) <= GC_TOL
 
@@ -479,7 +464,7 @@ def count_trunk_runs(encoder: StateEncoder) -> list[int]:
 
 
 def make_encoder(seed=0):
-    return StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, 32, rng(seed), np.float32)
+    return bound(StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, 32, rng(seed)), np.float32)
 
 
 def frames(seed, batch):
@@ -663,7 +648,7 @@ def test_adam_in_place_bitwise_equals_reference(param_dtype, grad_dtype):
 
 
 def test_save_load_round_trip(tmp_path):
-    net = Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))])
+    net = bound(Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))]), np.float32)
     path = tmp_path / "model.bin"
     save_model(path, net.spec(), net.flat_params)
     spec, flat = load_model(path, expected_spec=net.spec())
@@ -672,7 +657,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_spec_mismatch(tmp_path):
-    net = Sequential([Dense(3, 4, rng(0))])
+    net = bound(Sequential([Dense(3, 4, rng(0))]), np.float32)
     other = Sequential([Dense(4, 3, rng(0))])
     path = tmp_path / "model.bin"
     save_model(path, net.spec(), net.flat_params)
@@ -727,11 +712,11 @@ def test_load_rejects_malformed_header(tmp_path, header, match):
 
 
 def test_flatten_unflatten_round_trip():
-    net = Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))])
+    net = bound(Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))]), np.float32)
     flat = net.get_flat()
     assert flat.dtype == np.float32 and flat.size == net.n_params() == 3 * 4 + 4 + 4 * 2 + 2
     np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in net.param_arrays()]))
-    other = Sequential([Dense(3, 4), Tanh(), Dense(4, 2)])
+    other = bound(Sequential([Dense(3, 4), Tanh(), Dense(4, 2)]), np.float32)
     other.set_flat(flat)
     for a, b in zip(net.param_arrays(), other.param_arrays()):
         np.testing.assert_array_equal(a, b)
@@ -780,7 +765,7 @@ def leaf_layers(model):
         lambda: A.AgentNet(),
         lambda: tiny_mem_model(2),
         lambda: make_encoder(1),
-        lambda: Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))]),
+        lambda: bound(Sequential([Dense(3, 4, rng(0)), Tanh(), Dense(4, 2, rng(1))]), np.float32),
     ],
     ids=["agent", "agent-zeros", "mem", "encoder", "sequential"],
 )
@@ -803,34 +788,18 @@ def test_building_a_model_binds_each_layer_once(monkeypatch, build):
     assert pos == model.n_params() and not model.flat_grads.any()
 
 
-def test_binding_keeps_the_gradients_a_layer_has():
-    dense = Dense(3, 2, rng(2))
-    dense.forward(rng(3).standard_normal((4, 3)).astype(np.float32))
-    dense.backward(rng(4).standard_normal((4, 2)).astype(np.float32))
-    want = np.concatenate([dense.grads["weight"].ravel(), dense.grads["bias"]])
-    assert want.any()
-    net = Sequential([dense])
-    assert net.flat_grads.tobytes() == want.tobytes()
-    assert np.shares_memory(dense.grads["bias"], net.flat_grads)
-
-
 def test_zero_grads_clears_in_place():
     net = A.AgentNet(rng(8))
     net.flat_grads[:] = 1.0
     g = net.head_x.grads["weight"]
     net.zero_grads()
     assert g is net.head_x.grads["weight"] and not g.any()
-    dense = Dense(2, 3, rng(9))
-    g = dense.grads["bias"]
-    g += 1.0
-    dense.zero_grads()
-    assert g is dense.grads["bias"] and not g.any()
 
 
 def test_a_layer_belongs_to_the_last_model_built_from_it():
     dense = Dense(2, 3, rng(4))
-    first = Sequential([dense])
-    second = Sequential([dense, Tanh()])
+    first = bound(Sequential([dense]), np.float32)
+    second = bound(Sequential([dense, Tanh()]), np.float32)
     np.testing.assert_array_equal(second.flat_params, first.flat_params)
     dense.bias[:] = 5.0
     assert (second.flat_params[-3:] == 5.0).all()
