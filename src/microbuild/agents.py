@@ -68,7 +68,8 @@ class AgentConfig:
     eval_interval: int = 50_000
     eval_episodes: int = 20
     eval_seed: int = 10_000
-    env_factory: Callable[[int], object] | None = None  # tests can stub the env
+    # seed -> env, None for E.Episode(seed, horizon); perfbench passes an Episode that also records its play
+    env_factory: Callable[[int], object] | None = None
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:

@@ -64,17 +64,24 @@ class CommandSpec:
 
 
 def load_commands(path=None, alternate: bool = False) -> list[CommandSpec]:
-    """Command set as shipped; ids align with the detector event ids."""
+    """Command set as shipped, or read from ``path``; ids align with the
+    detector event ids. A file that is not a JSON list of objects, each
+    with an integer ``id`` and a string ``text``, with ids dense from 0,
+    raises ``ValueError``."""
     if path is None:
-        name = "alternate_commands.json" if alternate else "original_commands.json"
-        raw = resources.files("microbuild.data").joinpath(name).read_text(encoding="utf-8")
+        path = "alternate_commands.json" if alternate else "original_commands.json"
+        raw = resources.files("microbuild.data").joinpath(path).read_text(encoding="utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    specs = [CommandSpec(id=int(c["id"]), text=str(c["text"])) for c in json.loads(raw)]
-    specs.sort(key=lambda c: c.id)
+    entries = json.loads(raw)  # a JSONDecodeError is a ValueError
+    if not isinstance(entries, list) or not all(
+        isinstance(c, dict) and type(c.get("id")) is int and isinstance(c.get("text"), str) for c in entries
+    ):
+        raise ValueError(f"{path}: not a JSON list of objects with an integer id and a string text")
+    specs = sorted((CommandSpec(id=c["id"], text=c["text"]) for c in entries), key=lambda c: c.id)
     if [c.id for c in specs] != list(range(len(specs))):
-        raise ValueError("command ids must be dense starting at 0")
+        raise ValueError(f"{path}: command ids must be dense starting at 0")
     return specs
 
 

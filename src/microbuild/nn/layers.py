@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)

@@ -82,6 +82,42 @@ def test_distance_metric_axioms(a, b, c):
     assert M.mem_distance(a, c) <= dab + M.mem_distance(b, c) + 1e-9
 
 
+# ---------------------------------------------------------------- commands
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"a": 1}',
+        "[1, 2]",
+        '[{"text": "build"}]',
+        '[{"id": 0}]',
+        '[{"id": 0.7, "text": "build"}]',
+        '[{"id": "0", "text": "build"}]',
+        '[{"id": true, "text": "build"}]',
+        '[{"id": 0, "text": 5}]',
+        '[{"id": 1, "text": "build"}]',
+        '[{"id": 0, "text": "..."}]',
+    ],
+    ids=[
+        "not-json", "object", "not-objects", "no-id", "no-text", "float-id", "string-id", "bool-id",
+        "number-text", "ids-not-dense", "no-tokens",
+    ],
+)
+def test_load_commands_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "commands.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError):
+        M.load_commands(path)
+
+
+def test_load_commands_reads_a_valid_file(tmp_path):
+    path = tmp_path / "commands.json"
+    path.write_text('[{"id": 1, "text": "train a marine"}, {"id": 0, "text": "build"}]', encoding="utf-8")
+    assert [(c.id, c.tokens) for c in M.load_commands(path)] == [(0, ["build"]), (1, ["train", "a", "marine"])]
+
+
 # ---------------------------------------------------------------- encoders
 
 

@@ -25,13 +25,22 @@ swings of a shared host; compare two commits by running it at each,
 alternately, on the same machine. Last comes the peak memory, in MB, that
 ``tracemalloc`` sees numpy and Python allocate during that
 ``evaluate_mem`` call, after a call that left the layers' caches filled.
+
+The script runs itself again, once, with ``MALLOC_MMAP_THRESHOLD_`` set in
+its own environment to 128 KiB, the threshold glibc starts a process
+with. A fixed threshold turns off glibc's dynamic one (mallopt(3)), which
+rises to the size of the largest block the process has freed; with it
+off, a figure does not depend on what the lines before it freed.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if __name__ == "__main__" and "MALLOC_MMAP_THRESHOLD_" not in os.environ:
+    os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072"})
 
 import itertools  # noqa: E402
 import time  # noqa: E402
