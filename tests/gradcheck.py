@@ -2,8 +2,8 @@
 
 The checker perturbs every parameter entry by ±eps, recomputes the scalar
 loss, and compares the resulting slope against the analytic gradient.
-Checks should run in float64: float32 arithmetic alone eats most of a
-1e-4 relative tolerance.
+Checks should run in float64 (``bound`` makes a network float64): float32
+arithmetic alone eats most of a 1e-4 relative tolerance.
 """
 
 from __future__ import annotations

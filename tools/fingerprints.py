@@ -15,12 +15,13 @@ change that keeps every forward value keeps them bit for bit even where
 training drifts by float32 rounding. Values computed with BLAS are only
 comparable on the same machine and BLAS build.
 
-A header of ``#`` lines comes first. It names the platform, CPU model, the
-SIMD extensions numpy found, Python, numpy, the BLAS build (``np.show_config``) and the BLAS thread
-setting; its ``no-blas`` line lists the fingerprints that use no BLAS or
-other machine-dependent float arithmetic (RNG draws, integer game play,
-file bytes), which hold on any machine. ``tests/data/fingerprints.txt``
-pins this output, and ``tests/test_fingerprints.py`` checks it.
+A header of ``#`` lines comes first. It names the platform, the CPU
+model, the SIMD extensions numpy found, Python, numpy, the BLAS build
+(``np.show_config``) and the BLAS thread setting. Its ``no-blas`` line
+lists the fingerprints that use no BLAS or other machine-dependent float
+arithmetic (RNG draws, integer game play, file bytes); they hold on any
+machine. ``tests/data/fingerprints.txt`` pins this output, and
+``tests/test_fingerprints.py`` checks it.
 """
 
 from __future__ import annotations
