@@ -11,11 +11,10 @@ take turns in a fixed order, one rollout on the learner network and one
 Adam update per turn, so a run is bitwise reproducible at any worker
 count, and a worker that raises stops the run at once.
 
-An instruction tracker holds the ordered command list with a progress
-pointer: satisfying the current instruction grants the bonus and advances
-the pointer, cycling back to the first instruction after the last.
 ``EpisodeShaping`` is the one place a variant's bonus and aux features
-are computed, for training (``Actor``) and evaluation alike.
+are computed, for training (``Actor``) and evaluation alike: it holds the
+shaped variants' command pointer and decides, per variant, when the
+current command is satisfied.
 
 ``sample_from_logp`` draws by inverse CDF. When rounding leaves the
 cumulative mass short of 1 and a draw lands past it, the draw takes the
@@ -295,71 +294,41 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     gh += net.head_y.backward(g_y)
     gh += net.head_value.backward(g_v)
     net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
-    return loss, net.flat_grads.astype(np.float32)
+    return loss, net.flat_grads.copy()
 
 
 # ---------------------------------------------------------------- shaping
 
 
-@dataclass
-class InstructionTracker:
-    """Ordered command list with a cyclic progress pointer."""
-
-    commands: list[CommandSpec]
-    bonus: float = 1.0
-    pointer: int = 0
-    completions: int = 0
-
-    def reset(self) -> None:
-        self.pointer = 0
-        self.completions = 0
-
-    def current(self) -> CommandSpec:
-        return self.commands[self.pointer]
-
-    def advance(self) -> float:
-        self.completions += 1
-        self.pointer = (self.pointer + 1) % len(self.commands)
-        return self.bonus
-
-
-def shape_narration(
-    state_vec: np.ndarray,
-    tracker: InstructionTracker,
-    tau: float,
-    command_vecs: np.ndarray,
-) -> float:
-    """Bonus iff the current instruction's embedding is within tau."""
-    if mem_distance(state_vec, command_vecs[tracker.pointer]) < tau:
-        return tracker.advance()
-    return 0.0
-
-
-def shape_subtask(events: frozenset[int], tracker: InstructionTracker) -> float:
-    """Bonus iff a detector event matches the current instruction."""
-    if tracker.current().id in events:
-        return tracker.advance()
-    return 0.0
+def shape_narration(state_vec: np.ndarray, command_vec: np.ndarray, tau: float) -> bool:
+    """Whether the MEM judges a command satisfied: the state's embedding lies within ``tau`` of the command's."""
+    return mem_distance(state_vec, command_vec) < tau
 
 
 class EpisodeShaping:
     """One variant's shaping for the episode in play: bonus and aux features.
 
-    The narration variant judges the current instruction by embedding
-    distance on the given MEM and feeds the state and command
-    embeddings to the agent as aux features; the subtask variant judges it
-    by the env's detectors; ``none`` and ``random`` get no bonus and zero
-    aux features. Training and evaluation both shape through this object.
+    A shaped variant (narration or subtask) holds the ordered command list
+    and a progress pointer. Satisfying the current command pays
+    ``config.bonus``, counts a completion and advances the pointer, cycling
+    back to the first command after the last. The narration variant judges
+    the current command satisfied when the given MEM embeds the post-action
+    observation within ``tau`` of it (``shape_narration``), and feeds the
+    state and command embeddings to the agent as aux features; the subtask
+    variant judges it satisfied when the env's detectors fire its event.
+    ``none`` and ``random`` get no bonus and zero aux features. Training and
+    evaluation both shape through this object.
     """
 
     def __init__(self, config: AgentConfig, mem: MemModel | None, commands: list[CommandSpec] | None):
         self.narration = config.variant == "narration"
-        self.tau = config.tau
-        self.tracker = None
-        if config.variant in ("narration", "subtask"):
+        self.shaped = config.variant in ("narration", "subtask")
+        self.tau, self.payout = config.tau, config.bonus
+        self.pointer = self.completions = 0
+        if self.shaped:
             if not commands:
                 raise ValueError(f"{config.variant} variant needs a non-empty command list")
-            self.tracker = InstructionTracker(commands, bonus=config.bonus)
+            self.command_ids = [c.id for c in commands]
         if self.narration:
             if mem is None:
                 raise ValueError("narration variant needs a trained embedding model")
@@ -369,8 +338,7 @@ class EpisodeShaping:
 
     def start(self, obs: E.Observation) -> None:
         """Begin an episode at its first observation."""
-        if self.tracker:
-            self.tracker.reset()
+        self.pointer = self.completions = 0
         if self.narration:
             self.state_vec = self.mem.encode_state(obs)
 
@@ -380,7 +348,7 @@ class EpisodeShaping:
             return self._zero_aux
         aux = np.empty(AUX_DIM, dtype=np.float32)
         aux[:EMBED_DIM] = self.state_vec
-        aux[EMBED_DIM:] = self.command_vecs[self.tracker.pointer]
+        aux[EMBED_DIM:] = self.command_vecs[self.pointer]
         return aux
 
     def bonus(self, obs: E.Observation, events: frozenset[int]) -> float:
@@ -388,14 +356,14 @@ class EpisodeShaping:
         if self.narration:
             # satisfaction judged on the post-action observation
             self.state_vec = self.mem.encode_state(obs)
-            return shape_narration(self.state_vec, self.tracker, self.tau, self.command_vecs)
-        if self.tracker:
-            return shape_subtask(events, self.tracker)
-        return 0.0
-
-    @property
-    def completions(self) -> int:
-        return self.tracker.completions if self.tracker else 0
+            satisfied = shape_narration(self.state_vec, self.command_vecs[self.pointer], self.tau)
+        else:
+            satisfied = self.shaped and self.command_ids[self.pointer] in events
+        if not satisfied:
+            return 0.0
+        self.completions += 1
+        self.pointer = (self.pointer + 1) % len(self.command_ids)
+        return self.payout
 
 
 # ------------------------------------------------------------ shared state

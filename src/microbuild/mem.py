@@ -54,11 +54,10 @@ DEFAULT_THRESHOLD = 0.5
 class CommandSpec:
     id: int
     text: str
-    tokens: list[str] = field(default_factory=list)
+    tokens: list[str] = field(init=False)
 
     def __post_init__(self):
-        if not self.tokens:
-            self.tokens = tokenize(self.text)
+        self.tokens = tokenize(self.text)
         if not self.tokens:
             raise ValueError(f"command {self.id!r} has no tokens: {self.text!r}")
 
@@ -144,32 +143,25 @@ class MemModel(Model):
     def encode_state(self, obs: E.Observation) -> np.ndarray:
         return self.encode_state_batch(obs.spatial[None], obs.nonspatial[None])[0]
 
-    def _command_tokens(self, command) -> list[str]:
-        tokens = command.tokens if isinstance(command, CommandSpec) else tokenize(str(command))
-        if not tokens:
-            raise ValueError(f"command has no tokens: {command!r}")
-        return tokens
-
-    def encode_command(self, command) -> np.ndarray:
-        """Project a command (CommandSpec or raw text) into the shared space."""
-        vecs = self.word_embeddings.embed_tokens(self._command_tokens(command)).astype(self.flat_params.dtype)
+    def encode_command(self, command: CommandSpec) -> np.ndarray:
+        """Project a command into the shared space."""
+        vecs = self.word_embeddings.embed_tokens(command.tokens).astype(self.flat_params.dtype)
         h, c = self.cmd_lstm.zero_state(1)
         for t in range(vecs.shape[0]):
             h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c)
         return self.cmd_proj.forward(h)[0]
 
-    def encode_command_batch(self, commands: list) -> np.ndarray:
+    def encode_command_batch(self, commands: list[CommandSpec]) -> np.ndarray:
         """``encode_command`` of each command as one LSTM batch, (U, embed_dim).
 
         The word vectors are right-padded with zeros to the longest command;
         each row's hidden state is read at its own last token. Caches the
         pass for ``backward_command``.
         """
-        token_lists = [self._command_tokens(c) for c in commands]
-        lengths = np.array([len(tokens) for tokens in token_lists])
+        lengths = np.array([len(c.tokens) for c in commands])
         xs = np.zeros((lengths.max(), len(commands), self.word_embeddings.dim), dtype=self.flat_params.dtype)
-        for u, tokens in enumerate(token_lists):
-            xs[: lengths[u], u] = self.word_embeddings.embed_tokens(tokens)
+        for u, c in enumerate(commands):
+            xs[: lengths[u], u] = self.word_embeddings.embed_tokens(c.tokens)
         h0, c0 = self.cmd_lstm.zero_state(len(commands))
         hs = self.cmd_lstm.forward_seq(xs, h0, c0)  # (T_max, U, embed_dim)
         self._cmd_last = lengths - 1
@@ -241,9 +233,9 @@ def mem_loss(
     g_cmd = np.zeros((cmd_ids.size, g_diff.shape[1]), dtype=g_diff.dtype)
     np.subtract.at(g_cmd, rows, g_diff)  # d loss / d xc, summed per distinct command
     model.backward_command(g_cmd)
-    grads = model.flat_grads.astype(np.float32)
+    grads = model.flat_grads.copy()
     if weight_decay:
-        grads += 2.0 * weight_decay * model.flat_params.astype(grads.dtype, copy=False)
+        grads += 2.0 * weight_decay * model.flat_params
     return loss, grads
 
 

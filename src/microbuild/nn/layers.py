@@ -291,17 +291,12 @@ class LSTM(Layer):
         self._cache = (xs, hs[:-1], cs[:-1], gates, tcs)
         return hs[1:]
 
-    def backward_seq(
-        self,
-        gh_seq: np.ndarray | None,
-        gh_final: np.ndarray | None = None,
-        gc_final: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def backward_seq(self, gh_seq: np.ndarray) -> np.ndarray:
         """BPTT over the sequence the last ``forward_seq`` cached.
 
-        ``gh_seq`` (T, B, n_hidden) or None is the loss gradient flowing into
-        each h_t from outside the recurrence (e.g. from heads);
-        ``gh_final``/``gc_final`` add to the last step's state gradients.
+        ``gh_seq`` (T, B, n_hidden) is the loss gradient flowing into each
+        h_t from outside the recurrence (e.g. from heads); a loss on the
+        last state alone puts its gradient in ``gh_seq[-1]``.
         Only the state gradients run step by step; the weight and input
         gradients are one product each over all T*B gate-gradient rows.
         Returns the input gradients, (T, B, n_in), and clears the cache.
@@ -319,12 +314,12 @@ class LSTM(Layer):
         dz_dc = np.stack([g * i * (1.0 - i), cs * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
         dz_dh = tcs * o * (1.0 - o)
         dt = self.w_x.dtype
-        dh_next = np.zeros((batch, nh), dtype=dt) if gh_final is None else gh_final
-        dc_next = np.zeros((batch, nh), dtype=dt) if gc_final is None else gc_final
+        dh_next = np.zeros((batch, nh), dtype=dt)
+        dc_next = np.zeros((batch, nh), dtype=dt)
         dz = np.empty((n_steps, batch, 4, nh), dtype=dt)
         w_h_t = self.w_h.T
         for t in range(n_steps - 1, -1, -1):
-            dh = dh_next if gh_seq is None else dh_next + gh_seq[t]
+            dh = dh_next + gh_seq[t]
             dc = dh * dc_dh[t] + dc_next
             np.multiply(dc[:, None], dz_dc[t], out=dz[t, :, :3])
             np.multiply(dh, dz_dh[t], out=dz[t, :, 3])

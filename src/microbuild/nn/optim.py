@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator's floor
+
 
 class AdamState:
     """Per-parameter first/second moments plus the step counter.
@@ -12,11 +14,8 @@ class AdamState:
     intermediates, so a step allocates nothing of parameter size.
     """
 
-    def __init__(self, n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, n_params: int, lr: float):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = np.zeros(n_params, dtype=np.float32)
         self.v = np.zeros(n_params, dtype=np.float32)
         self.t = 0
@@ -39,21 +38,20 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
         bad = int(np.size(grads) - np.isfinite(grads).sum())
         raise FloatingPointError(f"adam_step: {bad} non-finite gradient entries")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     a, b = state.scratch
     wide = np.result_type(grads, state.m)
     d = a if wide == a.dtype else np.empty(grads.shape, wide)
     np.subtract(grads, state.m, out=d)
-    d *= 1.0 - b1
+    d *= 1.0 - BETA1
     state.m += d
     np.multiply(grads, grads, out=d)
     d -= state.v
-    d *= 1.0 - b2
+    d *= 1.0 - BETA2
     state.v += d
-    np.divide(state.m, 1.0 - b1**state.t, out=a)  # m_hat
-    np.divide(state.v, 1.0 - b2**state.t, out=b)  # v_hat
+    np.divide(state.m, 1.0 - BETA1**state.t, out=a)  # m_hat
+    np.divide(state.v, 1.0 - BETA2**state.t, out=b)  # v_hat
     np.sqrt(b, out=b)
-    b += state.eps
+    b += EPS
     a *= state.lr
     a /= b
     params -= a

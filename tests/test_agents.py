@@ -332,7 +332,7 @@ def reference_a3c_loss(rollout, net, config):
     gh += net.head_y.backward(gouts[2])
     gh += net.head_value.backward(g_v)
     net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
-    return loss, net.flat_grads.astype(np.float32)
+    return loss, net.flat_grads.copy()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -353,6 +353,7 @@ def test_a3c_loss_bitwise_equals_per_step_reference(n_steps, kinds, dtype):
     loss, grads = A.a3c_loss(roll, net, cfg)
     want_loss, want_grads = reference_a3c_loss(roll, net, cfg)
     assert loss == want_loss
+    assert grads.dtype == dtype
     assert grads.tobytes() == want_grads.tobytes()
 
 
@@ -364,52 +365,76 @@ def test_a3c_loss_nan_detected():
         A.a3c_loss(roll, net, A.AgentConfig())
 
 
-# ----------------------------------------------------------------- tracker
+# ----------------------------------------------------------------- shaping
+
+
+def subtask_shaping(commands, bonus=1.0):
+    shaping = A.EpisodeShaping(A.AgentConfig(variant="subtask", bonus=bonus), None, commands)
+    shaping.start(None)  # the subtask variant reads no observation
+    return shaping
 
 
 def test_tracker_cycles_and_counts(commands):
-    tr = A.InstructionTracker(commands, bonus=1.0)
+    shaping = subtask_shaping(commands)
     for expected in (0, 1, 2, 3, 4, 0):
-        assert tr.current().id == expected
-        assert tr.advance() == 1.0
-    assert tr.pointer == 1
-    assert tr.completions == 6
+        assert shaping.pointer == expected
+        assert shaping.bonus(None, frozenset({commands[expected].id})) == 1.0
+    assert shaping.pointer == 1
+    assert shaping.completions == 6
+    shaping.start(None)
+    assert shaping.pointer == 0 and shaping.completions == 0
 
 
 def test_subtask_wrong_order_event_ignored(commands):
-    tr = A.InstructionTracker(commands, bonus=1.0)
-    tr.pointer = 1  # waiting on build-depot
-    bonus = A.shape_subtask(frozenset({E.EV_TRAIN_MARINE}), tr)
-    assert bonus == 0.0 and tr.pointer == 1 and tr.completions == 0
+    shaping = subtask_shaping(commands)
+    shaping.pointer = 1  # waiting on build-depot
+    bonus = shaping.bonus(None, frozenset({E.EV_TRAIN_MARINE}))
+    assert bonus == 0.0 and shaping.pointer == 1 and shaping.completions == 0
 
 
 def test_subtask_empty_events_no_change(commands):
-    tr = A.InstructionTracker(commands, bonus=1.0)
-    assert A.shape_subtask(frozenset(), tr) == 0.0
-    assert tr.pointer == 0
+    shaping = subtask_shaping(commands)
+    assert shaping.bonus(None, frozenset()) == 0.0
+    assert shaping.pointer == 0
 
 
 def test_subtask_expert_episode_completes_all_commands_in_order(commands):
-    tr = A.InstructionTracker(commands, bonus=1.0)
+    shaping = subtask_shaping(commands)
     s = E.reset(0)
     seen = []
     while s.step < s.horizon:
         prev = s
         s, _, _ = E.step(s, E.scripted_expert(s))
-        before = tr.pointer
-        if A.shape_subtask(E.detect(prev, s), tr) > 0:
+        before = shaping.pointer
+        if shaping.bonus(None, E.detect(prev, s)) > 0:
             seen.append(before)
-    assert tr.completions >= 5
+    assert shaping.completions >= 5
     assert seen[:5] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("variant", ["none", "random"])
+def test_unshaped_variants_pay_no_bonus(variant, commands):
+    shaping = A.EpisodeShaping(A.AgentConfig(variant=variant), None, commands)
+    shaping.start(None)
+    assert shaping.bonus(None, frozenset(c.id for c in commands)) == 0.0
+    assert shaping.completions == 0
+
+
+def test_shape_narration_is_the_distance_test():
+    state_vec = np.zeros(M.EMBED_DIM, dtype=np.float32)
+    command_vec = np.zeros(M.EMBED_DIM, dtype=np.float32)
+    command_vec[0] = 0.5
+    assert A.shape_narration(state_vec, command_vec, tau=0.6)
+    assert not A.shape_narration(state_vec, command_vec, tau=0.5)  # strictly within tau
+
+
 def test_narration_far_observation_no_advance(tiny_mem, commands):
-    tr = A.InstructionTracker(commands, bonus=1.0)
-    far_vecs = np.full((5, M.EMBED_DIM), 10.0, dtype=np.float32)
+    shaping = A.EpisodeShaping(A.AgentConfig(variant="narration", tau=0.5), tiny_mem, commands)
+    shaping.command_vecs = np.full((5, M.EMBED_DIM), 10.0, dtype=np.float32)
     obs = E.encode_observation(None, E.reset(0))
-    state_vec = tiny_mem.encode_state(obs)
-    bonus = A.shape_narration(state_vec, tr, tau=0.5, command_vecs=far_vecs)
-    assert bonus == 0.0 and tr.pointer == 0
+    shaping.start(obs)
+    bonus = shaping.bonus(obs, frozenset({commands[0].id}))  # detector events do not count
+    assert bonus == 0.0 and shaping.pointer == 0 and shaping.completions == 0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -421,7 +446,7 @@ def test_narration_aux_equals_concatenated_embeddings(dtype, tiny_mem, commands)
     pointers = set()
     for _ in range(60):
         aux = shaping.aux()
-        pointer = shaping.tracker.pointer
+        pointer = shaping.pointer
         want = np.concatenate([shaping.state_vec, shaping.command_vecs[pointer]]).astype(np.float32)
         assert aux.dtype == want.dtype and aux.tobytes() == want.tobytes()
         pointers.add(pointer)
@@ -430,13 +455,14 @@ def test_narration_aux_equals_concatenated_embeddings(dtype, tiny_mem, commands)
     assert len(pointers) > 1
 
 
-def test_narration_wraps_after_last_command(commands):
-    tr = A.InstructionTracker(commands, bonus=2.0)
-    tr.pointer = 4
-    near_vecs = np.zeros((5, M.EMBED_DIM), dtype=np.float32)
-    state_vec = np.zeros(M.EMBED_DIM, dtype=np.float32)
-    bonus = A.shape_narration(state_vec, tr, tau=0.5, command_vecs=near_vecs)
-    assert bonus == 2.0 and tr.pointer == 0
+def test_narration_wraps_after_last_command(tiny_mem, commands):
+    shaping = A.EpisodeShaping(A.AgentConfig(variant="narration", tau=0.5, bonus=2.0), tiny_mem, commands)
+    obs = E.encode_observation(None, E.reset(0))
+    shaping.start(obs)
+    shaping.command_vecs = np.tile(tiny_mem.encode_state(obs), (5, 1))  # every command at distance 0
+    shaping.pointer = 4
+    bonus = shaping.bonus(obs, frozenset())
+    assert bonus == 2.0 and shaping.pointer == 0 and shaping.completions == 1
 
 
 # ------------------------------------------------------------ shared state

@@ -129,10 +129,9 @@ def test_encode_command_deterministic_and_shaped(word_emb, commands):
     np.testing.assert_array_equal(a, b)
 
 
-def test_encode_command_rejects_empty(word_emb):
-    model = M.MemModel(word_emb, np.random.default_rng(0))
+def test_encode_command_rejects_empty():
     with pytest.raises(ValueError):
-        model.encode_command("...")
+        M.CommandSpec(id=0, text="...")
 
 
 def test_encode_state_deterministic_and_shaped(word_emb):
@@ -254,9 +253,10 @@ def reference_mem_loss(batch, model, commands, weight_decay):
         xs = model.word_embeddings.embed_tokens(commands[cid].tokens)[:, None].astype(np.float64)
         h = cell.forward_seq(xs, *cell.zero_state(1))[-1]
         model.cmd_proj.forward(h)
-        g_h = model.cmd_proj.backward(-g_xs[batch.command_ids == cid].sum(axis=0, keepdims=True))
-        cell.backward_seq(None, gh_final=g_h)
-    return loss, model.flat_grads.astype(np.float32) + 2.0 * weight_decay * model.get_flat()
+        gh_seq = np.zeros((xs.shape[0], 1, cell.n_hidden))
+        gh_seq[-1] = model.cmd_proj.backward(-g_xs[batch.command_ids == cid].sum(axis=0, keepdims=True))
+        cell.backward_seq(gh_seq)
+    return loss, model.flat_grads + 2.0 * weight_decay * model.flat_params
 
 
 def test_loss_unequal_command_lengths_match_per_command_reference(word_emb, unequal_commands):
@@ -265,6 +265,7 @@ def test_loss_unequal_command_lengths_match_per_command_reference(word_emb, uneq
     loss, grads = M.mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
     want_loss, want_grads = reference_mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
     assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert grads.dtype == want_grads.dtype == np.float64
     np.testing.assert_allclose(grads, want_grads, rtol=1e-9, atol=1e-9 * np.abs(want_grads).max())
     # the command-encoder gradients are not all zero, so the check has teeth
     n_cmd = sum(a.size for a in model.cmd_lstm.param_arrays() + model.cmd_proj.param_arrays())

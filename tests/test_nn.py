@@ -22,6 +22,7 @@ from microbuild.nn import (
     load_model,
     save_model,
 )
+from microbuild.nn import optim
 from microbuild.nn.layers import _sigmoid
 
 from gradcheck import bound, grad_arrays, grad_check, grad_check_fn, zero_grads
@@ -187,12 +188,14 @@ def test_grad_check_lstm_unrolled_3_steps():
     cell = bound(LSTM(3, 4, r))
     xs = r.standard_normal((3, 2, 3))
     probe = r.standard_normal((2, 4))
+    gh_seq = np.zeros((3, 2, 4))
+    gh_seq[-1] = probe
 
     def loss_fn():
         zero_grads(cell)
         h = cell.forward_seq(xs, *cell.zero_state(2))[-1]
         loss = float((h * probe).sum())
-        cell.backward_seq(None, gh_final=probe)
+        cell.backward_seq(gh_seq)
         return loss, [g.copy() for g in grad_arrays(cell)]
 
     assert grad_check_fn(loss_fn, cell.param_arrays(), eps=EPS) <= GC_TOL
@@ -210,8 +213,10 @@ def test_lstm_input_grads_match_finite_differences():
             h, c = cell.step(inputs[t], h, c)
         return float((h * probe).sum())
 
+    gh_seq = np.zeros((3, 2, 4))
+    gh_seq[-1] = probe
     cell.forward_seq(xs, *cell.zero_state(2))
-    gx = cell.backward_seq(None, gh_final=probe)
+    gx = cell.backward_seq(gh_seq)
 
     worst = 0.0
     for t in range(3):
@@ -227,7 +232,7 @@ def test_lstm_input_grads_match_finite_differences():
     assert worst <= GC_TOL
 
 
-def reference_lstm(cell, xs, gh_seq, gh_final, gc_final, h0=None, c0=None):
+def reference_lstm(cell, xs, gh_seq, h0=None, c0=None):
     """Forward from (h0, c0), zero by default, then step-by-step BPTT with
     per-step weight updates and input products: (parameter gradients, input
     gradients)."""
@@ -242,7 +247,7 @@ def reference_lstm(cell, xs, gh_seq, gh_final, gc_final, h0=None, c0=None):
         steps.append((x, h, c_prev, i, f, g, o, np.tanh(c)))
         h = o * np.tanh(c)
     grads = {name: np.zeros_like(getattr(cell, name)) for name in cell.param_names}
-    dh_next, dc_next = gh_final.copy(), gc_final.copy()
+    dh_next, dc_next = np.zeros_like(h), np.zeros_like(c)
     gx = [None] * len(steps)
     for t in range(len(steps) - 1, -1, -1):
         x, h_prev, c_prev, i, f, g, o, tc = steps[t]
@@ -269,14 +274,12 @@ def test_lstm_backward_seq_matches_per_step_reference(n_steps, batch, dtype, rto
     cell = bound(LSTM(6, 5, r), dtype)
     xs = r.standard_normal((n_steps, batch, 6)).astype(dtype)
     gh_seq = r.standard_normal((n_steps, batch, 5)).astype(dtype)
-    gh_final = r.standard_normal((batch, 5)).astype(dtype)
-    gc_final = r.standard_normal((batch, 5)).astype(dtype)
-    ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq, gh_final, gc_final)
+    ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq)
     with pytest.raises(RuntimeError):
         cell.backward_seq(gh_seq)  # nothing cached yet
 
     cell.forward_seq(xs, *cell.zero_state(batch))
-    gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
+    gx = cell.backward_seq(gh_seq)
     assert gx.shape == (n_steps, batch, 6) and gx.dtype == dtype
     for got, want in [(gx, ref_gx)] + [(cell.grads[n], ref_grads[n]) for n in cell.param_names]:
         # relative to the largest entry: a sum reordered by the batched
@@ -345,10 +348,9 @@ def test_lstm_forward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol
     xs = r.standard_normal((n_steps, batch, 6)).astype(dtype)
     h0, c0 = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
     gh_seq = r.standard_normal((n_steps, batch, 5)).astype(dtype)
-    gh_final, gc_final = (r.standard_normal((batch, 5)).astype(dtype) for _ in range(2))
     hs = cell.forward_seq(xs, h0, c0)
-    gx = cell.backward_seq(gh_seq, gh_final=gh_final, gc_final=gc_final)
-    ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq, gh_final, gc_final, h0, c0)
+    gx = cell.backward_seq(gh_seq)
+    ref_grads, ref_gx = reference_lstm(cell, xs, gh_seq, h0, c0)
     got = [hs, gx] + [cell.grads[n] for n in cell.param_names]
     want = [step_lstm(cell, xs, h0, c0), ref_gx] + [ref_grads[n] for n in cell.param_names]
     assert got[0].shape == (n_steps, batch, 5) and got[0].dtype == dtype
@@ -586,7 +588,7 @@ def test_adam_single_step_closed_form():
     p = np.zeros(3, dtype=np.float32)
     st = AdamState(3, lr=0.01)
     adam_step(p, g, st)
-    expected = -0.01 * g / (np.abs(g) + st.eps)
+    expected = -0.01 * g / (np.abs(g) + optim.EPS)
     np.testing.assert_allclose(p, expected, rtol=1e-5)
 
 
@@ -618,12 +620,11 @@ def test_adam_nan_grads_abort():
 def reference_adam_step(params, grads, state):
     """The update written with one temporary per operation."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    state.m += (1.0 - b1) * (grads - state.m)
-    state.v += (1.0 - b2) * (grads * grads - state.v)
-    m_hat = state.m / (1.0 - b1**state.t)
-    v_hat = state.v / (1.0 - b2**state.t)
-    params -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(params.dtype)
+    state.m += (1.0 - optim.BETA1) * (grads - state.m)
+    state.v += (1.0 - optim.BETA2) * (grads * grads - state.v)
+    m_hat = state.m / (1.0 - optim.BETA1**state.t)
+    v_hat = state.v / (1.0 - optim.BETA2**state.t)
+    params -= (state.lr * m_hat / (np.sqrt(v_hat) + optim.EPS)).astype(params.dtype)
 
 
 @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])

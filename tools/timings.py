@@ -9,10 +9,12 @@ the ``grounding`` set-up) and of ``evaluate_policy`` for 2 episodes at
 horizon 256 of the ``none`` variant and of the ``narration`` variant on an
 untrained MEM, then the median time per call of ``env.reset``, of
 ``Episode.step`` (env step plus observation, replaying a scripted-expert
-game), of ``Actor.rollout`` for 32 steps of the ``none`` variant, ``a3c_loss`` on a
-32-step rollout, ``mem_loss`` with gradients on a 32-sample batch over the
-shipped commands, ``evaluate_mem`` over all 900 samples of a
-``Quotas(60, 300)`` dataset, ``AgentNet()`` with no ``rng`` (as
+game), of ``Actor.rollout`` for 32 steps of the ``none`` variant,
+``EpisodeShaping.bonus`` of the ``narration`` variant (on the untrained MEM)
+and of the ``subtask`` variant over that scripted-expert game's
+observations and detector events, ``a3c_loss`` on a 32-step rollout,
+``mem_loss`` with gradients on a 32-sample batch over the shipped commands,
+``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset, ``AgentNet()`` with no ``rng`` (as
 ``evaluate_policy`` and ``AgentNet.load`` build it), ``AgentNet.act`` and
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
 and on two frames in turn (it misses every time), ``adam_step`` over the
@@ -122,20 +124,37 @@ def main() -> None:
     mem_ds = M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11)
     everything = np.arange(mem_ds.n_samples())
     expert = E.Episode(0, 256)
-    game = [E.scripted_expert(expert.state)]
-    while not expert.step(game[-1])[2]:
+    first_obs, game, trace, done = expert.observe(), [], [], False
+    while not done:
         game.append(E.scripted_expert(expert.state))
+        next_obs, _, done, events = expert.step(game[-1])
+        trace.append((next_obs, events))
     replay, actions = [E.Episode(0, 256)], itertools.cycle(game)
 
     def episode_step():
         if replay[0].step(next(actions))[2]:
             replay[0] = E.Episode(0, 256)  # the game starts over, one call in 256
 
+    def shaping_bonus(variant: str) -> float:
+        """µs per ``bonus`` call over the expert game, which starts over after its last step."""
+        shaping = A.EpisodeShaping(A.AgentConfig(variant=variant), mem, commands)
+        played = itertools.cycle(enumerate(trace))
+
+        def call():
+            i, (obs, events) = next(played)
+            if i == 0:
+                shaping.start(first_obs)
+            shaping.bonus(obs, events)
+
+        return micros(call, calls=len(trace))
+
     seeds = itertools.count()
     out = {
         "env.reset": micros(lambda: E.reset(next(seeds))),
         "Episode.step": micros(episode_step, calls=256),
         "Actor.rollout T=32": micros(play_rollout, calls=20),
+        "EpisodeShaping.bonus narration": shaping_bonus("narration"),
+        "EpisodeShaping.bonus subtask": shaping_bonus("subtask"),
         "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
         "mem_loss B=32": micros(lambda: M.mem_loss(mem_batch, mem, commands, wd), calls=50),
         f"evaluate_mem S={everything.size}": micros(
