@@ -94,13 +94,27 @@ class WordEmbeddings:
             raise ValueError(f"{path}: not a word-embeddings file")
         return cls.from_spec(spec, flat)
 
+    @staticmethod
+    def spec_shape(spec) -> tuple[int, int]:
+        """(|V|, d) of a ``spec()`` read from a file; a malformed one raises ``ValueError``."""
+        if not isinstance(spec, dict):
+            raise ValueError("word-embeddings spec is not a JSON object")
+        tokens, dim = spec.get("tokens"), spec.get("dim")
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+            raise ValueError("word-embeddings spec: tokens is not a list of strings")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"word-embeddings spec: dim {dim!r} is not a positive integer")
+        return len(tokens), dim
+
     @classmethod
-    def from_spec(cls, spec: dict, flat: np.ndarray) -> "WordEmbeddings":
-        """Rebuild from ``spec()`` and the flat vectors; counts are not stored."""
-        tokens = spec["tokens"]
-        index = {tok: i for i, tok in enumerate(tokens)}
-        vectors = flat.reshape(len(tokens), spec["dim"])
-        return cls(Vocab(index=index, counts=np.zeros(len(tokens), dtype=np.int64)), vectors)
+    def from_spec(cls, spec, flat: np.ndarray) -> "WordEmbeddings":
+        """Rebuild from ``spec()`` and the flat vectors; counts are not stored.
+        A malformed spec or a wrong number of values raises ``ValueError``."""
+        n, dim = cls.spec_shape(spec)
+        if flat.size != n * dim:
+            raise ValueError(f"word-embeddings: {flat.size} values for {n} x {dim} vectors")
+        index = {tok: i for i, tok in enumerate(spec["tokens"])}
+        return cls(Vocab(index=index, counts=np.zeros(n, dtype=np.int64)), flat.reshape(n, dim))
 
 
 @dataclass

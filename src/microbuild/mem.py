@@ -122,12 +122,12 @@ class MemModel(Model):
         spec, flat = load_model(path)
         if spec.get("kind") != "mutual-embedding":
             raise ValueError(f"{path}: not a mutual-embedding model file")
-        word_spec = spec["word"]
-        word_vecs = flat[-len(word_spec["tokens"]) * word_spec["dim"] :]
-        model = cls(WordEmbeddings.from_spec(word_spec, word_vecs))
+        n, dim = WordEmbeddings.spec_shape(spec.get("word"))
+        split = max(flat.size - n * dim, 0)  # the word vectors end the payload
+        model = cls(WordEmbeddings.from_spec(spec["word"], flat[split:]))
         if model.spec() != spec:
             raise ValueError(f"{path}: architecture spec mismatch")
-        model.set_flat(flat[: model.n_params()])
+        model.set_flat(flat[:split])
         return model
 
     # ------------------------------------------------------------ forward

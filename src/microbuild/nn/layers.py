@@ -127,7 +127,16 @@ def _patch_index(c: int, h: int, w: int, k: int, stride: int) -> np.ndarray:
 
 
 class Conv2d(Layer):
-    """2-D convolution (cross-correlation) via im2col, square kernel, no padding."""
+    """2-D convolution (cross-correlation) via im2col, square kernel, no padding.
+
+    The patch matrix is gathered with ``take(index, mode="wrap")``. The index
+    comes from ``_patch_index`` on the input's own (C, H, W), so every entry
+    lies in [0, C*H*W) and "wrap" never wraps; numpy's default
+    ``mode="raise"`` gives the same values but checks every entry first,
+    about a quarter of the gather's time. An index bug would not raise
+    here, so ``tests/test_nn.py`` checks the index range and the output
+    against a sliding-window reference.
+    """
 
     param_names = ("weight", "bias")
 
@@ -171,9 +180,9 @@ class Conv2d(Layer):
             index = _patch_index(*x.shape[1:], self.k, self.stride)
             self._index = (x.shape[1:], index)
         self._x_shape = x.shape
-        self._cols = x.reshape(b, -1).take(index, axis=1)  # (B, Ho*Wo, C*k*k)
-        w_mat = self.weight.reshape(self.c_out, -1)
-        out = self._cols @ w_mat.T + self.bias  # (B, Ho*Wo, c_out)
+        self._cols = x.reshape(b, -1).take(index, axis=1, mode="wrap")  # (B, Ho*Wo, C*k*k)
+        out = self._cols @ self.weight.reshape(self.c_out, -1).T  # (B, Ho*Wo, c_out)
+        out += self.bias
         return out.transpose(0, 2, 1).reshape(b, self.c_out, ho, wo)
 
     def backward_params(self, gout: np.ndarray) -> np.ndarray:

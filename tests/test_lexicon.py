@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from microbuild import lexicon as L
+from microbuild.nn import save_model
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +256,29 @@ def test_embeddings_save_load_round_trip(tmp_path, trained):
     loaded = L.WordEmbeddings.load(path)
     np.testing.assert_array_equal(loaded.vectors, emb.vectors)
     assert loaded.vocab.index == emb.vocab.index
+
+
+@pytest.mark.parametrize(
+    "spec,n_values",
+    [
+        ({"dim": 2}, 4),
+        ({"dim": "2", "tokens": ["a", "b"]}, 4),
+        ({"dim": 0, "tokens": ["a", "b"]}, 0),
+        ({"dim": 2, "tokens": ["a", 7]}, 4),
+        ({"dim": 2, "tokens": "ab"}, 4),
+    ],
+    ids=["no-tokens", "dim-string", "dim-zero", "token-not-string", "tokens-not-list"],
+)
+def test_embeddings_load_rejects_malformed_spec(tmp_path, spec, n_values):
+    path = tmp_path / "words.bin"
+    save_model(path, {"kind": "word-embeddings", **spec}, np.ones(n_values, dtype=np.float32))
+    with pytest.raises(ValueError, match="word-embeddings spec"):
+        L.WordEmbeddings.load(path)
+
+
+@pytest.mark.parametrize("n_values", [3, 5])
+def test_embeddings_load_rejects_wrong_vector_count(tmp_path, n_values):
+    path = tmp_path / "words.bin"
+    save_model(path, {"kind": "word-embeddings", "dim": 2, "tokens": ["a", "b"]}, np.ones(n_values, np.float32))
+    with pytest.raises(ValueError, match="values for 2 x 2"):
+        L.WordEmbeddings.load(path)

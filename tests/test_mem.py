@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
+from microbuild.nn import save_model
 
 from gradcheck import bound, grad_check_fn
 
@@ -464,6 +465,34 @@ def test_model_save_load_round_trip(tmp_path, word_emb, commands):
     np.testing.assert_array_equal(
         loaded.encode_command(commands[2]), model.encode_command(commands[2])
     )
+
+
+@pytest.mark.parametrize(
+    "word,match",
+    [(None, "not a JSON object"), ([1], "not a JSON object"), ({"dim": 4}, "tokens")],
+    ids=["no-word", "word-list", "word-no-tokens"],
+)
+def test_model_load_rejects_malformed_word_spec(tmp_path, word_emb, word, match):
+    model = M.MemModel(word_emb, np.random.default_rng(2))
+    spec = {key: value for key, value in model.spec().items() if key != "word"}
+    if word is not None:
+        spec["word"] = word
+    path = tmp_path / "mem.bin"
+    save_model(path, spec, np.ones(model.n_params(), dtype=np.float32))
+    with pytest.raises(ValueError, match=match):
+        M.MemModel.load(path)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_model_load_rejects_wrong_parameter_count(tmp_path, word_emb, extra):
+    model = M.MemModel(word_emb, np.random.default_rng(2))
+    flat = np.concatenate([model.flat_params, word_emb.vectors.ravel()])
+    cut = model.n_params() + min(extra, 0)  # one value more or fewer before the word vectors
+    flat = np.concatenate([flat[:cut], np.ones(max(extra, 0), np.float32), flat[model.n_params() :]])
+    path = tmp_path / "mem.bin"
+    save_model(path, model.spec(), flat)
+    with pytest.raises(ValueError, match="parameters"):
+        M.MemModel.load(path)
 
 
 def test_weight_penalty_sums_each_array_in_float64_in_order(word_emb):

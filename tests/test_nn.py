@@ -23,7 +23,7 @@ from microbuild.nn import (
     save_model,
 )
 from microbuild.nn import optim
-from microbuild.nn.layers import _sigmoid
+from microbuild.nn.layers import _patch_index, _sigmoid
 
 from gradcheck import bound, grad_arrays, grad_check, grad_check_fn, zero_grads
 
@@ -407,16 +407,27 @@ def sliding_window_conv(conv, x):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv_forward_bitwise_equals_sliding_window_reference(stride):
+    """The gather reads the patch index unchecked, so the index must be in range and right."""
     r = rng(71)
-    conv = Conv2d(3, 4, k=3, stride=stride, rng=r)
-    conv.bias[:] = r.standard_normal(4)
-    # the size change in the middle must rebuild the cached patch index
-    for batch, hw in [(1, 9), (32, 9), (1, 12), (32, 9)]:
-        x = r.standard_normal((batch, 3, hw, hw)).astype(np.float32)
-        got = conv.forward(x)
-        want = sliding_window_conv(conv, x)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    # (c_in, c_out, k) and the (H, W) inputs fed in turn; each size change must
+    # rebuild the cached patch index. The stride-2 extras are the state
+    # encoder's two convs on its 16x16 frame.
+    cases = [((3, 4, 3), [(9, 9), (12, 12), (9, 9), (7, 9), (9, 7)])]
+    if stride == 2:
+        cases += [((14, 8, 5), [(16, 16)]), ((8, 16, 3), [(6, 6)])]
+    for (c_in, c_out, k), sizes in cases:
+        conv = Conv2d(c_in, c_out, k=k, stride=stride, rng=r)
+        conv.bias[:] = r.standard_normal(c_out)
+        for h, w in sizes:
+            index = _patch_index(c_in, h, w, k, stride)
+            assert index.shape == (np.prod(conv.out_hw(h, w)), c_in * k * k)
+            assert 0 <= index.min() and index.max() < c_in * h * w
+            for batch in (1, 2, 33):
+                x = r.standard_normal((batch, c_in, h, w)).astype(np.float32)
+                got = conv.forward(x)
+                want = sliding_window_conv(conv, x)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_sigmoid_bitwise_equals_two_branch_form():

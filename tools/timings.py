@@ -19,7 +19,8 @@ observations and detector events, ``a3c_loss`` on a 32-step rollout,
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
 and on two frames in turn (it misses every time), ``adam_step`` over the
 agent's parameters, the state encoder's two convs forward and backward and
-its whole backward at batch 1 and 32, and the agent's LSTM (one step; 32
+its whole backward at batch 1 and 32, its first conv forward at batch 8 and
+64 (the block size ``evaluate_mem`` encodes), and the agent's LSTM (one step; 32
 steps, as a rollout's ``act`` calls run them; and the 32-step
 ``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the
 lowest of five medians (of five runs for a set-up stage), which damps the
@@ -29,10 +30,15 @@ alternately, on the same machine. Last comes the peak memory, in MB, that
 ``evaluate_mem`` call, after a call that left the layers' caches filled.
 
 The script runs itself again, once, with ``MALLOC_MMAP_THRESHOLD_`` set in
-its own environment to 128 KiB, the threshold glibc starts a process
-with. A fixed threshold turns off glibc's dynamic one (mallopt(3)), which
-rises to the size of the largest block the process has freed; with it
-off, a figure does not depend on what the lines before it freed.
+its own environment to 32 MiB and ``MALLOC_TRIM_THRESHOLD_`` to 64 MiB. A
+fixed threshold turns off glibc's dynamic one (mallopt(3)), which rises to
+the size of the largest block the process has freed; with it off, a figure
+does not depend on what the lines before it freed. These values keep every
+temporary of the timed calls (the largest, ``evaluate_mem``'s conv1 patch
+matrix for a 64-row block, is 3.2 MB) on the heap and keep freed memory
+mapped, as in a benchmark or training process once its first rounds have
+raised the dynamic threshold: a figure then times the arithmetic, not
+faulting in fresh pages on every call.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ import os
 import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-if __name__ == "__main__" and "MALLOC_MMAP_THRESHOLD_" not in os.environ:
-    os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072"})
+WARM_HEAP = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"}
+if __name__ == "__main__" and any(os.environ.get(k) != v for k, v in WARM_HEAP.items()):
+    os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **WARM_HEAP})
 
 import itertools  # noqa: E402
 import time  # noqa: E402
@@ -179,6 +186,9 @@ def main() -> None:
         g = rng.standard_normal((batch, net.encoder.out_dim)).astype(np.float32)
         net.encoder.forward(spatial[:batch], nonspatial[:batch])
         out[f"StateEncoder.backward B={batch}"] = micros(lambda: net.encoder.backward(g), calls=50)
+    frames = (np.random.default_rng(64).random((64, E.OBS_CHANNELS, E.GRID, E.GRID)) < 0.1).astype(np.float32)
+    for batch in (8, 64):
+        out[f"conv1 forward B={batch}"] = micros(lambda: conv1.forward(frames[:batch]))
     core, feats = net.core, rng.standard_normal((t_len, 1, A.HIDDEN)).astype(np.float32)
     gh = rng.standard_normal((t_len, 1, A.HIDDEN)).astype(np.float32)
 
