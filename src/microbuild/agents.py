@@ -79,6 +79,12 @@ class AgentConfig:
             raise ValueError("workers, rollout_len and total_steps must be positive")
         if self.eval_interval < 1 or self.eval_episodes < 1:
             raise ValueError("eval_interval and eval_episodes must be positive")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
     def make_env(self, seed: int):
         factory = self.env_factory or (lambda s: E.Episode(s, self.horizon))

@@ -365,33 +365,45 @@ def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
     random agent). Raises if any command's quota cannot be met within
     ``BUDGET_STEPS``, naming the starving command. Both constants are read
     at call time.
+
+    The observation arrays are allocated at their final size before play:
+    the ``k``-th goal observation of command ``cid`` is written to row
+    ``cid * per_command + k`` and the ``k``-th null to row ``n_goal + k``
+    as it is kept, so play holds one copy of each observation and only a
+    count per command and one for the nulls beside them.
     """
     n_commands = E.N_COMMANDS
     seq = np.random.SeedSequence(seed)
     rng_policy, rng_pairs, rng_split, rng_env = [np.random.default_rng(s) for s in seq.spawn(4)]
 
-    goal_obs: list[list[tuple]] = [[] for _ in range(n_commands)]
-    null_obs: list[tuple] = []
+    # observation rows: goals per command, then nulls
+    n_goal = n_commands * quotas.per_command
+    n_obs = n_goal + quotas.nulls
+    spatial = np.empty((n_obs, E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.uint8)
+    nonspatial = np.empty((n_obs, E.OBS_NONSPATIAL), dtype=np.float32)
+    obs_label = np.full(n_obs, -1, dtype=np.int8)
+    obs_label[:n_goal] = np.repeat(np.arange(n_commands), quotas.per_command)
+    obs_counters = np.empty((n_obs, 14), dtype=np.int32)
+    n_kept = [0] * n_commands  # goal observations kept per command
+    n_nulls = 0
     steps_used = 0
-    episode = 0
     null_tick = 0
 
     # lists still short of their quota; each list fills up exactly once
-    unmet = sum(len(g) < quotas.per_command for g in goal_obs) + (len(null_obs) < quotas.nulls)
+    unmet = sum(n < quotas.per_command for n in n_kept) + (n_nulls < quotas.nulls)
     while unmet:
         if steps_used >= BUDGET_STEPS:
-            fill = {E.EVENT_NAMES[i]: len(g) for i, g in enumerate(goal_obs)}
-            starving = min(range(n_commands), key=lambda i: len(goal_obs[i]))
+            fill = {E.EVENT_NAMES[i]: n for i, n in enumerate(n_kept)}
+            starving = min(range(n_commands), key=lambda i: n_kept[i])
             raise DatasetError(
                 f"step budget {BUDGET_STEPS} exhausted; command "
-                f"'{E.EVENT_NAMES[starving]}' has {len(goal_obs[starving])}/{quotas.per_command} "
-                f"(fills: {fill}, nulls: {len(null_obs)}/{quotas.nulls})"
+                f"'{E.EVENT_NAMES[starving]}' has {n_kept[starving]}/{quotas.per_command} "
+                f"(fills: {fill}, nulls: {n_nulls}/{quotas.nulls})"
             )
         env_seed = int(rng_env.integers(2**31))
         state = E.reset(env_seed)
         ctr = E.counters(state)
         steps_since_event = NULL_WINDOW  # episode start counts as quiet
-        episode += 1
         while state.step < E.HORIZON and unmet:
             if rng_policy.random() < EXPERT_MIX:
                 action = E.scripted_expert(state)
@@ -402,40 +414,28 @@ def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
             ctr = E.counters(state)
             steps_used += 1
             events = E.detect(prev_ctr, ctr)
-            keep_in = None
+            slot = None
             if events:
                 steps_since_event = 0
                 if len(events) == 1:
                     (ev,) = events
-                    if len(goal_obs[ev]) < quotas.per_command:
-                        keep_in = goal_obs[ev]
+                    if n_kept[ev] < quotas.per_command:
+                        slot = ev * quotas.per_command + n_kept[ev]
+                        n_kept[ev] += 1
+                        if n_kept[ev] == quotas.per_command:
+                            unmet -= 1
             else:
                 steps_since_event += 1
-                if steps_since_event >= NULL_WINDOW and len(null_obs) < quotas.nulls:
+                if steps_since_event >= NULL_WINDOW and n_nulls < quotas.nulls:
                     null_tick += 1
                     if null_tick % NULL_STRIDE == 0:
-                        keep_in = null_obs
-            if keep_in is not None:
+                        slot = n_goal + n_nulls
+                        n_nulls += 1
+                        if n_nulls == quotas.nulls:
+                            unmet -= 1
+            if slot is not None:
                 obs = E.encode_observation(prev, state)
-                keep_in.append((obs.spatial.astype(np.uint8), obs.nonspatial, prev_ctr + ctr))
-                if len(keep_in) == (quotas.nulls if keep_in is null_obs else quotas.per_command):
-                    unmet -= 1
-
-    # assemble observation arrays: goals per command, then nulls
-    n_goal = n_commands * quotas.per_command
-    n_obs = n_goal + quotas.nulls
-    spatial = np.empty((n_obs, E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.uint8)
-    nonspatial = np.empty((n_obs, E.OBS_NONSPATIAL), dtype=np.float32)
-    obs_label = np.empty(n_obs, dtype=np.int8)
-    obs_counters = np.empty((n_obs, 14), dtype=np.int32)
-    pos = 0
-    for cid in range(n_commands):
-        for sp, ns, ctr in goal_obs[cid][: quotas.per_command]:
-            spatial[pos], nonspatial[pos], obs_label[pos], obs_counters[pos] = sp, ns, cid, ctr
-            pos += 1
-    for sp, ns, ctr in null_obs[: quotas.nulls]:
-        spatial[pos], nonspatial[pos], obs_label[pos], obs_counters[pos] = sp, ns, -1, ctr
-        pos += 1
+                spatial[slot], nonspatial[slot], obs_counters[slot] = obs.spatial, obs.nonspatial, prev_ctr + ctr
 
     # samples: matched + mismatched per goal obs, one mismatch per null obs
     sample_obs, sample_cmd, sample_label = [], [], []
@@ -504,7 +504,7 @@ class MemMetrics:
     test_loss: float = float("nan")
 
 
-_ENCODE_BLOCK = 64  # distinct observations per state-encoder call in ``evaluate_mem``
+_ENCODE_BLOCK = 32  # distinct observations per state-encoder call in ``evaluate_mem``, as in a training batch
 
 
 def evaluate_mem(
@@ -538,10 +538,14 @@ def evaluate_mem(
     of one row runs its dense products as vector products, which round
     differently; hence the tail rule.
 
-    Memory: one block's float32 observations and conv1 patch matrix
-    (about 0.9 and 3.2 MB at 64 rows) set the peak, whatever the number of
-    observations; beyond them only the state rows (256 bytes per distinct
-    observation) and the index arrays (tens of bytes per sample) grow.
+    Memory: one block's float32 observations and conv1 patch matrix (about
+    0.46 and 1.6 MB at 32 rows, the size of a training batch's) set the
+    peak, whatever the number of observations. A block's frames are freed
+    before the next block's are gathered, and ``Conv2d`` frees the last
+    patch matrix before it gathers the next, so no two blocks' buffers are
+    held at once. Beyond them only the state rows (256 bytes per distinct
+    observation, written into one array) and the index arrays (tens of
+    bytes per sample) grow.
     """
     if sample_idx.size == 0:
         raise ValueError("empty sample set")
@@ -550,8 +554,11 @@ def evaluate_mem(
     starts = list(range(0, first.size, _ENCODE_BLOCK))
     if first.size - starts[-1] == 1 and len(starts) > 1:
         starts.pop()  # a one-row block would round differently
-    batches = (dataset.batch(sample_idx[first[a:b]]) for a, b in zip(starts, [*starts[1:], first.size]))
-    states = np.concatenate([model.encode_state_batch(b.spatial, b.nonspatial) for b in batches])
+    states = np.empty((first.size, EMBED_DIM), dtype=model.flat_params.dtype)
+    for a, b in zip(starts, [*starts[1:], first.size]):
+        batch = dataset.batch(sample_idx[first[a:b]])
+        states[a:b] = model.encode_state_batch(batch.spatial, batch.nonspatial)
+        del batch  # free this block's frames before the next block's are gathered
     total_sq, correct = 0.0, 0
     for start in range(0, sample_idx.size, chunk):
         part = sample_idx[start : start + chunk]
@@ -572,7 +579,15 @@ def train_mem(
     seed: int,
 ) -> tuple[MemModel, MemMetrics]:
     """Adam, in place on the model's parameters, on the contrastive loss;
-    returns the minimum-validation snapshot."""
+    returns the minimum-validation snapshot. A config with ``epochs`` or
+    ``batch`` below 1, ``lr`` not positive or ``weight_decay`` negative
+    raises ``ValueError``."""
+    if config.epochs < 1 or config.batch < 1:
+        raise ValueError(f"epochs and batch must be positive, got {config.epochs} and {config.batch}")
+    if not config.lr > 0:
+        raise ValueError(f"lr must be positive, got {config.lr}")
+    if not config.weight_decay >= 0:
+        raise ValueError(f"weight_decay must not be negative, got {config.weight_decay}")
     seq = np.random.SeedSequence(seed)
     rng_init, rng_order = [np.random.default_rng(s) for s in seq.spawn(2)]
     model = MemModel(word_embeddings, rng_init)
@@ -585,8 +600,9 @@ def train_mem(
         order = rng_order.permutation(train_idx.size)
         losses = []
         for start in range(0, train_idx.size, config.batch):
-            batch = dataset.batch(train_idx[order[start : start + config.batch]])
-            loss, grads = mem_loss(batch, model, commands, config.weight_decay)
+            rows = train_idx[order[start : start + config.batch]]
+            # the batch is freed when mem_loss returns, before the next one is gathered
+            loss, grads = mem_loss(dataset.batch(rows), model, commands, config.weight_decay)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch} batch {start // config.batch}: loss={loss}"

@@ -136,6 +136,11 @@ class Conv2d(Layer):
     about a quarter of the gather's time. An index bug would not raise
     here, so ``tests/test_nn.py`` checks the index range and the output
     against a sliding-window reference.
+
+    ``forward`` caches its patch matrix for ``backward``, which reads the
+    last forward's. The next ``forward`` drops that cache before it gathers
+    its own, so the layer never holds two patch matrices, and a second call
+    at the same batch size needs no more memory than the first.
     """
 
     param_names = ("weight", "bias")
@@ -180,6 +185,7 @@ class Conv2d(Layer):
             index = _patch_index(*x.shape[1:], self.k, self.stride)
             self._index = (x.shape[1:], index)
         self._x_shape = x.shape
+        self._cols = None  # free the last patch matrix before the next is gathered
         self._cols = x.reshape(b, -1).take(index, axis=1, mode="wrap")  # (B, Ho*Wo, C*k*k)
         out = self._cols @ self.weight.reshape(self.c_out, -1).T  # (B, Ho*Wo, c_out)
         out += self.bias

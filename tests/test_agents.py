@@ -773,6 +773,21 @@ def test_train_rejects_zero_eval_setting_before_building_an_env(field):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("horizon", 0), ("horizon", -5), ("gamma", -0.01), ("gamma", 1.01), ("gamma", float("nan")),
+     ("lr", 0.0), ("lr", -1e-4), ("lr", float("nan"))],
+)
+def test_config_rejects_bad_training_setting_before_building_an_env(field, value):
+    built = []
+    cfg = A.AgentConfig(**{field: value}, workers=1, total_steps=32, eval_episodes=1, env_factory=built.append)
+    with pytest.raises(ValueError, match=field):
+        cfg.validate()
+    with pytest.raises(ValueError, match=field):
+        A.train(cfg)
+    assert built == []
+
+
 @pytest.mark.parametrize("no_commands", [None, []], ids=["none", "empty"])
 @pytest.mark.parametrize("variant", ["narration", "subtask"])
 def test_shaped_variant_without_commands_raises_before_any_step(variant, no_commands, tiny_mem):

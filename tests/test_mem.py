@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -412,6 +413,30 @@ def test_dataset_budget_failure_names_starving_command(monkeypatch):
         M.generate_dataset(M.Quotas(per_command=50, nulls=50), seed=1)
 
 
+def traced_rise(fn):
+    """Peak traced bytes of a second ``fn()`` above the level after the first.
+
+    The session starts before the first call, so buffers that call leaves
+    cached are traced and their release during the second call counts.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_peak_memory_is_about_its_arrays():
+    # each kept observation goes straight into its row: no second copy of the observations
+    quotas = M.Quotas(per_command=25, nulls=100)
+    nbytes = sum(a.nbytes for a in M.generate_dataset(quotas, seed=21).arrays().values())
+    assert traced_rise(lambda: M.generate_dataset(quotas, seed=21)) < 1.3 * nbytes
+
+
 def test_default_split_ratio_exact():
     # the shipped quota shape yields exactly 4:1:1
     ds = M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11)
@@ -426,6 +451,17 @@ def test_train_mem_smoke_and_model_selection(word_emb, commands, small_dataset):
     assert len(metrics.train_loss) == len(metrics.val_loss) == len(metrics.val_acc) == 4
     assert metrics.best_epoch == int(np.argmin(metrics.val_loss))
     assert np.isfinite(metrics.test_acc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 0), ("batch", 0), ("batch", -32), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+     ("weight_decay", -1e-3)],
+)
+def test_train_mem_rejects_bad_config(word_emb, commands, small_dataset, field, value):
+    cfg = dataclasses.replace(M.MemTrainConfig(epochs=1), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        M.train_mem(small_dataset, word_emb, commands, cfg, seed=5)
 
 
 def test_train_mem_train_loss_is_the_mean_of_each_epochs_batch_losses(monkeypatch, word_emb, commands):
@@ -634,6 +670,17 @@ def test_evaluate_mem_peak_memory_does_not_grow_with_the_observations(word_emb, 
     # only the state rows (256 bytes) and index arrays grow per observation; a batch of
     # all of them would add about 70 KB per observation (its patch matrix and frames)
     assert many - few < 1024 * 4 * BLOCK
+
+
+def test_evaluate_mem_peak_memory_is_one_block(word_emb, commands, small_dataset):
+    ds = small_dataset
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    everything = np.arange(ds.n_samples())
+    frames = BLOCK * E.OBS_CHANNELS * E.GRID * E.GRID * 4  # one block's float32 observations
+    patch = BLOCK * 6 * 6 * (E.OBS_CHANNELS * 5 * 5) * 4  # and its conv1 patch matrix
+    # the margin covers the state rows, the index arrays and a scoring chunk's temporaries
+    rise = traced_rise(lambda: M.evaluate_mem(model, ds, everything, commands, 2.5e-3))
+    assert rise < frames + patch + 1_000_000
 
 
 def test_evaluate_mem_rejects_empty_sample_set(word_emb, commands, small_dataset):

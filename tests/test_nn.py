@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -428,6 +430,23 @@ def test_conv_forward_bitwise_equals_sliding_window_reference(stride):
                 want = sliding_window_conv(conv, x)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+def test_conv_forward_holds_one_patch_matrix():
+    """A second forward frees the cached patch matrix before it gathers the next one."""
+    conv = Conv2d(14, 8, k=5, stride=2, rng=rng(72))  # the state encoder's conv1
+    x = (rng(73).random((32, 14, 16, 16)) < 0.1).astype(np.float32)
+    patch_bytes = 32 * 6 * 6 * (14 * 5 * 5) * 4
+    tracemalloc.start()
+    try:
+        conv.forward(x)  # its cached patch matrix is traced, so freeing it counts
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        conv.forward(x)
+        rise = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rise < patch_bytes / 2
 
 
 def test_sigmoid_bitwise_equals_two_branch_form():

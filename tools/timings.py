@@ -19,23 +19,26 @@ observations and detector events, ``a3c_loss`` on a 32-step rollout,
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
 and on two frames in turn (it misses every time), ``adam_step`` over the
 agent's parameters, the state encoder's two convs forward and backward and
-its whole backward at batch 1 and 32, its first conv forward at batch 8 and
-64 (the block size ``evaluate_mem`` encodes), and the agent's LSTM (one step; 32
-steps, as a rollout's ``act`` calls run them; and the 32-step
-``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the
+its whole backward at batch 1 and 32 (32 is also the block size
+``evaluate_mem`` encodes), its first conv forward at batch 8 and 64, and
+the agent's LSTM (one step; 32 steps, as a rollout's ``act`` calls run
+them; and the 32-step ``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the
 lowest of five medians (of five runs for a set-up stage), which damps the
 swings of a shared host; compare two commits by running it at each,
-alternately, on the same machine. Last comes the peak memory, in MB, that
-``tracemalloc`` sees numpy and Python allocate during that
-``evaluate_mem`` call, after a call that left the layers' caches filled.
+alternately, on the same machine. Last come three peak memories, in MB,
+of that ``mem_loss``, ``a3c_loss`` and ``evaluate_mem`` call: how far the
+memory ``tracemalloc`` sees numpy and Python hold rises above its level
+after a first call, which leaves the layers' caches filled. Tracing starts
+before that first call, so a cache the second call frees before it
+allocates the next is counted as freed.
 
 The script runs itself again, once, with ``MALLOC_MMAP_THRESHOLD_`` set in
 its own environment to 32 MiB and ``MALLOC_TRIM_THRESHOLD_`` to 64 MiB. A
 fixed threshold turns off glibc's dynamic one (mallopt(3)), which rises to
 the size of the largest block the process has freed; with it off, a figure
 does not depend on what the lines before it freed. These values keep every
-temporary of the timed calls (the largest, ``evaluate_mem``'s conv1 patch
-matrix for a 64-row block, is 3.2 MB) on the heap and keep freed memory
+temporary of the timed calls (the largest, the conv1 patch matrix of
+``conv1 forward B=64``, is 3.2 MB) on the heap and keep freed memory
 mapped, as in a benchmark or training process once its first rounds have
 raised the dynamic threshold: a figure then times the arithmetic, not
 faulting in fresh pages on every call.
@@ -74,6 +77,19 @@ def micros(fn, calls: int = 200, repeats: int = 5) -> float:
             times.append(time.perf_counter() - start)
         medians.append(np.median(times))
     return min(medians) * 1e6
+
+
+def traced_rise_mb(fn) -> float:
+    """MB by which the traced memory of a second ``fn()`` peaks above its level after the first."""
+    tracemalloc.start()
+    try:
+        fn()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -202,18 +218,19 @@ def main() -> None:
     out["LSTM forward_seq T=32 + backward_seq"] = micros(
         lambda: (core.forward_seq(feats, h0, c0), core.backward_seq(gh)), calls=20
     )
-    M.evaluate_mem(mem, mem_ds, everything, commands, wd)
-    tracemalloc.start()
-    try:
-        M.evaluate_mem(mem, mem_ds, everything, commands, wd)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+    peaks = {
+        "mem_loss B=32 peak": traced_rise_mb(lambda: M.mem_loss(mem_batch, mem, commands, wd)),
+        "a3c_loss T=32 peak": traced_rise_mb(lambda: A.a3c_loss(rollout, net, cfg)),
+        f"evaluate_mem S={everything.size} peak": traced_rise_mb(
+            lambda: M.evaluate_mem(mem, mem_ds, everything, commands, wd)
+        ),
+    }
     for name, value in stages.items():
         print(f"{name:38s} {value:9.1f} ms")
     for name, value in out.items():
         print(f"{name:38s} {value:9.1f} us")
-    print(f"{f'evaluate_mem S={everything.size} peak':38s} {peak_mb:9.1f} MB")
+    for name, value in peaks.items():
+        print(f"{name:38s} {value:9.2f} MB")
 
 
 if __name__ == "__main__":
