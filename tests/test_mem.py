@@ -626,7 +626,9 @@ def samples_of(ds, n_obs, seed=0):
 BLOCK = M._ENCODE_BLOCK
 
 
-@pytest.mark.parametrize("n_obs", [1, 2, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 1])
+@pytest.mark.parametrize(
+    "n_obs", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 1, 6 * BLOCK, 6 * BLOCK + 1]
+)
 def test_evaluate_mem_encodes_blocks_with_the_bits_of_one_batch(word_emb, commands, small_dataset, n_obs):
     ds = small_dataset
     idx = samples_of(ds, n_obs)
