@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import env as E
-from .mem import EMBED_DIM, NONSPATIAL_HIDDEN, CommandSpec, MemModel, mem_distance
+from .mem import DEFAULT_THRESHOLD, EMBED_DIM, NONSPATIAL_HIDDEN, CommandSpec, MemModel, mem_distance
 from .nn import (
     AdamState,
     Dense,
@@ -47,6 +47,7 @@ from .nn import (
 VARIANTS = ("narration", "subtask", "none", "random")
 AUX_DIM = 128  # state embedding + command embedding
 HIDDEN = 128
+GRAD_CLIP = 40.0  # an update's gradient is scaled down to at most this L2 norm
 
 
 @dataclass
@@ -59,9 +60,8 @@ class AgentConfig:
     lr: float = 1e-4
     value_coef: float = 0.5
     entropy_coef: float = 0.01
-    grad_clip: float = 40.0
     bonus: float = 1.0
-    tau: float = 0.5
+    tau: float = DEFAULT_THRESHOLD
     base_seed: int = 0
     horizon: int = E.HORIZON
     eval_interval: int = 50_000
@@ -73,8 +73,8 @@ class AgentConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r} (expected one of {VARIANTS})")
-        if self.variant == "narration" and self.tau <= 0:
-            raise ValueError("narration shaping needs a positive distance threshold")
+        if self.variant == "narration" and not self.tau > 0:
+            raise ValueError(f"narration shaping needs a positive distance threshold tau, got {self.tau}")
         if self.workers < 1 or self.rollout_len < 1 or self.total_steps < 1:
             raise ValueError("workers, rollout_len and total_steps must be positive")
         if self.eval_interval < 1 or self.eval_episodes < 1:
@@ -376,13 +376,13 @@ class EpisodeShaping:
 
 
 class SharedParams:
-    """The learner network's parameters: one clipped Adam update per turn,
-    in place on ``net.flat_params``, and snapshots for evaluation."""
+    """The learner network's parameters: one Adam update per turn, in place
+    on ``net.flat_params``, on the gradient clipped to L2 norm ``GRAD_CLIP``,
+    and snapshots for evaluation."""
 
     def __init__(self, net: Model, config: AgentConfig):
         self._params = net.flat_params
         self._adam = AdamState(self._params.size, lr=config.lr)
-        self._clip = config.grad_clip
         self._eval_interval = config.eval_interval
         self.version = 0
         self.steps = 0
@@ -397,8 +397,8 @@ class SharedParams:
     def apply_gradients(self, grads: np.ndarray, n_steps: int) -> list[int]:
         """Returns the eval boundaries (step multiples) this update crossed."""
         norm = float(np.linalg.norm(grads))
-        if self._clip and norm > self._clip:
-            grads = grads * (self._clip / norm)
+        if norm > GRAD_CLIP:
+            grads = grads * (GRAD_CLIP / norm)
         adam_step(self._params, grads, self._adam)
         self.version += 1
         before = self.steps

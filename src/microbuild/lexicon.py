@@ -1,10 +1,12 @@
-"""Tokenization, vocabulary, and a small skip-gram word-embedding trainer.
+"""Tokenization and a small skip-gram word-embedding trainer.
 
 Word vectors are trained on the bundled corpus (one lowercase sentence per
 line) with negative sampling. The corpus is authored so that the command
 phrasings and their synonym variants share contexts, which is what lets a
 command built from swapped-in synonyms land near the original in vector
-space. Index 0 is the unknown token; its embedding row stays zero.
+space. The vocabulary is the unknown token at id 0, then every token seen
+at least ``MIN_COUNT`` times, sorted; the unknown token's row stays zero.
+The token counts only set the trainer's noise distribution and are not kept.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .nn import load_model, save_model
 
 UNK = "<unk>"
 WORD_DIM = 32
+WINDOW = 2  # context words taken on each side of a center word
+NEGATIVES = 5  # noise words drawn per (center, context) pair
+LR = 0.05  # the first epoch's learning rate; it decays linearly over the epochs
+MIN_COUNT = 2  # rarer tokens map to UNK
 
 _PUNCT = str.maketrans("", "", string.punctuation)
 
@@ -34,44 +40,29 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-@dataclass
-class Vocab:
-    index: dict[str, int]  # token -> dense id, UNK at 0
-    counts: np.ndarray  # occurrence count per id (UNK aggregates the pruned)
+def count_tokens(sentences: list[str]) -> tuple[list[str], np.ndarray]:
+    """The vocabulary in id order, and each id's occurrence count in ``sentences``.
 
-    @classmethod
-    def build(cls, sentences: list[str], min_count: int = 2) -> "Vocab":
-        freq = Counter(tok for s in sentences for tok in tokenize(s))
-        kept = sorted(t for t, c in freq.items() if c >= min_count)
-        index = {UNK: 0}
-        counts = [0]
-        for tok in kept:
-            index[tok] = len(index)
-            counts.append(freq[tok])
-        counts[0] = sum(c for t, c in freq.items() if c < min_count)
-        return cls(index=index, counts=np.array(counts, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def ids(self, tokens: list[str]) -> np.ndarray:
-        idx = self.index
-        return np.array([idx.get(t, 0) for t in tokens], dtype=np.int64)
-
-    def tokens_by_id(self) -> list[str]:
-        out = [""] * len(self.index)
-        for tok, i in self.index.items():
-            out[i] = tok
-        return out
+    UNK comes first with count 0, so it is never drawn as noise; the
+    tokens seen at least ``MIN_COUNT`` times follow in sorted order.
+    """
+    freq = Counter(tok for s in sentences for tok in tokenize(s))
+    kept = sorted(t for t, c in freq.items() if c >= MIN_COUNT)
+    return [UNK, *kept], np.array([0] + [freq[t] for t in kept], dtype=np.int64)
 
 
 class WordEmbeddings:
-    """|V| x d embedding matrix plus its vocabulary."""
+    """|V| x d embedding matrix: row ``i`` is the vector of ``tokens[i]``, and
+    row 0, UNK's, serves every token not in ``tokens``. ``tokens`` is the
+    list ``spec()`` stores; a list with a repeated token raises ``ValueError``."""
 
-    def __init__(self, vocab: Vocab, vectors: np.ndarray):
-        if vectors.shape[0] != len(vocab):
+    def __init__(self, tokens: list[str], vectors: np.ndarray):
+        if vectors.shape[0] != len(tokens):
             raise ValueError("vector count does not match vocabulary size")
-        self.vocab = vocab
+        self.tokens = tokens
+        self.index = {tok: i for i, tok in enumerate(tokens)}
+        if len(self.index) != len(tokens):
+            raise ValueError("word-embeddings: duplicate token in the vocabulary")
         self.vectors = vectors.astype(np.float32)
         self.dim = vectors.shape[1]
 
@@ -79,10 +70,10 @@ class WordEmbeddings:
         """Per-token rows, zero vector for out-of-vocabulary tokens."""
         if not tokens:
             return np.zeros((0, self.dim), dtype=np.float32)
-        return self.vectors[self.vocab.ids(tokens)]
+        return self.vectors[[self.index.get(t, 0) for t in tokens]]
 
     def spec(self) -> dict:
-        return {"kind": "word-embeddings", "dim": self.dim, "tokens": self.vocab.tokens_by_id()}
+        return {"kind": "word-embeddings", "dim": self.dim, "tokens": self.tokens}
 
     def save(self, path) -> None:
         save_model(path, self.spec(), self.vectors.ravel())
@@ -108,23 +99,22 @@ class WordEmbeddings:
 
     @classmethod
     def from_spec(cls, spec, flat: np.ndarray) -> "WordEmbeddings":
-        """Rebuild from ``spec()`` and the flat vectors; counts are not stored.
-        A malformed spec or a wrong number of values raises ``ValueError``."""
+        """Rebuild from ``spec()`` and the flat vectors. A malformed spec or a
+        wrong number of values raises ``ValueError``."""
         n, dim = cls.spec_shape(spec)
         if flat.size != n * dim:
             raise ValueError(f"word-embeddings: {flat.size} values for {n} x {dim} vectors")
-        index = {tok: i for i, tok in enumerate(spec["tokens"])}
-        return cls(Vocab(index=index, counts=np.zeros(n, dtype=np.int64)), flat.reshape(n, dim))
+        return cls(spec["tokens"], flat.reshape(n, dim))
 
 
 @dataclass
 class SkipgramConfig:
-    dim: int = WORD_DIM
-    window: int = 2
-    negatives: int = 5
+    """Passes over the corpus, and (center, context) pairs per update. The
+    vector size, window, noise count, learning rate and count cut-off are
+    the module constants ``WORD_DIM``, ``WINDOW``, ``NEGATIVES``, ``LR``
+    and ``MIN_COUNT``."""
+
     epochs: int = 120
-    lr: float = 0.05
-    min_count: int = 2
     batch: int = 256
 
 
@@ -149,16 +139,17 @@ def train_skipgram(
     fast path for ``add.at``; a row-wise one does not.)
     """
     rng = np.random.default_rng(seed)
-    vocab = Vocab.build(sentences, min_count=config.min_count)
-    n_vocab = len(vocab)
+    tokens, counts = count_tokens(sentences)
+    n_vocab = len(tokens)
+    index = {tok: i for i, tok in enumerate(tokens)}
 
     centers, contexts = [], []
     for sent in sentences:
-        ids = vocab.ids(tokenize(sent))
+        ids = [index.get(tok, 0) for tok in tokenize(sent)]
         for i, cid in enumerate(ids):
             if cid == 0:
                 continue
-            lo, hi = max(0, i - config.window), min(len(ids), i + config.window + 1)
+            lo, hi = max(0, i - WINDOW), min(len(ids), i + WINDOW + 1)
             for j in range(lo, hi):
                 if j != i and ids[j] != 0:
                     centers.append(cid)
@@ -168,32 +159,31 @@ def train_skipgram(
     if centers.size == 0:
         raise ValueError("corpus produced no training pairs")
 
-    noise = vocab.counts.astype(np.float64) ** 0.75
-    noise[0] = 0.0
+    noise = counts.astype(np.float64) ** 0.75
     noise /= noise.sum()
     cdf = noise.cumsum()
     cdf /= cdf[-1]
 
-    w_in = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(n_vocab, config.dim))
-    w_out = np.zeros((n_vocab, config.dim))
+    w_in = rng.uniform(-0.5 / WORD_DIM, 0.5 / WORD_DIM, size=(n_vocab, WORD_DIM))
+    w_out = np.zeros((n_vocab, WORD_DIM))
     w_in[0] = 0.0
 
-    columns = np.arange(config.dim)
+    columns = np.arange(WORD_DIM)
 
     def scatter_add(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
         """``np.add.at(w, rows, values)`` for a 2-D ``w``, through the 1-D fast path."""
-        np.add.at(w.reshape(-1), (rows[:, None] * config.dim + columns).reshape(-1), values.reshape(-1))
+        np.add.at(w.reshape(-1), (rows[:, None] * WORD_DIM + columns).reshape(-1), values.reshape(-1))
 
     losses: list[float] = []
     n_pairs = centers.size
     for epoch in range(config.epochs):
-        lr = config.lr * max(1.0 - epoch / config.epochs, 1e-4)
+        lr = LR * max(1.0 - epoch / config.epochs, 1e-4)
         order = rng.permutation(n_pairs)
         total = 0.0
         for start in range(0, n_pairs, config.batch):
             sel = order[start : start + config.batch]
             c, p = centers[sel], contexts[sel]
-            n = cdf.searchsorted(rng.random((sel.size, config.negatives)), side="right")
+            n = cdf.searchsorted(rng.random((sel.size, NEGATIVES)), side="right")
             v = w_in[c]  # (B, d)
             up = w_out[p]  # (B, d)
             un = w_out[n]  # (B, K, d)
@@ -208,7 +198,7 @@ def train_skipgram(
             w_in[0] = 0.0
             w_out[0] = 0.0
         losses.append(total / n_pairs)
-    return WordEmbeddings(vocab, w_in.astype(np.float32)), losses
+    return WordEmbeddings(tokens, w_in.astype(np.float32)), losses
 
 
 def load_bundled_corpus() -> list[str]:

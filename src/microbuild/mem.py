@@ -327,7 +327,7 @@ class MemDataset:
                 sidecar = json.load(fh)
             except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
                 raise ValueError(f"{sidecar_path}: not JSON ({exc})") from exc
-        if not isinstance(sidecar, dict) or any(not isinstance(sidecar.get(k), t) for k, t in _SIDECAR_KEYS.items()):
+        if not isinstance(sidecar, dict) or any(type(sidecar.get(k)) is not t for k, t in _SIDECAR_KEYS.items()):
             raise ValueError(f"{sidecar_path}: not a dataset sidecar (needs {', '.join(_SIDECAR_KEYS)})")
         with open(npz_path, "rb") as fh:  # np.load leaves a path it opened open when the archive is bad
             try:
@@ -437,20 +437,15 @@ def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
                 obs = E.encode_observation(prev, state)
                 spatial[slot], nonspatial[slot], obs_counters[slot] = obs.spatial, obs.nonspatial, prev_ctr + ctr
 
-    # samples: matched + mismatched per goal obs, one mismatch per null obs
-    sample_obs, sample_cmd, sample_label = [], [], []
-    for i in range(n_goal):
-        cid = int(obs_label[i])
-        sample_obs.append(i), sample_cmd.append(cid), sample_label.append(0)
-        wrong = int(rng_pairs.integers(n_commands - 1))
-        wrong = wrong + 1 if wrong >= cid else wrong
-        sample_obs.append(i), sample_cmd.append(wrong), sample_label.append(1)
-    for i in range(n_goal, n_obs):
-        sample_obs.append(i), sample_cmd.append(int(rng_pairs.integers(n_commands))), sample_label.append(1)
-
-    sample_obs = np.array(sample_obs, dtype=np.int32)
-    sample_cmd = np.array(sample_cmd, dtype=np.int8)
-    sample_label = np.array(sample_label, dtype=np.int8)
+    # samples: matched + mismatched per goal obs, one mismatch per null obs;
+    # a sample is matched exactly when its command is its observation's label
+    goal_cmd = obs_label[:n_goal]
+    wrong = rng_pairs.integers(n_commands - 1, size=n_goal)
+    wrong += wrong >= goal_cmd  # any command but the goal's
+    null_cmd = rng_pairs.integers(n_commands, size=quotas.nulls)
+    sample_obs = np.concatenate([np.repeat(np.arange(n_goal), 2), np.arange(n_goal, n_obs)]).astype(np.int32)
+    sample_cmd = np.concatenate([np.stack([goal_cmd, wrong], axis=1).ravel(), null_cmd]).astype(np.int8)
+    sample_label = (sample_cmd != obs_label[sample_obs]).astype(np.int8)
 
     # observation-level splits, 4:1:1 over samples for the default shape
     n_samples = sample_obs.shape[0]
@@ -491,7 +486,6 @@ class MemTrainConfig:
     batch: int = 32
     epochs: int = 20
     weight_decay: float = 2.5e-3
-    threshold: float = DEFAULT_THRESHOLD
 
 
 @dataclass
@@ -609,9 +603,7 @@ def train_mem(
                 )
             adam_step(model.flat_params, grads, adam)
             losses.append(loss)
-        va_loss, va_acc = evaluate_mem(
-            model, dataset, dataset.split_val, commands, config.weight_decay, config.threshold
-        )
+        va_loss, va_acc = evaluate_mem(model, dataset, dataset.split_val, commands, config.weight_decay)
         metrics.train_loss.append(float(np.mean(losses)))
         metrics.val_loss.append(va_loss)
         metrics.val_acc.append(va_acc)
@@ -621,6 +613,6 @@ def train_mem(
     metrics.best_epoch = best[1]
     model.set_flat(best[2])
     metrics.test_loss, metrics.test_acc = evaluate_mem(
-        model, dataset, dataset.split_test, commands, config.weight_decay, config.threshold
+        model, dataset, dataset.split_test, commands, config.weight_decay
     )
     return model, metrics

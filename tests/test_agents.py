@@ -788,6 +788,19 @@ def test_config_rejects_bad_training_setting_before_building_an_env(field, value
     assert built == []
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+def test_narration_config_rejects_a_threshold_no_distance_passes(tau):
+    # with tau = nan every distance test fails, so the run would be silently unshaped
+    built = []
+    cfg = A.AgentConfig(variant="narration", tau=tau, workers=1, total_steps=32, eval_episodes=1,
+                        env_factory=built.append)
+    with pytest.raises(ValueError, match="tau"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="tau"):
+        A.train(cfg)
+    assert built == []
+
+
 @pytest.mark.parametrize("no_commands", [None, []], ids=["none", "empty"])
 @pytest.mark.parametrize("variant", ["narration", "subtask"])
 def test_shaped_variant_without_commands_raises_before_any_step(variant, no_commands, tiny_mem):

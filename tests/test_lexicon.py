@@ -37,7 +37,7 @@ def cosine(emb: L.WordEmbeddings, a: str, b: str) -> float:
 
 def nearest_words(emb: L.WordEmbeddings, token: str, k: int) -> list[str]:
     """The ``k`` in-vocabulary words of highest cosine similarity to ``token``."""
-    tid = emb.vocab.index.get(token, 0)
+    tid = emb.index.get(token, 0)
     v = emb.vectors[tid]
     norms = np.linalg.norm(emb.vectors, axis=1)
     denom = norms * max(float(np.linalg.norm(v)), 1e-12)
@@ -45,8 +45,7 @@ def nearest_words(emb: L.WordEmbeddings, token: str, k: int) -> list[str]:
     sims[tid] = -np.inf
     sims[0] = -np.inf
     order = np.argsort(-sims)[:k]
-    names = emb.vocab.tokens_by_id()
-    return [names[i] for i in order]
+    return [emb.tokens[i] for i in order]
 
 
 def corpus_check(sentences: list[str], required_tokens: list[str]) -> list[str]:
@@ -96,20 +95,26 @@ def test_tokenize_empty():
 # ------------------------------------------------------------------ vocab
 
 
-def test_vocab_unk_at_zero_and_dense():
-    v = L.Vocab.build(["a a a b b c"], min_count=2)
-    assert v.index[L.UNK] == 0
-    ids = sorted(v.index.values())
-    assert ids == list(range(len(v.index)))
-    assert "c" not in v.index  # pruned below min_count
-    assert v.ids(["c"])[0] == 0  # maps to UNK
+def test_count_tokens_unk_first_then_sorted_kept_tokens():
+    assert L.MIN_COUNT == 2
+    tokens, counts = L.count_tokens(["b b a a a c", "B."])
+    assert tokens == [L.UNK, "a", "b"]  # "c" is pruned below MIN_COUNT
+    assert counts.tolist() == [0, 3, 3]
+    emb = L.WordEmbeddings(tokens, np.ones((3, 4), dtype=np.float32))
+    assert emb.index == {L.UNK: 0, "a": 1, "b": 2}
+    np.testing.assert_array_equal(emb.embed_tokens(["c"]), np.ones((1, 4)))  # a pruned token takes UNK's row
+
+
+def test_embeddings_reject_a_repeated_token():
+    with pytest.raises(ValueError, match="duplicate token"):
+        L.WordEmbeddings([L.UNK, "a", "a"], np.zeros((3, 4), dtype=np.float32))
 
 
 # ----------------------------------------------------------- embed_tokens
 
 
 def test_embed_tokens_empty():
-    emb = L.WordEmbeddings(L.Vocab.build(["a a b b"], min_count=1), np.zeros((3, 8), dtype=np.float32))
+    emb = L.WordEmbeddings([L.UNK, "a", "b"], np.zeros((3, 8), dtype=np.float32))
     assert emb.embed_tokens([]).shape == (0, 8)
 
 
@@ -147,37 +152,38 @@ def test_skipgram_deterministic(corpus):
 def reference_train_skipgram(sentences, config, seed):
     """The trainer with row-wise ``np.add.at`` scatters and ``rng.choice(p=noise)`` negatives."""
     rng = np.random.default_rng(seed)
-    vocab = L.Vocab.build(sentences, min_count=config.min_count)
-    n_vocab = len(vocab)
+    tokens, counts = L.count_tokens(sentences)
+    n_vocab = len(tokens)
+    index = {tok: i for i, tok in enumerate(tokens)}
     centers, contexts = [], []
     for sent in sentences:
-        ids = vocab.ids(L.tokenize(sent))
+        ids = [index.get(tok, 0) for tok in L.tokenize(sent)]
         for i, cid in enumerate(ids):
             if cid == 0:
                 continue
-            lo, hi = max(0, i - config.window), min(len(ids), i + config.window + 1)
+            lo, hi = max(0, i - L.WINDOW), min(len(ids), i + L.WINDOW + 1)
             for j in range(lo, hi):
                 if j != i and ids[j] != 0:
                     centers.append(cid)
                     contexts.append(ids[j])
     centers = np.array(centers, dtype=np.int64)
     contexts = np.array(contexts, dtype=np.int64)
-    noise = vocab.counts.astype(np.float64) ** 0.75
+    noise = counts.astype(np.float64) ** 0.75
     noise[0] = 0.0
     noise /= noise.sum()
-    w_in = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(n_vocab, config.dim))
-    w_out = np.zeros((n_vocab, config.dim))
+    w_in = rng.uniform(-0.5 / L.WORD_DIM, 0.5 / L.WORD_DIM, size=(n_vocab, L.WORD_DIM))
+    w_out = np.zeros((n_vocab, L.WORD_DIM))
     w_in[0] = 0.0
     losses = []
     n_pairs = centers.size
     for epoch in range(config.epochs):
-        lr = config.lr * max(1.0 - epoch / config.epochs, 1e-4)
+        lr = L.LR * max(1.0 - epoch / config.epochs, 1e-4)
         order = rng.permutation(n_pairs)
         total = 0.0
         for start in range(0, n_pairs, config.batch):
             sel = order[start : start + config.batch]
             c, p = centers[sel], contexts[sel]
-            n = rng.choice(n_vocab, size=(sel.size, config.negatives), p=noise)
+            n = rng.choice(n_vocab, size=(sel.size, L.NEGATIVES), p=noise)
             v, up, un = w_in[c], w_out[p], w_out[n]
             sp = L._sigmoid(np.einsum("bd,bd->b", v, up))
             sn = L._sigmoid(np.einsum("bd,bkd->bk", v, un))
@@ -186,7 +192,7 @@ def reference_train_skipgram(sentences, config, seed):
             dv = gp[:, None] * up + np.einsum("bk,bkd->bd", sn, un)
             np.add.at(w_in, c, -lr * dv)
             np.add.at(w_out, p, -lr * gp[:, None] * v)
-            np.add.at(w_out, n.reshape(-1), -lr * (sn[:, :, None] * v[:, None, :]).reshape(-1, config.dim))
+            np.add.at(w_out, n.reshape(-1), -lr * (sn[:, :, None] * v[:, None, :]).reshape(-1, L.WORD_DIM))
             w_in[0] = 0.0
             w_out[0] = 0.0
         losses.append(total / n_pairs)
@@ -255,7 +261,7 @@ def test_embeddings_save_load_round_trip(tmp_path, trained):
     emb.save(path)
     loaded = L.WordEmbeddings.load(path)
     np.testing.assert_array_equal(loaded.vectors, emb.vectors)
-    assert loaded.vocab.index == emb.vocab.index
+    assert loaded.tokens == emb.tokens and loaded.index == emb.index
 
 
 @pytest.mark.parametrize(

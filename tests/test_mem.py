@@ -362,6 +362,12 @@ def drop_sidecar_key(npz, sidecar):
     sidecar.write_text(json.dumps(fields), encoding="utf-8")
 
 
+def bool_sidecar(npz, sidecar):
+    fields = json.loads(sidecar.read_text(encoding="utf-8"))
+    fields.update(per_command=True, seed=False)  # JSON booleans are not integers
+    sidecar.write_text(json.dumps(fields), encoding="utf-8")
+
+
 def list_sidecar(npz, sidecar):
     sidecar.write_text("[1, 2]", encoding="utf-8")
 
@@ -390,12 +396,13 @@ def truncate_npz(npz, sidecar):
         (break_sidecar, "not JSON"),
         (drop_sidecar_key, "not a dataset sidecar"),
         (list_sidecar, "not a dataset sidecar"),
+        (bool_sidecar, "not a dataset sidecar"),
         (rewrite_arrays(lambda a: a.pop("obs_label")), "expected"),
         (rewrite_arrays(lambda a: a.update(extra=np.zeros(3))), "expected"),
         (rewrite_arrays(flip_one_label), "content hash mismatch"),
         (truncate_npz, "not an .npz archive"),
     ],
-    ids=["sidecar-not-json", "sidecar-missing-key", "sidecar-not-object", "missing-array", "extra-array",
+    ids=["sidecar-not-json", "sidecar-missing-key", "sidecar-not-object", "sidecar-bool", "missing-array", "extra-array",
          "hash-mismatch", "npz-truncated"],
 )
 def test_dataset_load_rejects_malformed_files(tmp_path, small_dataset, corrupt, match):
@@ -505,8 +512,9 @@ def test_model_save_load_round_trip(tmp_path, word_emb, commands):
 
 @pytest.mark.parametrize(
     "word,match",
-    [(None, "not a JSON object"), ([1], "not a JSON object"), ({"dim": 4}, "tokens")],
-    ids=["no-word", "word-list", "word-no-tokens"],
+    [(None, "not a JSON object"), ([1], "not a JSON object"), ({"dim": 4}, "tokens"),
+     ({"kind": "word-embeddings", "dim": 4, "tokens": ["<unk>", "build", "build"]}, "duplicate token")],
+    ids=["no-word", "word-list", "word-no-tokens", "word-duplicate-token"],
 )
 def test_model_load_rejects_malformed_word_spec(tmp_path, word_emb, word, match):
     model = M.MemModel(word_emb, np.random.default_rng(2))

@@ -506,8 +506,7 @@ def frames(seed, batch):
 
 
 def tiny_mem_model(seed):
-    vocab = L.Vocab(index={L.UNK: 0, "build": 1}, counts=np.zeros(2, dtype=np.int64))
-    words = L.WordEmbeddings(vocab, rng(seed).standard_normal((2, L.WORD_DIM)).astype(np.float32))
+    words = L.WordEmbeddings([L.UNK, "build"], rng(seed).standard_normal((2, L.WORD_DIM)).astype(np.float32))
     return M.MemModel(words, rng(seed))
 
 

@@ -51,3 +51,65 @@ def test_every_public_package_name_has_a_caller_outside_tests():
                 used.add(node.attr)
     unused = sorted(f"{path}: {name}" for name, path in defined.items() if name not in used)
     assert not unused, unused
+
+
+def config_fields() -> dict[str, list[str]]:
+    """The field names of each ``*Config`` dataclass of the package, by class name."""
+    fields = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+                fields[node.name] = [
+                    s.target.id for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                ]
+    return fields
+
+
+def called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def config_settings(tree: ast.Module, classes: set[str]) -> set[tuple[str, str]]:
+    """(class, field) pairs a module sets by name: a keyword in a call to the
+    class or in a ``dataclasses.replace`` of a call to it, or, for such a
+    call with ``**`` keywords, a string in the enclosing function's decorators
+    (a ``pytest.mark.parametrize`` of field names)."""
+    found = set()
+    scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))]
+    for scope in scopes:
+        strings = {
+            n.value
+            for d in getattr(scope, "decorator_list", [])
+            for n in ast.walk(d)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        }
+        for call in (n for n in ast.walk(scope) if isinstance(n, ast.Call)):
+            target = call
+            if called_name(call) == "replace" and call.args and isinstance(call.args[0], ast.Call):
+                target = call.args[0]
+            cls = called_name(target)
+            if cls not in classes:
+                continue
+            for kw in [*target.keywords, *(call.keywords if call is not target else [])]:
+                names = {kw.arg} if kw.arg is not None else strings
+                found |= {(cls, name) for name in names}
+    return found
+
+
+def test_every_config_field_is_set_by_name_outside_its_definition():
+    """Each field of a ``*Config`` dataclass is set by name somewhere in the
+    package, the benchmark, the tools or the tests. A field only its default
+    ever fills is a constant, not a setting."""
+    fields = config_fields()
+    files = [
+        *sorted(PACKAGE.rglob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        *sorted((ROOT / "tools").glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
+    ]
+    set_by_name = set()
+    for path in files:
+        set_by_name |= config_settings(ast.parse(path.read_text(encoding="utf-8")), set(fields))
+    unset = sorted(f"{cls}.{name}" for cls, names in fields.items() for name in names if (cls, name) not in set_by_name)
+    assert not unset, "never set by name: " + ", ".join(unset)

@@ -28,8 +28,7 @@ def test_agent_initial_parameters_pinned():
 
 
 def test_mem_initial_parameters_pinned():
-    vocab = L.Vocab(index={L.UNK: 0, "build": 1, "train": 2}, counts=np.zeros(3, dtype=np.int64))
-    words = L.WordEmbeddings(vocab, np.arange(3 * L.WORD_DIM, dtype=np.float32).reshape(3, L.WORD_DIM) / 100)
+    words = L.WordEmbeddings([L.UNK, "build", "train"], np.arange(3 * L.WORD_DIM, dtype=np.float32).reshape(3, L.WORD_DIM) / 100)
     params = M.MemModel(words, np.random.default_rng(1)).get_flat()
     assert sha256(params.tobytes()) == "6f7e4e3d28a6832147e088762344a6c30c2d760223e8bb1ca20c35c4ff524579"
 
