@@ -339,7 +339,7 @@ class EpisodeShaping:
             if mem is None:
                 raise ValueError("narration variant needs a trained embedding model")
             self.mem = mem
-            self.command_vecs = np.stack([self.mem.encode_command(c) for c in commands])
+            self.command_vecs = mem.encode_command_batch(commands)
         self._zero_aux = np.zeros(AUX_DIM, dtype=np.float32)
 
     def start(self, obs: E.Observation) -> None:

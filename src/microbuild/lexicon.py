@@ -127,7 +127,8 @@ def train_skipgram(
 ) -> tuple[WordEmbeddings, list[float]]:
     """Skip-gram with negative sampling; returns embeddings + per-epoch loss.
 
-    Noise distribution is unigram^0.75. Deterministic for a fixed seed.
+    Noise distribution is unigram^0.75. Deterministic for a fixed seed. A
+    config with ``epochs`` or ``batch`` below 1 raises ``ValueError`` first.
 
     Negatives are drawn as ``Generator.choice(n_vocab, size, p=noise)``
     draws them: a uniform per draw, looked up in the noise CDF, which is
@@ -138,6 +139,8 @@ def train_skipgram(
     so the sums are the same bit for bit. (The 1-D form runs on numpy's
     fast path for ``add.at``; a row-wise one does not.)
     """
+    if config.epochs < 1 or config.batch < 1:
+        raise ValueError(f"epochs and batch must be positive, got {config.epochs} and {config.batch}")
     rng = np.random.default_rng(seed)
     tokens, counts = count_tokens(sentences)
     n_vocab = len(tokens)

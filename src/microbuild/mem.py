@@ -2,7 +2,15 @@
 
 Two encoders project into one shared space: observations go through the
 conv/dense state encoder, commands go word-vector by word-vector through
-an LSTM.
+an LSTM. Both encoders give a row the same bits in any batch of two or
+more rows: a row of such a product does not depend on the other rows
+(OpenBLAS; the state encoder, one conv GEMM per observation, checked at 2
+to 511 rows against 512, the command LSTM's products at 2 to 199 rows
+against 2), and a one-row product can round differently. So commands are
+encoded one way for the loss, the scorer and the shaping bonus: one LSTM
+sequence pass over the set, ``MemModel.encode_command_batch``, whose
+two-row call is ``encode_command``.
+
 Training pulls matched (state, command) pairs to distance 0 and pushes
 mismatched pairs to distance 1:
 
@@ -144,19 +152,15 @@ class MemModel(Model):
         return self.encode_state_batch(obs.spatial[None], obs.nonspatial[None])[0]
 
     def encode_command(self, command: CommandSpec) -> np.ndarray:
-        """Project a command into the shared space."""
-        vecs = self.word_embeddings.embed_tokens(command.tokens).astype(self.flat_params.dtype)
-        h, c = self.cmd_lstm.zero_state(1)
-        for t in range(vecs.shape[0]):
-            h, c = self.cmd_lstm.step(vecs[t : t + 1], h, c)
-        return self.cmd_proj.forward(h)[0]
+        """The command's vector: row 0 of ``encode_command_batch([command, command])``."""
+        return self.encode_command_batch([command, command])[0]
 
     def encode_command_batch(self, commands: list[CommandSpec]) -> np.ndarray:
-        """``encode_command`` of each command as one LSTM batch, (U, embed_dim).
+        """The command encoder: each command's vector, (U, embed_dim), from one LSTM sequence pass.
 
         The word vectors are right-padded with zeros to the longest command;
         each row's hidden state is read at its own last token. Caches the
-        pass for ``backward_command``.
+        pass for ``backward_command``. One command goes through ``encode_command``.
         """
         lengths = np.array([len(c.tokens) for c in commands])
         xs = np.zeros((lengths.max(), len(commands), self.word_embeddings.dim), dtype=self.flat_params.dtype)
@@ -204,10 +208,10 @@ def mem_loss(
 ) -> tuple[float, np.ndarray]:
     """Contrastive distance loss and flat parameter gradients.
 
-    The states go through the encoder as one batch. The batch's distinct
-    commands go through the LSTM as one batch too: a hoisted sequence pass
-    (``MemModel.encode_command_batch``) and one BPTT. The distance
-    derivative at exactly zero distance is defined as zero.
+    The states go through the encoder as one batch, and the whole command
+    set through ``MemModel.encode_command_batch`` and back in one BPTT; a
+    command no sample names gets a zero gradient. The distance derivative
+    at exactly zero distance is defined as zero.
     """
     if batch.labels.size == 0:
         raise ValueError("empty batch")
@@ -215,8 +219,7 @@ def mem_loss(
     model.zero_grads()
     xs = model.encode_state_batch(batch.spatial, batch.nonspatial)  # (B, D)
 
-    cmd_ids, rows = np.unique(batch.command_ids, return_inverse=True)
-    xc = model.encode_command_batch([commands[i] for i in cmd_ids])[rows]
+    xc = model.encode_command_batch(commands)[batch.command_ids]
 
     diff = (xs - xc).astype(np.float64)
     dist = np.sqrt((diff * diff).sum(axis=1))
@@ -230,8 +233,8 @@ def mem_loss(
     scale = np.where(dist > 0.0, 2.0 * err / (n * safe), 0.0)
     g_diff = (scale[:, None] * diff).astype(model.flat_params.dtype)  # d loss / d xs
     model.backward_state_batch(g_diff)
-    g_cmd = np.zeros((cmd_ids.size, g_diff.shape[1]), dtype=g_diff.dtype)
-    np.subtract.at(g_cmd, rows, g_diff)  # d loss / d xc, summed per distinct command
+    g_cmd = np.zeros((len(commands), g_diff.shape[1]), dtype=g_diff.dtype)
+    np.subtract.at(g_cmd, batch.command_ids, g_diff)  # d loss / d xc, summed per command
     model.backward_command(g_cmd)
     grads = model.flat_grads.copy()
     if weight_decay:
@@ -319,8 +322,11 @@ class MemDataset:
         """Read what ``save`` wrote. Files that are not a saved dataset raise
         ``ValueError``: a sidecar that is not a JSON object with integer
         ``per_command``, ``nulls`` and ``seed`` and a string ``hash``, an
-        ``.npz`` that is not a zip of exactly the dataset's arrays, or
-        arrays whose content hash is not the sidecar's."""
+        ``.npz`` that is not a zip of exactly the dataset's arrays, arrays
+        whose content hash is not the sidecar's, or an ``obs_label`` that is
+        not ``per_command`` rows of each command id, in id order, then
+        ``nulls`` rows of -1. The ``seed`` is recorded but not checked,
+        because no array determines it."""
         npz_path, sidecar_path = cls._paths(path)
         with open(sidecar_path, encoding="utf-8") as fh:
             try:
@@ -344,11 +350,20 @@ class MemDataset:
         )
         if ds.hash() != sidecar["hash"]:
             raise ValueError(f"{npz_path}: content hash mismatch")
+        q = ds.quotas
+        if min(q.per_command, q.nulls) < 0 or not np.array_equal(ds.obs_label, _obs_labels(q)):
+            raise ValueError(f"{sidecar_path}: {q} does not match the observation labels")
         return ds
 
 
 _ARRAY_NAMES = tuple(f.name for f in fields(MemDataset) if f.name not in ("quotas", "seed"))
 _SIDECAR_KEYS = {"per_command": int, "nulls": int, "seed": int, "hash": str}
+
+
+def _obs_labels(quotas: Quotas) -> np.ndarray:
+    """The observations' labels: ``per_command`` rows of each command id in id order, then ``nulls`` of -1."""
+    ids = np.append(np.arange(E.N_COMMANDS), -1).astype(np.int8)
+    return np.repeat(ids, [quotas.per_command] * E.N_COMMANDS + [quotas.nulls])
 
 
 NULL_WINDOW = 10  # steps with no detector fire before an obs counts as null
@@ -381,8 +396,7 @@ def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
     n_obs = n_goal + quotas.nulls
     spatial = np.empty((n_obs, E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.uint8)
     nonspatial = np.empty((n_obs, E.OBS_NONSPATIAL), dtype=np.float32)
-    obs_label = np.full(n_obs, -1, dtype=np.int8)
-    obs_label[:n_goal] = np.repeat(np.arange(n_commands), quotas.per_command)
+    obs_label = _obs_labels(quotas)
     obs_counters = np.empty((n_obs, 14), dtype=np.int32)
     n_kept = [0] * n_commands  # goal observations kept per command
     n_nulls = 0
@@ -524,13 +538,9 @@ def evaluate_mem(
       float64 per ``chunk`` samples, in the given order.
 
     The bits are those of one ``encode_state_batch`` over all the distinct
-    observations, and of encoding every sample with its chunk of samples.
-    The conv products run one GEMM per observation, and a row of a dense
-    product over two or more rows does not depend on the other rows
-    (OpenBLAS; the whole state encoder checked at 2 to 511 rows against
-    512), so a state row is the same in any batch of two or more. A batch
-    of one row runs its dense products as vector products, which round
-    differently; hence the tail rule.
+    observations, and of encoding every sample with its chunk of samples:
+    a state row has the same bits in any block of two or more rows (see the
+    module docstring), hence the tail rule.
 
     Memory: one block's float32 observations and conv1 patch matrix (about
     0.46 and 1.6 MB at 32 rows, the size of a training batch's) set the
@@ -543,7 +553,7 @@ def evaluate_mem(
     """
     if sample_idx.size == 0:
         raise ValueError("empty sample set")
-    cmd_vecs = np.stack([model.encode_command(c) for c in commands])
+    cmd_vecs = model.encode_command_batch(commands)
     _, first, obs_row = np.unique(dataset.sample_obs[sample_idx], return_index=True, return_inverse=True)
     starts = list(range(0, first.size, _ENCODE_BLOCK))
     if first.size - starts[-1] == 1 and len(starts) > 1:

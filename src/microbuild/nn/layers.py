@@ -229,13 +229,13 @@ class LSTM(Layer):
     same function:
 
     - ``step`` runs one timestep of (B, n_in) inputs from state (h, c).
-      Inference uses it: acting, where each input depends on the last
-      output, and encoding one command. It caches nothing.
+      Acting uses it alone, where each input depends on the last output.
+      It caches nothing.
     - ``forward_seq`` runs a whole (T, B, n_in) sequence known up front, as
-      in training. The input projection of all T*B rows, plus the bias, is
-      one product before the loop, which keeps only ``h @ w_h``, and the
-      underflow setting is entered once per sequence. It caches the
-      sequence for ``backward_seq``.
+      in training and in every command encoding (``MemModel``). The input
+      projection of all T*B rows, plus the bias, is one product before the
+      loop, which keeps only ``h @ w_h``, and the underflow setting is
+      entered once per sequence. It caches the sequence for ``backward_seq``.
 
     The two agree to float rounding: the hoisted product and the bias add
     round in another order. ``backward_seq`` backpropagates through the

@@ -212,6 +212,17 @@ def test_skipgram_bitwise_equals_row_scatter_reference(corpus, seed):
     assert got == losses
 
 
+class UnreadCorpus(list):
+    def __iter__(self):
+        raise AssertionError("the corpus was read")
+
+
+@pytest.mark.parametrize("field,value", [("epochs", 0), ("epochs", -3), ("batch", 0), ("batch", -256)])
+def test_skipgram_rejects_a_config_below_one_before_reading_the_corpus(field, value):
+    with pytest.raises(ValueError, match=field):
+        L.train_skipgram(UnreadCorpus(["build a depot"]), L.SkipgramConfig(**{field: value}), seed=3)
+
+
 def test_skipgram_loss_decreases_smoothed(trained):
     _, losses = trained
     smoothed = np.convolve(losses, np.ones(11) / 11, mode="valid")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -291,6 +292,29 @@ def test_loss_unequal_command_lengths_gradients_match_finite_differences(word_em
     assert err <= 1e-4
 
 
+@pytest.mark.parametrize("which", ["original", "alternate", "combined", "unequal"])
+def test_command_vectors_do_not_depend_on_their_batch(word_emb, unequal_commands, which):
+    # the loss, the scorer and the shaping bonus each encode a whole set in
+    # one pass, and encode_command one command; all must give the same bits
+    sets = {
+        "original": M.load_commands(),
+        "alternate": M.load_commands(alternate=True),
+        "combined": M.load_commands() + M.load_commands(alternate=True),
+        "unequal": unequal_commands,
+    }
+    cmds = sets[which]
+    for seed in range(5):
+        model = M.MemModel(word_emb, np.random.default_rng(seed))
+        full = model.encode_command_batch(cmds)
+        for u, c in enumerate(cmds):
+            assert model.encode_command(c).tobytes() == full[u].tobytes(), (seed, u)
+        for size in range(2, len(cmds)):
+            for subset in itertools.combinations(range(len(cmds)), size):
+                for order in (list(subset), list(reversed(subset))):
+                    got = model.encode_command_batch([cmds[u] for u in order])
+                    assert got.tobytes() == full[order].tobytes(), (seed, order)
+
+
 def test_loss_rejects_empty_batch(word_emb, commands):
     model = M.MemModel(word_emb, np.random.default_rng(0))
     batch = M.MemBatch(
@@ -362,10 +386,13 @@ def drop_sidecar_key(npz, sidecar):
     sidecar.write_text(json.dumps(fields), encoding="utf-8")
 
 
-def bool_sidecar(npz, sidecar):
-    fields = json.loads(sidecar.read_text(encoding="utf-8"))
-    fields.update(per_command=True, seed=False)  # JSON booleans are not integers
-    sidecar.write_text(json.dumps(fields), encoding="utf-8")
+def edit_sidecar(**changes):
+    def edit(npz, sidecar):
+        fields = json.loads(sidecar.read_text(encoding="utf-8"))
+        fields.update(changes)
+        sidecar.write_text(json.dumps(fields), encoding="utf-8")
+
+    return edit
 
 
 def list_sidecar(npz, sidecar):
@@ -396,14 +423,16 @@ def truncate_npz(npz, sidecar):
         (break_sidecar, "not JSON"),
         (drop_sidecar_key, "not a dataset sidecar"),
         (list_sidecar, "not a dataset sidecar"),
-        (bool_sidecar, "not a dataset sidecar"),
+        (edit_sidecar(per_command=True, seed=False), "not a dataset sidecar"),  # JSON booleans are not integers
+        (edit_sidecar(per_command=500, nulls=-7), "does not match the observation labels"),
+        (edit_sidecar(per_command=59, nulls=305), "does not match the observation labels"),  # same row count
         (rewrite_arrays(lambda a: a.pop("obs_label")), "expected"),
         (rewrite_arrays(lambda a: a.update(extra=np.zeros(3))), "expected"),
         (rewrite_arrays(flip_one_label), "content hash mismatch"),
         (truncate_npz, "not an .npz archive"),
     ],
-    ids=["sidecar-not-json", "sidecar-missing-key", "sidecar-not-object", "sidecar-bool", "missing-array", "extra-array",
-         "hash-mismatch", "npz-truncated"],
+    ids=["sidecar-not-json", "sidecar-missing-key", "sidecar-not-object", "sidecar-bool", "sidecar-quotas",
+         "sidecar-quotas-same-rows", "missing-array", "extra-array", "hash-mismatch", "npz-truncated"],
 )
 def test_dataset_load_rejects_malformed_files(tmp_path, small_dataset, corrupt, match):
     small_dataset.save(tmp_path / "ds")

@@ -17,7 +17,9 @@ observations and detector events, ``a3c_loss`` on a 32-step rollout,
 ``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset, ``AgentNet()`` with no ``rng`` (as
 ``evaluate_policy`` and ``AgentNet.load`` build it), ``AgentNet.act`` and
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
-and on two frames in turn (it misses every time), ``adam_step`` over the
+and on two frames in turn (it misses every time), the untrained MEM's
+``encode_command_batch`` over the shipped commands (one sequence pass)
+and ``encode_command`` of one command, ``adam_step`` over the
 agent's parameters, the state encoder's two convs forward and backward and
 its whole backward at batch 1 and 32 (32 is also the block size
 ``evaluate_mem`` encodes), its first conv forward at batch 8 and 64, and
@@ -188,6 +190,8 @@ def main() -> None:
         "AgentNet.act alternating": micros(lambda: net.act(next(other), aux[0], h0, c0, mask, rng)),
         "MemModel.encode_state repeated": micros(lambda: mem.encode_state(obs)),
         "MemModel.encode_state alternating": micros(lambda: mem.encode_state(next(other))),
+        f"MemModel.encode_command_batch U={len(commands)}": micros(lambda: mem.encode_command_batch(commands)),
+        "MemModel.encode_command": micros(lambda: mem.encode_command(commands[0])),
         f"adam_step n={params.size}": micros(lambda: adam_step(params, grads, adam), calls=50),
     }
     conv1, _, conv2, _, _ = net.encoder.spatial_net.layers
