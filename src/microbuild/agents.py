@@ -8,8 +8,9 @@ same bonus, no auxiliary features), and an unshaped baseline.
 evaluation alike; ``Actor`` states each episode's env seed and generator.
 Training keeps one learner network and one actor per worker. The actors
 take turns in a fixed order, one rollout on the learner network and one
-Adam update per turn, so a run is bitwise reproducible at any worker
-count, and a worker that raises stops the run at once.
+clipped Adam step (``SharedParams``) per turn, so a run is bitwise
+reproducible at any worker count, and a worker that raises stops the run
+at once. ``train`` counts the env steps and decides when to evaluate.
 
 ``EpisodeShaping`` is the one place a variant's bonus and aux features
 are computed, for training (``Actor``) and evaluation alike: it holds the
@@ -376,35 +377,22 @@ class EpisodeShaping:
 
 
 class SharedParams:
-    """The learner network's parameters: one Adam update per turn, in place
-    on ``net.flat_params``, on the gradient clipped to L2 norm ``GRAD_CLIP``,
-    and snapshots for evaluation."""
+    """The learner network's parameters. ``apply_gradients`` clips a gradient
+    to L2 norm ``GRAD_CLIP`` and runs one Adam step in place on
+    ``net.flat_params``; ``snapshot`` copies them for evaluation."""
 
-    def __init__(self, net: Model, config: AgentConfig):
+    def __init__(self, net: Model, lr: float):
         self._params = net.flat_params
-        self._adam = AdamState(self._params.size, lr=config.lr)
-        self._eval_interval = config.eval_interval
-        self.version = 0
-        self.steps = 0
-        self.total_steps = config.total_steps
+        self._adam = AdamState(self._params.size, lr=lr)
 
-    def snapshot(self) -> tuple[np.ndarray, int]:
-        return self._params.copy(), self.version
+    def snapshot(self) -> np.ndarray:
+        return self._params.copy()
 
-    def should_stop(self) -> bool:
-        return self.steps >= self.total_steps
-
-    def apply_gradients(self, grads: np.ndarray, n_steps: int) -> list[int]:
-        """Returns the eval boundaries (step multiples) this update crossed."""
+    def apply_gradients(self, grads: np.ndarray) -> None:
         norm = float(np.linalg.norm(grads))
         if norm > GRAD_CLIP:
             grads = grads * (GRAD_CLIP / norm)
         adam_step(self._params, grads, self._adam)
-        self.version += 1
-        before = self.steps
-        self.steps = before + n_steps
-        first = (before // self._eval_interval + 1) * self._eval_interval
-        return list(range(first, self.steps + 1, self._eval_interval))
 
 
 # ----------------------------------------------------------------- records
@@ -412,14 +400,15 @@ class SharedParams:
 
 @dataclass
 class RunRecord:
+    """One training episode, ended at the run's env step ``step``; the run's
+    variant and seed are in ``TrainResult.config``."""
+
     step: int
     worker: int
     episode: int
     env_score: float
     shaped_return: float
     instr_completions: int
-    variant: str
-    seed: int
 
 
 # ------------------------------------------------------------------ actors
@@ -528,8 +517,6 @@ class Actor:
             env_score=float(self.env.score),
             shaped_return=float(self.shaped_return),
             instr_completions=self.shaping.completions,
-            variant=self.config.variant,
-            seed=self.config.base_seed,
         )
         self.episode += 1
         self._start_episode()
@@ -598,7 +585,6 @@ class TrainResult:
     eval_rows: list[dict]
     records: list[RunRecord]
     final_params: np.ndarray
-    version: int
     config: AgentConfig
 
 
@@ -608,35 +594,35 @@ def train(
     commands: list[CommandSpec] | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> TrainResult:
-    """Run k actors on one learner network to the step budget, evaluating
-    at fixed boundaries.
+    """Run k actors on one learner network to ``total_steps`` env steps,
+    evaluating at every multiple of ``eval_interval``.
 
     The actors take turns, 0, 1, …, k-1, 0, …: each turn is one rollout on
     the latest parameters, then one update, so a run is bitwise
-    reproducible at any k. An update that crosses a boundary is evaluated
-    at once on a snapshot taken at the crossing. A worker that raises
-    fails the run at once.
+    reproducible at any k. After an update, each boundary its steps
+    crossed is evaluated on the updated parameters. A worker that raises
+    fails the run at once. ``random`` has no network to train and raises
+    ``ValueError``; ``evaluate_policy`` plays it.
     """
     config.validate()
     if config.variant == "random":
-        row = {"step": 0, **evaluate_policy(np.zeros(1, dtype=np.float32), config, mem, commands)}
-        return TrainResult([row], [], np.zeros(1, dtype=np.float32), 0, config)
+        raise ValueError("the random variant has no network to train; evaluate_policy plays it")
 
     net = AgentNet(np.random.default_rng(config.base_seed))
-    shared = SharedParams(net, config)
+    shared = SharedParams(net, config.lr)
     records: list[RunRecord] = []
     eval_rows: list[dict] = []
 
     def run_eval(step: int) -> None:
-        params, version = shared.snapshot()
-        eval_rows.append({"step": step, "version": version, **evaluate_policy(params, config, mem, commands)})
+        eval_rows.append({"step": step, **evaluate_policy(shared.snapshot(), config, mem, commands)})
         if progress is not None:
             progress(step)
 
     run_eval(0)
     actors: list[Actor] = []  # worker k joins on its first turn
-    wid = 0
-    while not shared.should_stop():
+    interval = config.eval_interval
+    steps = wid = 0
+    while steps < config.total_steps:
         try:
             if wid == len(actors):
                 rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, wid)))
@@ -644,13 +630,14 @@ def train(
                 actors.append(Actor(net, config, shaping, config.base_seed + wid * 1_000_003, rng, wid))
             rollout, done = actors[wid].rollout()
             _, grads = a3c_loss(rollout, net, config)
-            for boundary in shared.apply_gradients(grads, len(rollout)):
+            shared.apply_gradients(grads)
+            before, steps = steps, steps + len(rollout)
+            for boundary in range((before // interval + 1) * interval, steps + 1, interval):
                 run_eval(boundary)
             if done:
-                records.append(actors[wid].end_episode(shared.steps))
+                records.append(actors[wid].end_episode(steps))
         except Exception as exc:
             raise RuntimeError(f"worker failed: {exc!r} (worker {wid})") from exc
         wid = (wid + 1) % config.workers
 
-    final_params, version = shared.snapshot()
-    return TrainResult(eval_rows, records, final_params, version, config)
+    return TrainResult(eval_rows, records, shared.snapshot(), config)

@@ -68,8 +68,6 @@ class WordEmbeddings:
 
     def embed_tokens(self, tokens: list[str]) -> np.ndarray:
         """Per-token rows, zero vector for out-of-vocabulary tokens."""
-        if not tokens:
-            return np.zeros((0, self.dim), dtype=np.float32)
         return self.vectors[[self.index.get(t, 0) for t in tokens]]
 
     def spec(self) -> dict:

@@ -8,8 +8,9 @@ more rows: a row of such a product does not depend on the other rows
 to 511 rows against 512, the command LSTM's products at 2 to 199 rows
 against 2), and a one-row product can round differently. So commands are
 encoded one way for the loss, the scorer and the shaping bonus: one LSTM
-sequence pass over the set, ``MemModel.encode_command_batch``, whose
-two-row call is ``encode_command``.
+sequence pass over the set, ``MemModel.encode_command_batch``, which runs
+a one-command set as two copies of it. ``encode_command`` is its
+one-command call.
 
 Training pulls matched (state, command) pairs to distance 0 and pushes
 mismatched pairs to distance 1:
@@ -73,8 +74,9 @@ class CommandSpec:
 def load_commands(path=None, alternate: bool = False) -> list[CommandSpec]:
     """Command set as shipped, or read from ``path``; ids align with the
     detector event ids. A file that is not a JSON list of objects, each
-    with an integer ``id`` and a string ``text``, with ids dense from 0,
-    raises ``ValueError``."""
+    with an integer ``id`` and a string ``text``, with ids dense from 0 and
+    each below ``env.N_COMMANDS`` (an id with a detector event), raises
+    ``ValueError``."""
     if path is None:
         path = "alternate_commands.json" if alternate else "original_commands.json"
         raw = resources.files("microbuild.data").joinpath(path).read_text(encoding="utf-8")
@@ -89,6 +91,8 @@ def load_commands(path=None, alternate: bool = False) -> list[CommandSpec]:
     specs = sorted((CommandSpec(id=c["id"], text=c["text"]) for c in entries), key=lambda c: c.id)
     if [c.id for c in specs] != list(range(len(specs))):
         raise ValueError(f"{path}: command ids must be dense starting at 0")
+    if len(specs) > E.N_COMMANDS:
+        raise ValueError(f"{path}: command ids must be below {E.N_COMMANDS}, the detector events")
     return specs
 
 
@@ -152,16 +156,20 @@ class MemModel(Model):
         return self.encode_state_batch(obs.spatial[None], obs.nonspatial[None])[0]
 
     def encode_command(self, command: CommandSpec) -> np.ndarray:
-        """The command's vector: row 0 of ``encode_command_batch([command, command])``."""
-        return self.encode_command_batch([command, command])[0]
+        """The command's vector: ``encode_command_batch([command])[0]``."""
+        return self.encode_command_batch([command])[0]
 
     def encode_command_batch(self, commands: list[CommandSpec]) -> np.ndarray:
         """The command encoder: each command's vector, (U, embed_dim), from one LSTM sequence pass.
 
         The word vectors are right-padded with zeros to the longest command;
-        each row's hidden state is read at its own last token. Caches the
-        pass for ``backward_command``. One command goes through ``encode_command``.
+        each row's hidden state is read at its own last token. One command
+        runs as two copies, because a one-row product can round differently.
+        Caches the pass for ``backward_command``.
         """
+        n = len(commands)
+        if n == 1:
+            commands = commands * 2
         lengths = np.array([len(c.tokens) for c in commands])
         xs = np.zeros((lengths.max(), len(commands), self.word_embeddings.dim), dtype=self.flat_params.dtype)
         for u, c in enumerate(commands):
@@ -169,16 +177,19 @@ class MemModel(Model):
         h0, c0 = self.cmd_lstm.zero_state(len(commands))
         hs = self.cmd_lstm.forward_seq(xs, h0, c0)  # (T_max, U, embed_dim)
         self._cmd_last = lengths - 1
-        return self.cmd_proj.forward(hs[self._cmd_last, np.arange(len(commands))])
+        return self.cmd_proj.forward(hs[self._cmd_last, np.arange(len(commands))])[:n]
 
     def backward_command(self, g_out: np.ndarray) -> None:
         """Backward of ``encode_command_batch`` for its (U, embed_dim) output gradient.
 
         Each row's gradient enters the recurrence at that row's last token,
-        so the padded steps after it get none.
+        so the padded steps after it get none; a one-command pass's second
+        copy gets none either.
         """
-        g_h = self.cmd_proj.backward(g_out)
         last = self._cmd_last
+        if g_out.shape[0] < last.size:
+            g_out = np.concatenate([g_out, np.zeros_like(g_out)])
+        g_h = self.cmd_proj.backward(g_out)
         gh_seq = np.zeros((last.max() + 1, last.size, EMBED_DIM), dtype=g_h.dtype)
         gh_seq[last, np.arange(last.size)] = g_h
         self.cmd_lstm.backward_seq(gh_seq)

@@ -10,6 +10,7 @@ from microbuild import agents as A
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
+from microbuild.nn import AdamState, adam_step
 
 from gradcheck import bound, grad_check_fn
 
@@ -475,37 +476,28 @@ class FlatParams:
     flat_params: np.ndarray
 
 
-def test_shared_params_version_counts_updates():
-    cfg = A.AgentConfig(total_steps=10_000, eval_interval=1_000_000, lr=1e-3)
-    shared = A.SharedParams(FlatParams(np.zeros(10, dtype=np.float32)), cfg)
-    g = np.ones(10, dtype=np.float32)
-    for i in range(7):
-        shared.apply_gradients(g, n_steps=32)
-    assert shared.version == 7
-    assert shared.steps == 7 * 32
-
-
-def test_shared_params_eval_boundaries():
-    cfg = A.AgentConfig(total_steps=300, eval_interval=100)
-    shared = A.SharedParams(FlatParams(np.zeros(3, dtype=np.float32)), cfg)
-    crossed = shared.apply_gradients(np.ones(3, dtype=np.float32), n_steps=150)
-    assert crossed == [100]
-    crossed = shared.apply_gradients(np.ones(3, dtype=np.float32), n_steps=150)
-    assert crossed == [200, 300]
+def test_shared_params_applies_clipped_adam_steps():
+    shared = A.SharedParams(FlatParams(np.zeros(10, dtype=np.float32)), lr=1e-3)
+    want, adam = np.zeros(10, dtype=np.float32), AdamState(10, lr=1e-3)
+    rng = np.random.default_rng(0)
+    for scale in (100.0, 1.0, 30.0, 0.01):  # L2 norms about 316, 3.2, 95 and 0.03
+        g = (scale * rng.standard_normal(10)).astype(np.float32)
+        shared.apply_gradients(g)
+        norm = float(np.linalg.norm(g))
+        adam_step(want, g * (A.GRAD_CLIP / norm) if norm > A.GRAD_CLIP else g, adam)
+        assert shared.snapshot().tobytes() == want.tobytes()
 
 
 def test_shared_params_snapshot_consistent():
-    cfg = A.AgentConfig(total_steps=100, eval_interval=1000)
     net = FlatParams(np.arange(4, dtype=np.float32))
-    shared = A.SharedParams(net, cfg)
-    params, version = shared.snapshot()
+    shared = A.SharedParams(net, lr=1e-4)
+    params = shared.snapshot()
     np.testing.assert_array_equal(params, np.arange(4, dtype=np.float32))
-    assert version == 0
     # the update lands in the network's own array; the snapshot is a copy
-    shared.apply_gradients(np.ones(4, dtype=np.float32), n_steps=1)
+    shared.apply_gradients(np.ones(4, dtype=np.float32))
     assert (net.flat_params < np.arange(4)).all()
     np.testing.assert_array_equal(params, np.arange(4, dtype=np.float32))
-    np.testing.assert_array_equal(shared.snapshot()[0], net.flat_params)
+    np.testing.assert_array_equal(shared.snapshot(), net.flat_params)
 
 
 # ------------------------------------------------------------------ actors
@@ -567,7 +559,7 @@ def test_train_deterministic_single_worker():
         return A.train(cfg)
 
     a, b = run(), run()
-    assert a.final_params.tobytes() == b.final_params.tobytes() and a.version == b.version
+    assert a.final_params.tobytes() == b.final_params.tobytes()
     assert a.records and a.records == b.records
 
 
@@ -592,6 +584,56 @@ def test_value_head_learns_constant_reward_stream():
         assert value == pytest.approx(target, rel=0.05), f"seed {seed}"
 
 
+class BanditEnv:
+    """A one-step bandit played as a game: a fixed observation, 64-step
+    episodes, and TRAIN_MARINE pays 1 whether or not the mask allows it.
+    Every action the env receives must be legal under the mask it gave."""
+
+    def __init__(self, seed: int, mask: np.ndarray):
+        self.obs = E.encode_observation(None, E.reset(seed))
+        self.mask = mask
+        self.t = 0
+        self.score = 0.0
+
+    def observe(self):
+        return self.obs
+
+    def legal_mask(self):
+        return self.mask
+
+    def step(self, action):
+        assert self.mask[action.kind], f"illegal action {action}"
+        self.t += 1
+        reward = float(action.kind == E.A_TRAIN_MARINE)
+        self.score += reward
+        return self.obs, reward, self.t >= 64, frozenset()
+
+
+def train_bandit(base_seed: int, mask: np.ndarray) -> A.TrainResult:
+    cfg = A.AgentConfig(
+        variant="none", workers=1, total_steps=5_000, base_seed=base_seed,
+        eval_interval=5_000, eval_episodes=4, env_factory=lambda seed: BanditEnv(seed, mask),
+    )
+    return A.train(cfg)
+
+
+@pytest.mark.parametrize("base_seed", [0, 1])
+def test_policy_gradient_learns_a_bandit(base_seed):
+    # the untrained policy pays about 11 of 64; 5k steps at the default lr
+    # reach 43.5 and 31.25, and with the action-id advantages negated 6.0 and 3.75
+    rows = train_bandit(base_seed, np.ones(E.N_ACTIONS, bool)).eval_rows
+    assert [row["step"] for row in rows] == [0, 5_000]
+    assert rows[-1]["mean_score"] >= 2 * rows[0]["mean_score"] > 0
+
+
+def test_policy_gradient_never_plays_a_masked_action_that_pays():
+    mask = np.ones(E.N_ACTIONS, bool)
+    mask[E.A_TRAIN_MARINE] = False
+    result = train_bandit(0, mask)
+    assert result.records and all(r.env_score == 0.0 for r in result.records)
+    assert [row["mean_score"] for row in result.eval_rows] == [0.0, 0.0]
+
+
 # ------------------------------------------------------------------- train
 
 
@@ -609,6 +651,20 @@ def test_train_single_worker_eval_rows_reproducible(commands):
     assert [row["step"] for row in a.eval_rows] == [0, 500, 1000]
 
 
+def test_train_evaluates_every_boundary_an_update_crosses():
+    steps = []
+    cfg = A.AgentConfig(
+        variant="none", workers=1, total_steps=32, rollout_len=16, base_seed=4,
+        horizon=40, eval_interval=8, eval_episodes=2,
+    )
+    rows = A.train(cfg, progress=steps.append).eval_rows
+    # each 16-step update crosses two boundaries; both are evaluated on the
+    # parameters after it, so their rows agree in all but the step
+    assert steps == [row["step"] for row in rows] == [0, 8, 16, 24, 32]
+    scores = [{k: v for k, v in row.items() if k != "step"} for row in rows]
+    assert scores[1] == scores[2] and scores[3] == scores[4]
+
+
 MULTI_WORKER = dict(
     variant="subtask", workers=3, total_steps=3_000, rollout_len=16,
     base_seed=2, horizon=80, eval_interval=1500, eval_episodes=2, lr=1e-3,
@@ -618,9 +674,7 @@ MULTI_WORKER = dict(
 def test_train_multi_worker_smoke(commands):
     result = A.train(A.AgentConfig(**MULTI_WORKER), None, commands)
     # every turn is a full 16-step rollout: 188 turns reach 3008 >= 3000 steps
-    assert result.version == 188
     assert [row["step"] for row in result.eval_rows] == [0, 1500, 3000]
-    assert [row["version"] for row in result.eval_rows] == [0, 94, 188]
     # turns go 0, 1, 2, 0, ...; worker w ends episode e (5 turns of 80 steps)
     # on its turn 5e + 4, global turn 15e + 12 + w
     assert [(r.worker, r.episode, r.step) for r in result.records] == [
@@ -683,12 +737,12 @@ def test_random_variant_replays_random_legal_action():
     assert row["mean_score"] > 0.0
 
 
-def test_train_random_variant_matches_uniform_baseline():
-    cfg = A.AgentConfig(variant="random", workers=1, total_steps=1, horizon=80, eval_episodes=4)
-    a = A.train(cfg)
-    b = A.train(cfg)
-    assert a.eval_rows == b.eval_rows
-    assert a.eval_rows[0]["mean_score"] >= 0.0
+def test_train_rejects_random_before_building_an_env():
+    built = []
+    cfg = A.AgentConfig(variant="random", workers=1, total_steps=32, eval_episodes=1, env_factory=built.append)
+    with pytest.raises(ValueError, match="random"):
+        A.train(cfg)
+    assert built == []
 
 
 def reference_evaluate_policy(params, config, mem=None, commands=None):

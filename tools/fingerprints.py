@@ -7,9 +7,11 @@ behaviour bit for bit:
 
 The fingerprints cover skip-gram vectors, the initial parameters of both
 models, the MEM dataset, MEM training, the saved model files, 1-worker A3C
-training for each shaped variant, 3-worker subtask and 2-worker narration
-training, and the random baseline. ``infer_eval_mem_chunks`` scores the
-training split and random draws with repeated samples, in chunks of 64.
+training for none, subtask and narration, 3-worker subtask and 2-worker
+narration training, and the random baseline. A ``train_*`` line hashes
+the final parameters, the eval rows and the episode records.
+``infer_eval_mem_chunks`` scores the training split and random draws with
+repeated samples, in chunks of 64.
 The ``infer_*`` lines run forward passes only, on untrained parameters: a
 change that keeps every forward value keeps them bit for bit even where
 training drifts by float32 rounding. Values computed with BLAS are only
@@ -135,7 +137,7 @@ def main() -> None:
             horizon=80, eval_interval=500, eval_episodes=3, lr=1e-3,
         )
         res = A.train(cfg, mem, commands)
-        out[name] = sha(res.final_params, res.eval_rows, res.records, res.version)
+        out[name] = sha(res.final_params, res.eval_rows, res.records)
     cfg = A.AgentConfig(variant="random", horizon=720, eval_episodes=20, eval_seed=10_000)
     row = A.evaluate_policy(np.zeros(1, dtype=np.float32), cfg)
     out["random"] = f"{sha(row)} mean_score={row['mean_score']}"
