@@ -12,6 +12,14 @@ sequence pass over the set, ``MemModel.encode_command_batch``, which runs
 a one-command set as two copies of it. ``encode_command`` is its
 one-command call.
 
+States do not depend on the commands, so scoring a second command set on
+the same samples need not encode them again: each ``MemModel`` keeps the
+state rows of its last ``evaluate_mem`` call, and a call on the same
+parameters, dataset and distinct observations reuses them (see
+``evaluate_mem``). Only that exact set is reused. Rows for a subset would
+have to come from their own encoder pass, because a one-row remainder
+rounds differently.
+
 Training pulls matched (state, command) pairs to distance 0 and pushes
 mismatched pairs to distance 1:
 
@@ -35,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 import zipfile
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -106,7 +115,12 @@ def mem_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 class MemModel(Model):
     """Paired state and command encoders with shared output dimension. With
-    no ``rng`` the weights start at zero, for callers that load them."""
+    no ``rng`` the weights start at zero, for callers that load them.
+
+    Each model holds one memo: the state rows of its last ``evaluate_mem``
+    call and that call's key. It belongs to the instance and is never shared
+    with another model, even one with the same parameters.
+    """
 
     def __init__(self, word_embeddings: WordEmbeddings, rng: np.random.Generator | None = None):
         self.word_embeddings = word_embeddings  # frozen; not part of theta
@@ -116,6 +130,7 @@ class MemModel(Model):
         self.cmd_proj = Dense(EMBED_DIM, EMBED_DIM, rng)
         self.layers = [self.encoder, self.state_proj, self.cmd_lstm, self.cmd_proj]
         self._own_params()
+        self._state_memo: tuple | None = None  # (key, spatial ref, nonspatial ref, rows); see ``evaluate_mem``
 
     def spec(self) -> dict:
         return {
@@ -272,6 +287,10 @@ class MemDataset:
 
     Matched and mismatched samples built from the same observation always
     share a split, so no test observation ever appears in training.
+
+    A dataset is immutable: every array is read-only, and an array passed in
+    that does not own its data (a view) is copied first, so no other name can
+    write to it. ``evaluate_mem`` relies on this when it reuses state rows.
     """
 
     spatial: np.ndarray  # (M, 14, 16, 16) uint8
@@ -286,6 +305,14 @@ class MemDataset:
     split_test: np.ndarray
     quotas: Quotas = field(default_factory=Quotas)
     seed: int = 0
+
+    def __post_init__(self):
+        for name in _ARRAY_NAMES:
+            arr = getattr(self, name)
+            if arr.base is not None:
+                arr = arr.copy()
+                setattr(self, name, arr)
+            arr.flags.writeable = False
 
     def n_samples(self) -> int:
         return int(self.sample_obs.shape[0])
@@ -538,7 +565,9 @@ def evaluate_mem(
     """(mean loss incl. penalty, accuracy) over the given sample indices.
 
     Each distinct observation among the samples is encoded once, and every
-    sample is scored from its observation's state row.
+    sample is scored from its observation's state row. ``chunk`` below 1, a
+    ``threshold`` that is not positive (NaN included) or a negative
+    ``weight_decay`` raises ``ValueError`` before anything is encoded.
 
     - Encoding runs in blocks of ``_ENCODE_BLOCK`` distinct observations:
       one sample per observation goes through ``dataset.batch``, and the
@@ -553,6 +582,27 @@ def evaluate_mem(
     a state row has the same bits in any block of two or more rows (see the
     module docstring), hence the tail rule.
 
+    The state rows do not depend on the commands. The model keeps the rows
+    of its last call, and a call whose key matches reuses them: it makes no
+    ``dataset.batch`` or ``encode_state_batch`` call and only encodes the
+    commands and scores. So scoring a second command set on the same samples
+    costs the scoring alone, with the same bits, because the stored rows are
+    the ones the encoder gave. The key has three parts:
+
+    - the sha256 digest of ``model.flat_params``' bytes, so ``set_flat``, an
+      optimizer step or an in-place write to a weight misses, as in the conv
+      trunk's memo. A digest (about 0.1 ms) rather than a copy of the bytes
+      (158 KB, held per model and made again by every call) keeps a
+      process's peak memory where it was;
+    - ``dataset.spatial`` and ``dataset.nonspatial``, held by weak reference
+      and compared by identity, so the model never keeps a dataset alive and
+      a reused ``id`` never matches. Identity suffices because a dataset's
+      arrays are read-only (``MemDataset``); a content hash would cost about
+      as much as a block's encoding;
+    - the bytes of the distinct observation ids, as ``np.unique`` returns
+      them. Only the exact set hits: rows for a subset would round
+      differently as their own blocks.
+
     Memory: one block's float32 observations and conv1 patch matrix (about
     0.46 and 1.6 MB at 32 rows, the size of a training batch's) set the
     peak, whatever the number of observations. A block's frames are freed
@@ -560,20 +610,35 @@ def evaluate_mem(
     patch matrix before it gathers the next, so no two blocks' buffers are
     held at once. Beyond them only the state rows (256 bytes per distinct
     observation, written into one array) and the index arrays (tens of
-    bytes per sample) grow.
+    bytes per sample, the key's observation ids among them) grow. A miss
+    drops the last call's rows before it encodes; the memo then holds this
+    call's.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not weight_decay >= 0:
+        raise ValueError(f"weight_decay must not be negative, got {weight_decay}")
     if sample_idx.size == 0:
         raise ValueError("empty sample set")
     cmd_vecs = model.encode_command_batch(commands)
-    _, first, obs_row = np.unique(dataset.sample_obs[sample_idx], return_index=True, return_inverse=True)
-    starts = list(range(0, first.size, _ENCODE_BLOCK))
-    if first.size - starts[-1] == 1 and len(starts) > 1:
-        starts.pop()  # a one-row block would round differently
-    states = np.empty((first.size, EMBED_DIM), dtype=model.flat_params.dtype)
-    for a, b in zip(starts, [*starts[1:], first.size]):
-        batch = dataset.batch(sample_idx[first[a:b]])
-        states[a:b] = model.encode_state_batch(batch.spatial, batch.nonspatial)
-        del batch  # free this block's frames before the next block's are gathered
+    obs, first, obs_row = np.unique(dataset.sample_obs[sample_idx], return_index=True, return_inverse=True)
+    key = (hashlib.sha256(model.flat_params).digest(), obs.tobytes())
+    memo = model._state_memo
+    if memo is not None and memo[0] == key and memo[1]() is dataset.spatial and memo[2]() is dataset.nonspatial:
+        states = memo[3]
+    else:
+        model._state_memo = memo = None  # free the last call's rows before this call's are encoded
+        starts = list(range(0, first.size, _ENCODE_BLOCK))
+        if first.size - starts[-1] == 1 and len(starts) > 1:
+            starts.pop()  # a one-row block would round differently
+        states = np.empty((first.size, EMBED_DIM), dtype=model.flat_params.dtype)
+        for a, b in zip(starts, [*starts[1:], first.size]):
+            batch = dataset.batch(sample_idx[first[a:b]])
+            states[a:b] = model.encode_state_batch(batch.spatial, batch.nonspatial)
+            del batch  # free this block's frames before the next block's are gathered
+        model._state_memo = (key, weakref.ref(dataset.spatial), weakref.ref(dataset.nonspatial), states)
     total_sq, correct = 0.0, 0
     for start in range(0, sample_idx.size, chunk):
         part = sample_idx[start : start + chunk]

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
-from microbuild.nn import save_model
+from microbuild.nn import AdamState, adam_step, save_model
 
 from gradcheck import bound, grad_check_fn
 
@@ -382,6 +384,21 @@ def test_dataset_save_load_round_trip(tmp_path, small_dataset):
     assert loaded.quotas == small_dataset.quotas
 
 
+def test_dataset_arrays_are_read_only_and_a_view_passed_in_is_copied(small_dataset):
+    for arr in small_dataset.arrays().values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+    arrays = {name: arr.copy() for name, arr in small_dataset.arrays().items()}
+    backing = np.stack([arrays["spatial"], arrays["spatial"]])
+    arrays["spatial"] = backing[0]
+    ds = M.MemDataset(**arrays, quotas=small_dataset.quotas, seed=small_dataset.seed)
+    backing[0] += 1  # writes the caller's buffer, not the dataset's copy
+    assert ds.hash() == small_dataset.hash()
+    assert ds.nonspatial is arrays["nonspatial"]  # an array that owns its data is kept, now read-only
+    with pytest.raises(ValueError, match="read-only"):
+        arrays["nonspatial"][0, 0] = 1
+
+
 def break_sidecar(npz, sidecar):
     sidecar.write_text("{not json", encoding="utf-8")
 
@@ -698,15 +715,28 @@ def test_evaluate_mem_encodes_blocks_with_the_bits_of_one_batch(word_emb, comman
     assert got == want
 
 
+def each_call_encodes(model, call):
+    """``call`` run on the other of two parameter versions of ``model`` each time,
+    so that no call reuses the state rows of the one before it."""
+    versions = itertools.cycle([model.get_flat(), 0.5 * model.get_flat()])
+
+    def run():
+        model.set_flat(next(versions))
+        return call()
+
+    return run
+
+
 def test_evaluate_mem_peak_memory_does_not_grow_with_the_observations(word_emb, commands, small_dataset):
     ds = small_dataset
     model = M.MemModel(word_emb, np.random.default_rng(1))
 
     def peak(idx):
-        M.evaluate_mem(model, ds, idx, commands, 2.5e-3)  # the layers' caches now hold a block already
+        call = each_call_encodes(model, lambda: M.evaluate_mem(model, ds, idx, commands, 2.5e-3))
+        call()  # the layers' caches now hold a block already
         tracemalloc.start()
         try:
-            M.evaluate_mem(model, ds, idx, commands, 2.5e-3)
+            call()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -724,7 +754,7 @@ def test_evaluate_mem_peak_memory_is_one_block(word_emb, commands, small_dataset
     frames = BLOCK * E.OBS_CHANNELS * E.GRID * E.GRID * 4  # one block's float32 observations
     patch = BLOCK * 6 * 6 * (E.OBS_CHANNELS * 5 * 5) * 4  # and its conv1 patch matrix
     # the margin covers the state rows, the index arrays and a scoring chunk's temporaries
-    rise = traced_rise(lambda: M.evaluate_mem(model, ds, everything, commands, 2.5e-3))
+    rise = traced_rise(each_call_encodes(model, lambda: M.evaluate_mem(model, ds, everything, commands, 2.5e-3)))
     assert rise < frames + patch + 1_000_000
 
 
@@ -732,6 +762,96 @@ def test_evaluate_mem_rejects_empty_sample_set(word_emb, commands, small_dataset
     model = M.MemModel(word_emb, np.random.default_rng(1))
     with pytest.raises(ValueError, match="empty sample set"):
         M.evaluate_mem(model, small_dataset, np.zeros(0, dtype=np.int32), commands, 2.5e-3)
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [("chunk", 0), ("chunk", -5), ("threshold", 0.0), ("threshold", -1.0), ("threshold", float("nan")),
+     ("weight_decay", -1.0)],
+)
+def test_evaluate_mem_rejects_settings_that_cannot_score(word_emb, commands, small_dataset, setting, value):
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    model.encode_state_batch = model.encode_command_batch = None  # nothing may be encoded
+    settings = {"weight_decay": 2.5e-3, setting: value}
+    with pytest.raises(ValueError, match=setting):
+        M.evaluate_mem(model, small_dataset, small_dataset.split_val, commands, **settings)
+
+
+def encodings(monkeypatch, model):
+    """The calls ``model`` and every dataset make to encode or gather states from now on."""
+    calls = []
+    batch, encode = M.MemDataset.batch, model.encode_state_batch
+    monkeypatch.setattr(M.MemDataset, "batch", lambda ds, idx: calls.append("batch") or batch(ds, idx))
+    model.encode_state_batch = lambda *a: calls.append("encode") or encode(*a)
+    return calls
+
+
+def scored_fresh(word_emb, model, *args):
+    """``evaluate_mem`` on a new model with ``model``'s parameters, whose memo is empty."""
+    fresh = M.MemModel(word_emb)
+    fresh.set_flat(model.get_flat())
+    return M.evaluate_mem(fresh, *args)
+
+
+def test_evaluate_mem_scores_a_second_command_set_from_the_stored_state_rows(monkeypatch, word_emb, small_dataset):
+    ds, idx = small_dataset, eval_sets(small_dataset)["repeats"]
+    originals, alternates = M.load_commands(), M.load_commands(alternate=True)
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    M.evaluate_mem(model, ds, idx, originals, 2.5e-3, EVAL_THRESHOLD, chunk=64)
+    orders = (idx, idx[::-1])  # the same distinct observations in another sample order hit too
+    args = (alternates, 2.5e-3, EVAL_THRESHOLD, 64)
+    want = [scored_fresh(word_emb, model, ds, samples, *args) for samples in orders]
+    calls = encodings(monkeypatch, model)
+    assert [M.evaluate_mem(model, ds, samples, *args) for samples in orders] == want
+    assert calls == []
+
+
+def take_adam_step(model, ds, idx):
+    adam_step(model.flat_params, np.full(model.n_params(), 1e-3, np.float32), AdamState(model.n_params(), lr=1e-3))
+    return ds, idx
+
+
+def set_other_values(model, ds, idx):
+    model.set_flat(M.MemModel(model.word_embeddings, np.random.default_rng(2)).get_flat())
+    return ds, idx
+
+
+def write_one_conv_weight(model, ds, idx):
+    model.encoder.spatial_net.layers[0].weight[0, 0, 0, 0] += 0.25
+    return ds, idx
+
+
+def other_samples(model, ds, idx):
+    return ds, ds.split_test
+
+
+def copied_dataset(model, ds, idx):
+    copies = {name: arr.copy() for name, arr in ds.arrays().items()}
+    return M.MemDataset(**copies, quotas=ds.quotas, seed=ds.seed), idx
+
+
+@pytest.mark.parametrize(
+    "change", [take_adam_step, set_other_values, write_one_conv_weight, other_samples, copied_dataset]
+)
+def test_evaluate_mem_encodes_again_when_its_key_changes(monkeypatch, word_emb, small_dataset, change):
+    originals, alternates = M.load_commands(), M.load_commands(alternate=True)
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    M.evaluate_mem(model, small_dataset, small_dataset.split_val, originals, 2.5e-3, EVAL_THRESHOLD)
+    ds, idx = change(model, small_dataset, small_dataset.split_val)
+    want = scored_fresh(word_emb, model, ds, idx, alternates, 2.5e-3, EVAL_THRESHOLD)
+    calls = encodings(monkeypatch, model)
+    assert M.evaluate_mem(model, ds, idx, alternates, 2.5e-3, EVAL_THRESHOLD) == want
+    assert "batch" in calls and "encode" in calls
+
+
+def test_evaluate_mem_keeps_no_dataset_alive(word_emb, commands, small_dataset):
+    ds = copied_dataset(None, small_dataset, None)[0]
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    M.evaluate_mem(model, ds, ds.split_val, commands, 2.5e-3)
+    arrays = [weakref.ref(ds.spatial), weakref.ref(ds.nonspatial)]
+    del ds
+    gc.collect()
+    assert all(ref() is None for ref in arrays)
 
 
 def test_command_ids_align_with_detector_ids(commands):

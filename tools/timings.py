@@ -14,7 +14,11 @@ game), of ``Actor.rollout`` for 32 steps of the ``none`` variant,
 and of the ``subtask`` variant over that scripted-expert game's
 observations and detector events, ``a3c_loss`` on a 32-step rollout,
 ``mem_loss`` with gradients on a 32-sample batch over the shipped commands,
-``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset, ``AgentNet()`` with no ``rng`` (as
+``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset with
+the shipped commands (on the other of two parameter versions each call, so
+every call encodes the states) and again with the alternate commands on
+unchanged parameters (every call reuses the model's stored state rows and
+only encodes the commands and scores), ``AgentNet()`` with no ``rng`` (as
 ``evaluate_policy`` and ``AgentNet.load`` build it), ``AgentNet.act`` and
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
 and on two frames in turn (it misses every time), the untrained MEM's
@@ -28,7 +32,7 @@ them; and the 32-step ``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each fi
 lowest of five medians (of five runs for a set-up stage), which damps the
 swings of a shared host; compare two commits by running it at each,
 alternately, on the same machine. Last come three peak memories, in MB,
-of that ``mem_loss``, ``a3c_loss`` and ``evaluate_mem`` call: how far the
+of that ``mem_loss``, ``a3c_loss`` and encoding ``evaluate_mem`` call: how far the
 memory ``tracemalloc`` sees numpy and Python hold rises above its level
 after a first call, which leaves the layers' caches filled. Tracing starts
 before that first call, so a cache the second call frees before it
@@ -125,6 +129,7 @@ def main() -> None:
     mem = M.MemModel(emb, np.random.default_rng(1))
     narration_cfg = A.AgentConfig(variant="narration", horizon=256, eval_episodes=2)
     commands, wd = M.load_commands(), M.MemTrainConfig().weight_decay
+    alternates = M.load_commands(alternate=True)
     stages = {
         "train_skipgram epochs=10": micros(
             lambda: L.train_skipgram(corpus, L.SkipgramConfig(epochs=10), seed=3), calls=1
@@ -148,6 +153,12 @@ def main() -> None:
     )
     mem_ds = M.generate_dataset(M.Quotas(per_command=60, nulls=300), seed=11)
     everything = np.arange(mem_ds.n_samples())
+    scorer = M.MemModel(emb, np.random.default_rng(1))
+    versions = itertools.cycle([scorer.get_flat(), M.MemModel(emb, np.random.default_rng(2)).get_flat()])
+
+    def evaluate_mem_encoding():
+        scorer.set_flat(next(versions))  # another parameter version each call: no call reuses state rows
+        return M.evaluate_mem(scorer, mem_ds, everything, commands, wd)
     expert = E.Episode(0, 256)
     first_obs, game, trace, done = expert.observe(), [], [], False
     while not done:
@@ -182,8 +193,9 @@ def main() -> None:
         "EpisodeShaping.bonus subtask": shaping_bonus("subtask"),
         "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
         "mem_loss B=32": micros(lambda: M.mem_loss(mem_batch, mem, commands, wd), calls=50),
-        f"evaluate_mem S={everything.size}": micros(
-            lambda: M.evaluate_mem(mem, mem_ds, everything, commands, wd), calls=10
+        f"evaluate_mem S={everything.size}": micros(evaluate_mem_encoding, calls=10),
+        f"evaluate_mem S={everything.size} again": micros(
+            lambda: M.evaluate_mem(scorer, mem_ds, everything, alternates, wd), calls=10
         ),
         "AgentNet()": micros(A.AgentNet, calls=50),
         "AgentNet.act repeated": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
@@ -225,9 +237,7 @@ def main() -> None:
     peaks = {
         "mem_loss B=32 peak": traced_rise_mb(lambda: M.mem_loss(mem_batch, mem, commands, wd)),
         "a3c_loss T=32 peak": traced_rise_mb(lambda: A.a3c_loss(rollout, net, cfg)),
-        f"evaluate_mem S={everything.size} peak": traced_rise_mb(
-            lambda: M.evaluate_mem(mem, mem_ds, everything, commands, wd)
-        ),
+        f"evaluate_mem S={everything.size} peak": traced_rise_mb(evaluate_mem_encoding),
     }
     for name, value in stages.items():
         print(f"{name:38s} {value:9.1f} ms")
