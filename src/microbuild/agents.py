@@ -86,6 +86,8 @@ class AgentConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if not np.isfinite(self.bonus):
+            raise ValueError(f"bonus must be finite, got {self.bonus}")
 
     def make_env(self, seed: int):
         factory = self.env_factory or (lambda s: E.Episode(s, self.horizon))

@@ -18,8 +18,6 @@ from importlib import resources
 
 import numpy as np
 
-from .nn import load_model, save_model
-
 UNK = "<unk>"
 WORD_DIM = 32
 WINDOW = 2  # context words taken on each side of a center word
@@ -72,16 +70,6 @@ class WordEmbeddings:
 
     def spec(self) -> dict:
         return {"kind": "word-embeddings", "dim": self.dim, "tokens": self.tokens}
-
-    def save(self, path) -> None:
-        save_model(path, self.spec(), self.vectors.ravel())
-
-    @classmethod
-    def load(cls, path) -> "WordEmbeddings":
-        spec, flat = load_model(path)
-        if spec.get("kind") != "word-embeddings":
-            raise ValueError(f"{path}: not a word-embeddings file")
-        return cls.from_spec(spec, flat)
 
     @staticmethod
     def spec_shape(spec) -> tuple[int, int]:

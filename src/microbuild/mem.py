@@ -44,7 +44,6 @@ import hashlib
 import json
 import math
 import weakref
-import zipfile
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -303,12 +302,9 @@ class MemDataset:
     split_train: np.ndarray
     split_val: np.ndarray
     split_test: np.ndarray
-    quotas: Quotas = field(default_factory=Quotas)
-    seed: int = 0
 
     def __post_init__(self):
-        for name in _ARRAY_NAMES:
-            arr = getattr(self, name)
+        for name, arr in self.arrays().items():
             if arr.base is not None:
                 arr = arr.copy()
                 setattr(self, name, arr)
@@ -327,81 +323,14 @@ class MemDataset:
         )
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The dataset's arrays by field name, in the order they are hashed and saved."""
-        return {name: getattr(self, name) for name in _ARRAY_NAMES}
+        """The dataset's arrays by field name, in the order they are hashed."""
+        return {f.name: getattr(self, f.name) for f in fields(MemDataset)}
 
     def hash(self) -> str:
         h = hashlib.sha256()
         for arr in self.arrays().values():
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
-
-    @staticmethod
-    def _paths(path) -> tuple[str, str]:
-        base = str(path)
-        if base.endswith(".npz"):
-            base = base[:-4]
-        return base + ".npz", base + ".json"
-
-    def save(self, path) -> None:
-        npz_path, sidecar_path = self._paths(path)
-        np.savez_compressed(npz_path, **self.arrays())
-        sidecar = {
-            "per_command": self.quotas.per_command,
-            "nulls": self.quotas.nulls,
-            "seed": self.seed,
-            "hash": self.hash(),
-        }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "MemDataset":
-        """Read what ``save`` wrote. Files that are not a saved dataset raise
-        ``ValueError``: a sidecar that is not a JSON object with integer
-        ``per_command``, ``nulls`` and ``seed`` and a string ``hash``, an
-        ``.npz`` that is not a zip of exactly the dataset's arrays, arrays
-        whose content hash is not the sidecar's, or an ``obs_label`` that is
-        not ``per_command`` rows of each command id, in id order, then
-        ``nulls`` rows of -1. The ``seed`` is recorded but not checked,
-        because no array determines it."""
-        npz_path, sidecar_path = cls._paths(path)
-        with open(sidecar_path, encoding="utf-8") as fh:
-            try:
-                sidecar = json.load(fh)
-            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-                raise ValueError(f"{sidecar_path}: not JSON ({exc})") from exc
-        if not isinstance(sidecar, dict) or any(type(sidecar.get(k)) is not t for k, t in _SIDECAR_KEYS.items()):
-            raise ValueError(f"{sidecar_path}: not a dataset sidecar (needs {', '.join(_SIDECAR_KEYS)})")
-        with open(npz_path, "rb") as fh:  # np.load leaves a path it opened open when the archive is bad
-            try:
-                with np.load(fh) as data:
-                    arrays = {k: data[k] for k in data.files}
-            except zipfile.BadZipFile as exc:
-                raise ValueError(f"{npz_path}: not an .npz archive ({exc})") from exc
-        if sorted(arrays) != sorted(_ARRAY_NAMES):
-            raise ValueError(f"{npz_path}: arrays {sorted(arrays)}, expected {sorted(_ARRAY_NAMES)}")
-        ds = cls(
-            quotas=Quotas(per_command=sidecar["per_command"], nulls=sidecar["nulls"]),
-            seed=sidecar["seed"],
-            **arrays,
-        )
-        if ds.hash() != sidecar["hash"]:
-            raise ValueError(f"{npz_path}: content hash mismatch")
-        q = ds.quotas
-        if min(q.per_command, q.nulls) < 0 or not np.array_equal(ds.obs_label, _obs_labels(q)):
-            raise ValueError(f"{sidecar_path}: {q} does not match the observation labels")
-        return ds
-
-
-_ARRAY_NAMES = tuple(f.name for f in fields(MemDataset) if f.name not in ("quotas", "seed"))
-_SIDECAR_KEYS = {"per_command": int, "nulls": int, "seed": int, "hash": str}
-
-
-def _obs_labels(quotas: Quotas) -> np.ndarray:
-    """The observations' labels: ``per_command`` rows of each command id in id order, then ``nulls`` of -1."""
-    ids = np.append(np.arange(E.N_COMMANDS), -1).astype(np.int8)
-    return np.repeat(ids, [quotas.per_command] * E.N_COMMANDS + [quotas.nulls])
 
 
 NULL_WINDOW = 10  # steps with no detector fire before an obs counts as null
@@ -434,7 +363,8 @@ def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
     n_obs = n_goal + quotas.nulls
     spatial = np.empty((n_obs, E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.uint8)
     nonspatial = np.empty((n_obs, E.OBS_NONSPATIAL), dtype=np.float32)
-    obs_label = _obs_labels(quotas)
+    ids = np.append(np.arange(n_commands), -1).astype(np.int8)
+    obs_label = np.repeat(ids, [quotas.per_command] * n_commands + [quotas.nulls])
     obs_counters = np.empty((n_obs, 14), dtype=np.int32)
     n_kept = [0] * n_commands  # goal observations kept per command
     n_nulls = 0
@@ -524,8 +454,6 @@ def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
         split_train=np.flatnonzero(sample_split == 0).astype(np.int32),
         split_val=np.flatnonzero(sample_split == 1).astype(np.int32),
         split_test=np.flatnonzero(sample_split == 2).astype(np.int32),
-        quotas=quotas,
-        seed=seed,
     )
 
 
@@ -550,6 +478,13 @@ class MemMetrics:
     test_loss: float = float("nan")
 
 
+def _check_command_ids(dataset: MemDataset, commands: list[CommandSpec]) -> None:
+    """Raise ``ValueError`` unless ``commands`` holds every command id the dataset's samples name."""
+    top = int(dataset.sample_cmd.max())
+    if top >= len(commands):
+        raise ValueError(f"the dataset's samples name command id {top}, but there are {len(commands)} commands")
+
+
 _ENCODE_BLOCK = 32  # distinct observations per state-encoder call in ``evaluate_mem``, as in a training batch
 
 
@@ -566,8 +501,9 @@ def evaluate_mem(
 
     Each distinct observation among the samples is encoded once, and every
     sample is scored from its observation's state row. ``chunk`` below 1, a
-    ``threshold`` that is not positive (NaN included) or a negative
-    ``weight_decay`` raises ``ValueError`` before anything is encoded.
+    ``threshold`` that is not positive (NaN included), a negative
+    ``weight_decay`` or a command list that misses an id the dataset's
+    samples name raises ``ValueError`` before anything is encoded.
 
     - Encoding runs in blocks of ``_ENCODE_BLOCK`` distinct observations:
       one sample per observation goes through ``dataset.batch``, and the
@@ -622,6 +558,7 @@ def evaluate_mem(
         raise ValueError(f"weight_decay must not be negative, got {weight_decay}")
     if sample_idx.size == 0:
         raise ValueError("empty sample set")
+    _check_command_ids(dataset, commands)
     cmd_vecs = model.encode_command_batch(commands)
     obs, first, obs_row = np.unique(dataset.sample_obs[sample_idx], return_index=True, return_inverse=True)
     key = (hashlib.sha256(model.flat_params).digest(), obs.tobytes())
@@ -660,14 +597,19 @@ def train_mem(
 ) -> tuple[MemModel, MemMetrics]:
     """Adam, in place on the model's parameters, on the contrastive loss;
     returns the minimum-validation snapshot. A config with ``epochs`` or
-    ``batch`` below 1, ``lr`` not positive or ``weight_decay`` negative
-    raises ``ValueError``."""
+    ``batch`` below 1, ``lr`` not positive or ``weight_decay`` negative, an
+    empty split, or a command list that misses an id the samples name
+    raises ``ValueError`` before the model is built."""
     if config.epochs < 1 or config.batch < 1:
         raise ValueError(f"epochs and batch must be positive, got {config.epochs} and {config.batch}")
     if not config.lr > 0:
         raise ValueError(f"lr must be positive, got {config.lr}")
     if not config.weight_decay >= 0:
         raise ValueError(f"weight_decay must not be negative, got {config.weight_decay}")
+    n_train, n_val, n_test = dataset.split_train.size, dataset.split_val.size, dataset.split_test.size
+    if 0 in (n_train, n_val, n_test):
+        raise ValueError(f"empty split: train/val/test hold {n_train}/{n_val}/{n_test} samples")
+    _check_command_ids(dataset, commands)
     seq = np.random.SeedSequence(seed)
     rng_init, rng_order = [np.random.default_rng(s) for s in seq.spawn(2)]
     model = MemModel(word_embeddings, rng_init)

@@ -830,7 +830,8 @@ def test_train_rejects_zero_eval_setting_before_building_an_env(field):
 @pytest.mark.parametrize(
     "field, value",
     [("horizon", 0), ("horizon", -5), ("gamma", -0.01), ("gamma", 1.01), ("gamma", float("nan")),
-     ("lr", 0.0), ("lr", -1e-4), ("lr", float("nan"))],
+     ("lr", 0.0), ("lr", -1e-4), ("lr", float("nan")), ("bonus", float("nan")), ("bonus", float("inf")),
+     ("bonus", float("-inf"))],
 )
 def test_config_rejects_bad_training_setting_before_building_an_env(field, value):
     built = []

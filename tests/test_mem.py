@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microbuild import agents as A
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
@@ -376,14 +377,6 @@ def test_dataset_hash_deterministic():
     assert c.hash() != a.hash()
 
 
-def test_dataset_save_load_round_trip(tmp_path, small_dataset):
-    path = tmp_path / "ds"
-    small_dataset.save(path)
-    loaded = M.MemDataset.load(path)
-    assert loaded.hash() == small_dataset.hash()
-    assert loaded.quotas == small_dataset.quotas
-
-
 def test_dataset_arrays_are_read_only_and_a_view_passed_in_is_copied(small_dataset):
     for arr in small_dataset.arrays().values():
         with pytest.raises(ValueError, match="read-only"):
@@ -391,77 +384,12 @@ def test_dataset_arrays_are_read_only_and_a_view_passed_in_is_copied(small_datas
     arrays = {name: arr.copy() for name, arr in small_dataset.arrays().items()}
     backing = np.stack([arrays["spatial"], arrays["spatial"]])
     arrays["spatial"] = backing[0]
-    ds = M.MemDataset(**arrays, quotas=small_dataset.quotas, seed=small_dataset.seed)
+    ds = M.MemDataset(**arrays)
     backing[0] += 1  # writes the caller's buffer, not the dataset's copy
     assert ds.hash() == small_dataset.hash()
     assert ds.nonspatial is arrays["nonspatial"]  # an array that owns its data is kept, now read-only
     with pytest.raises(ValueError, match="read-only"):
         arrays["nonspatial"][0, 0] = 1
-
-
-def break_sidecar(npz, sidecar):
-    sidecar.write_text("{not json", encoding="utf-8")
-
-
-def drop_sidecar_key(npz, sidecar):
-    fields = json.loads(sidecar.read_text(encoding="utf-8"))
-    del fields["hash"]
-    sidecar.write_text(json.dumps(fields), encoding="utf-8")
-
-
-def edit_sidecar(**changes):
-    def edit(npz, sidecar):
-        fields = json.loads(sidecar.read_text(encoding="utf-8"))
-        fields.update(changes)
-        sidecar.write_text(json.dumps(fields), encoding="utf-8")
-
-    return edit
-
-
-def list_sidecar(npz, sidecar):
-    sidecar.write_text("[1, 2]", encoding="utf-8")
-
-
-def rewrite_arrays(edit):
-    def rewrite(npz, sidecar):
-        with np.load(npz) as data:
-            arrays = {k: data[k] for k in data.files}
-        edit(arrays)
-        np.savez_compressed(npz, **arrays)
-
-    return rewrite
-
-
-def flip_one_label(arrays):
-    arrays["sample_label"][0] ^= 1
-
-
-def truncate_npz(npz, sidecar):
-    npz.write_bytes(npz.read_bytes()[:-100])
-
-
-@pytest.mark.parametrize(
-    "corrupt,match",
-    [
-        (break_sidecar, "not JSON"),
-        (drop_sidecar_key, "not a dataset sidecar"),
-        (list_sidecar, "not a dataset sidecar"),
-        (edit_sidecar(per_command=True, seed=False), "not a dataset sidecar"),  # JSON booleans are not integers
-        (edit_sidecar(per_command=500, nulls=-7), "does not match the observation labels"),
-        (edit_sidecar(per_command=59, nulls=305), "does not match the observation labels"),  # same row count
-        (rewrite_arrays(lambda a: a.pop("obs_label")), "expected"),
-        (rewrite_arrays(lambda a: a.update(extra=np.zeros(3))), "expected"),
-        (rewrite_arrays(flip_one_label), "content hash mismatch"),
-        (truncate_npz, "not an .npz archive"),
-    ],
-    ids=["sidecar-not-json", "sidecar-missing-key", "sidecar-not-object", "sidecar-bool", "sidecar-quotas",
-         "sidecar-quotas-same-rows", "missing-array", "extra-array", "hash-mismatch", "npz-truncated"],
-)
-def test_dataset_load_rejects_malformed_files(tmp_path, small_dataset, corrupt, match):
-    small_dataset.save(tmp_path / "ds")
-    corrupt(tmp_path / "ds.npz", tmp_path / "ds.json")
-    with pytest.raises(ValueError, match=match):
-        M.MemDataset.load(tmp_path / "ds")
 
 
 def test_dataset_budget_failure_names_starving_command(monkeypatch):
@@ -523,6 +451,42 @@ def test_train_mem_rejects_bad_config(word_emb, commands, small_dataset, field, 
         M.train_mem(small_dataset, word_emb, commands, cfg, seed=5)
 
 
+def count_models(monkeypatch):
+    """The ``MemModel`` constructions ``mem`` makes from now on."""
+    built, model = [], M.MemModel
+    monkeypatch.setattr(M, "MemModel", lambda *args: built.append(args) or model(*args))
+    return built
+
+
+@pytest.mark.parametrize("quotas", [M.Quotas(2, 0), M.Quotas(1, 0)], ids=["no-train", "no-train-no-test"])
+def test_train_mem_rejects_an_empty_split_before_building_a_model(monkeypatch, word_emb, commands, quotas):
+    ds = M.generate_dataset(quotas, seed=11)
+    built = count_models(monkeypatch)
+    with pytest.raises(ValueError, match="empty split"):
+        M.train_mem(ds, word_emb, commands, M.MemTrainConfig(epochs=1), seed=5)
+    assert built == []
+
+
+def test_a_command_set_missing_an_id_the_samples_name_is_rejected_before_encoding(tmp_path, monkeypatch, word_emb):
+    path = tmp_path / "commands.json"
+    path.write_text(json.dumps([{"id": c.id, "text": c.text} for c in M.load_commands()[:3]]), encoding="utf-8")
+    three = M.load_commands(path)
+    ds = M.generate_dataset(M.Quotas(3, 6), seed=11)  # its samples name ids 0-4
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    # the set still drives the shaping: with every distance below tau, the pointer wraps after command 2
+    shaping = A.EpisodeShaping(A.AgentConfig(variant="narration", tau=1e3), model, three)
+    obs = E.encode_observation(None, E.reset(0))
+    shaping.start(obs)
+    assert [shaping.bonus(obs, frozenset()) for _ in range(4)] == [1.0] * 4 and shaping.pointer == 1
+    built = count_models(monkeypatch)
+    with pytest.raises(ValueError, match="command id 4, but there are 3 commands"):
+        M.train_mem(ds, word_emb, three, M.MemTrainConfig(epochs=1), seed=5)
+    assert built == []
+    model.encode_state_batch = model.encode_command_batch = None  # nothing may be encoded
+    with pytest.raises(ValueError, match="command id 4, but there are 3 commands"):
+        M.evaluate_mem(model, ds, ds.split_val, three, 2.5e-3)
+
+
 def test_train_mem_train_loss_is_the_mean_of_each_epochs_batch_losses(monkeypatch, word_emb, commands):
     ds = M.generate_dataset(M.Quotas(per_command=25, nulls=100), seed=21)
     losses = []
@@ -555,6 +519,8 @@ def test_model_save_load_round_trip(tmp_path, word_emb, commands):
     model.save(path)
     loaded = M.MemModel.load(path)
     np.testing.assert_array_equal(loaded.get_flat(), model.get_flat())
+    np.testing.assert_array_equal(loaded.word_embeddings.vectors, word_emb.vectors)
+    assert loaded.word_embeddings.tokens == word_emb.tokens and loaded.word_embeddings.index == word_emb.index
     obs = E.encode_observation(None, E.reset(0))
     np.testing.assert_array_equal(loaded.encode_state(obs), model.encode_state(obs))
     np.testing.assert_array_equal(
@@ -565,8 +531,14 @@ def test_model_save_load_round_trip(tmp_path, word_emb, commands):
 @pytest.mark.parametrize(
     "word,match",
     [(None, "not a JSON object"), ([1], "not a JSON object"), ({"dim": 4}, "tokens"),
-     ({"kind": "word-embeddings", "dim": 4, "tokens": ["<unk>", "build", "build"]}, "duplicate token")],
-    ids=["no-word", "word-list", "word-no-tokens", "word-duplicate-token"],
+     ({"kind": "word-embeddings", "dim": 4, "tokens": ["<unk>", "build", "build"]}, "duplicate token"),
+     ({"dim": "2", "tokens": ["a", "b"]}, "dim '2' is not a positive integer"),
+     ({"dim": 0, "tokens": ["a", "b"]}, "dim 0 is not a positive integer"),
+     ({"dim": 2, "tokens": ["a", 7]}, "tokens is not a list of strings"),
+     ({"dim": 2, "tokens": "ab"}, "tokens is not a list of strings"),
+     ({"dim": 10**6, "tokens": ["<unk>"]}, "values for 1 x 1000000 vectors")],  # more than the whole payload
+    ids=["no-word", "word-list", "word-no-tokens", "word-duplicate-token", "dim-string", "dim-zero",
+         "token-not-string", "tokens-not-list", "word-values-short"],
 )
 def test_model_load_rejects_malformed_word_spec(tmp_path, word_emb, word, match):
     model = M.MemModel(word_emb, np.random.default_rng(2))
@@ -827,7 +799,7 @@ def other_samples(model, ds, idx):
 
 def copied_dataset(model, ds, idx):
     copies = {name: arr.copy() for name, arr in ds.arrays().items()}
-    return M.MemDataset(**copies, quotas=ds.quotas, seed=ds.seed), idx
+    return M.MemDataset(**copies), idx
 
 
 @pytest.mark.parametrize(
