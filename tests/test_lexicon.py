@@ -260,3 +260,39 @@ def test_substituted_word_pairs_alignment():
         ["choose a worker", "left click the barracks"],
     )
     assert pairs == [("on", "left"), ("select", "choose")]
+
+
+# ------------------------------------------------------------ word spec
+# spec() and from_spec are how a MEM file stores and rebuilds its word
+# vectors (MemModel.save / MemModel.load); the spec passes through JSON there.
+
+
+def test_embeddings_save_load_round_trip(trained):
+    emb, _ = trained
+    spec = json.loads(json.dumps(emb.spec()))
+    loaded = L.WordEmbeddings.from_spec(spec, emb.vectors.ravel().copy())
+    np.testing.assert_array_equal(loaded.vectors, emb.vectors)
+    assert loaded.tokens == emb.tokens and loaded.index == emb.index
+
+
+@pytest.mark.parametrize(
+    "spec,n_values",
+    [
+        ({"dim": 2}, 4),
+        ({"dim": "2", "tokens": ["a", "b"]}, 4),
+        ({"dim": 0, "tokens": ["a", "b"]}, 0),
+        ({"dim": 2, "tokens": ["a", 7]}, 4),
+        ({"dim": 2, "tokens": "ab"}, 4),
+    ],
+    ids=["no-tokens", "dim-string", "dim-zero", "token-not-string", "tokens-not-list"],
+)
+def test_embeddings_load_rejects_malformed_spec(spec, n_values):
+    with pytest.raises(ValueError, match="word-embeddings spec"):
+        L.WordEmbeddings.from_spec({"kind": "word-embeddings", **spec}, np.ones(n_values, dtype=np.float32))
+
+
+@pytest.mark.parametrize("n_values", [3, 5])
+def test_embeddings_load_rejects_wrong_vector_count(n_values):
+    spec = {"kind": "word-embeddings", "dim": 2, "tokens": ["a", "b"]}
+    with pytest.raises(ValueError, match="values for 2 x 2"):
+        L.WordEmbeddings.from_spec(spec, np.ones(n_values, np.float32))
