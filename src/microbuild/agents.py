@@ -86,8 +86,9 @@ class AgentConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if not np.isfinite(self.bonus):
-            raise ValueError(f"bonus must be finite, got {self.bonus}")
+        for name in ("bonus", "value_coef", "entropy_coef"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def make_env(self, seed: int):
         factory = self.env_factory or (lambda s: E.Episode(s, self.horizon))
@@ -473,42 +474,29 @@ class Actor:
         return obs, aux, mask, action, value, reward, done
 
     def rollout(self) -> tuple[Rollout, bool]:
-        """Play up to ``rollout_len`` steps; the flag is True when the episode ended."""
-        t_len = self.config.rollout_len
-        sp = np.empty((t_len, E.OBS_CHANNELS, E.GRID, E.GRID), dtype=np.float32)
-        ns = np.empty((t_len, E.OBS_NONSPATIAL), dtype=np.float32)
-        aux = np.empty((t_len, AUX_DIM), dtype=np.float32)
-        masks = np.empty((t_len, E.N_ACTIONS), dtype=bool)
-        kinds = np.empty(t_len, dtype=np.int64)
-        axs = np.empty(t_len, dtype=np.int64)
-        ays = np.empty(t_len, dtype=np.int64)
-        rewards = np.empty(t_len, dtype=np.float32)
-        values = np.empty(t_len, dtype=np.float32)
+        """Play up to ``rollout_len`` steps and stack their ``step`` records; True when the episode ended."""
         h0, c0 = self.h, self.c
-        done = False
-        t = 0
-        while t < t_len and not done:
-            obs, aux_t, mask, action, value, reward, done = self.step()
-            sp[t], ns[t], aux[t] = obs.spatial, obs.nonspatial, aux_t
-            masks[t], kinds[t], axs[t], ays[t] = mask, action.kind, action.x, action.y
-            rewards[t], values[t] = reward, value
-            t += 1
-        bootstrap = 0.0 if done else self.net.value_of(self.obs, self.shaping.aux(), self.h, self.c)
+        steps = [self.step()]
+        while len(steps) < self.config.rollout_len and not steps[-1][-1]:
+            steps.append(self.step())
+        obs, aux, masks, actions, values, rewards, dones = zip(*steps)
+        kinds, xs, ys = np.array(actions, dtype=np.int64).T
+        bootstrap = 0.0 if dones[-1] else self.net.value_of(self.obs, self.shaping.aux(), self.h, self.c)
         rollout = Rollout(
-            spatial=sp[:t],
-            nonspatial=ns[:t],
-            aux=aux[:t],
-            masks=masks[:t],
-            kinds=kinds[:t],
-            xs=axs[:t],
-            ys=ays[:t],
-            rewards=rewards[:t],
-            values=values[:t],
+            spatial=np.array([o.spatial for o in obs]),
+            nonspatial=np.array([o.nonspatial for o in obs]),
+            aux=np.array(aux),
+            masks=np.array(masks),
+            kinds=kinds,
+            xs=xs,
+            ys=ys,
+            rewards=np.array(rewards, dtype=np.float32),
+            values=np.array(values, dtype=np.float32),
             bootstrap=bootstrap,
             h0=h0,
             c0=c0,
         )
-        return rollout, done
+        return rollout, dones[-1]
 
     def end_episode(self, step: int) -> RunRecord:
         """The ended episode's record; the next episode starts."""

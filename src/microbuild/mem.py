@@ -220,9 +220,8 @@ class MemBatch:
 
 
 def weight_penalty(model: MemModel, weight_decay: float) -> float:
-    """``weight_decay`` times the sum of squared parameters, summed in float64 one array at a time."""
-    squares = np.square(model.flat_params, dtype=np.float64)
-    return weight_decay * sum(float(squares[s].sum()) for s in model.param_slices)
+    """``weight_decay`` times the sum of squared parameters, summed in float64 in one pass."""
+    return weight_decay * float(np.square(model.flat_params, dtype=np.float64).sum())
 
 
 def mem_loss(

@@ -32,21 +32,3 @@ from .network import (
     save_model,
 )
 from .optim import AdamState, adam_step
-
-__all__ = [
-    "AdamState",
-    "Conv2d",
-    "Dense",
-    "Flatten",
-    "LSTM",
-    "Layer",
-    "Model",
-    "ReLU",
-    "Sequential",
-    "StateEncoder",
-    "Tanh",
-    "adam_step",
-    "glorot_uniform",
-    "load_model",
-    "save_model",
-]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import struct
-from functools import cached_property
 
 import numpy as np
 
@@ -61,12 +60,6 @@ class Model:
 
     def param_arrays(self) -> list[np.ndarray]:
         return [a for l in self.layers for a in l.param_arrays()]
-
-    @cached_property
-    def param_slices(self) -> list[slice]:
-        """Where each of ``param_arrays()`` lies in ``flat_params``, in order."""
-        ends = np.cumsum([a.size for a in self.param_arrays()]).tolist()
-        return [slice(start, end) for start, end in zip([0, *ends], ends)]
 
     def zero_grads(self) -> None:
         self.flat_grads.fill(0)

@@ -563,6 +563,45 @@ def test_train_deterministic_single_worker():
     assert a.records and a.records == b.records
 
 
+def test_rollout_stacks_the_records_of_the_steps_it_played(commands):
+    cfg = A.AgentConfig(variant="subtask", horizon=40, rollout_len=16)
+    net = A.AgentNet(np.random.default_rng(5))
+
+    def actor():
+        return A.Actor(net, cfg, A.EpisodeShaping(cfg, None, commands), 7, np.random.default_rng(8))
+
+    rolling, twin = actor(), actor()
+    sizes, done = [], False
+    while not done:
+        h0, c0 = twin.h, twin.c
+        steps = [twin.step()]
+        while len(steps) < cfg.rollout_len and not steps[-1][-1]:
+            steps.append(twin.step())
+        roll, done = rolling.rollout()
+        obs, aux, masks, actions, values, rewards, dones = zip(*steps)
+        want = {
+            "spatial": (np.stack([o.spatial for o in obs]), np.float32),
+            "nonspatial": (np.stack([o.nonspatial for o in obs]), np.float32),
+            "aux": (np.stack(aux), np.float32),
+            "masks": (np.stack(masks), np.bool_),
+            "kinds": (np.array([a.kind for a in actions]), np.int64),
+            "xs": (np.array([a.x for a in actions]), np.int64),
+            "ys": (np.array([a.y for a in actions]), np.int64),
+            "rewards": (np.array([np.float32(r) for r in rewards]), np.float32),
+            "values": (np.array([np.float32(v) for v in values]), np.float32),
+        }
+        for field, (array, dtype) in want.items():
+            got = getattr(roll, field)
+            assert got.dtype == dtype and np.array_equal(got, array), field
+        assert np.array_equal(roll.h0, h0) and np.array_equal(roll.c0, c0)
+        assert done == dones[-1] and not any(dones[:-1])
+        if not done:
+            assert roll.bootstrap == net.value_of(twin.obs, twin.shaping.aux(), twin.h, twin.c)
+        sizes.append(len(roll))
+    assert sizes == [16, 16, 8]
+    assert roll.bootstrap == 0.0
+
+
 def test_value_head_learns_constant_reward_stream():
     # 1/(1 - gamma) fixed point on a single-action constant-reward env, from
     # three initial networks; lr=0.01 settles every one within 0.5% of it
@@ -831,7 +870,8 @@ def test_train_rejects_zero_eval_setting_before_building_an_env(field):
     "field, value",
     [("horizon", 0), ("horizon", -5), ("gamma", -0.01), ("gamma", 1.01), ("gamma", float("nan")),
      ("lr", 0.0), ("lr", -1e-4), ("lr", float("nan")), ("bonus", float("nan")), ("bonus", float("inf")),
-     ("bonus", float("-inf"))],
+     ("bonus", float("-inf")), ("value_coef", float("nan")), ("value_coef", float("inf")),
+     ("entropy_coef", float("nan")), ("entropy_coef", float("-inf"))],
 )
 def test_config_rejects_bad_training_setting_before_building_an_env(field, value):
     built = []

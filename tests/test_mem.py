@@ -563,14 +563,12 @@ def test_model_load_rejects_wrong_parameter_count(tmp_path, word_emb, extra):
         M.MemModel.load(path)
 
 
-def test_weight_penalty_sums_each_array_in_float64_in_order(word_emb):
+def test_weight_penalty_sums_the_float64_squares_in_one_pass(word_emb):
     for seed, dtype in [(0, np.float32), (4, np.float32), (2, np.float64)]:
         model = bound(M.MemModel(word_emb, np.random.default_rng(seed)), dtype)
-        arrays = model.param_arrays()
-        assert [model.flat_params[s].tobytes() for s in model.param_slices] == [a.tobytes() for a in arrays]
-        want = 0.0
-        for p in arrays:
-            want += float((p.astype(np.float64) ** 2).sum())
+        params = np.concatenate([a.ravel() for a in model.param_arrays()])
+        assert params.dtype == dtype and params.tobytes() == model.flat_params.tobytes()
+        want = float((params.astype(np.float64) ** 2).sum())
         assert M.weight_penalty(model, 2.5e-3) == 2.5e-3 * want
 
 
