@@ -12,6 +12,17 @@ clipped Adam step (``SharedParams``) per turn, so a run is bitwise
 reproducible at any worker count, and a worker that raises stops the run
 at once. ``train`` counts the env steps and decides when to evaluate.
 
+``a3c_loss`` runs no forward pass of its own. ``Actor.rollout`` keeps what
+each step's ``act`` cached in the network's layers (``AgentNet.saved``):
+the conv trunk's caches, which the steps of one memo run share, the
+scalar and trunk layers' inputs and masks, each LSTM step's arrays and
+h_t. The loss stacks them into the caches the layers' backward methods
+read, the trunk's once per memo run, re-evaluates the heads on the
+stacked h_t and backpropagates. So its gradient is that of the pass that
+played the rollout, and it must run before the parameters change, which
+``train`` guarantees: it takes each update right after its rollout.
+Evaluation records nothing.
+
 ``EpisodeShaping`` is the one place a variant's bonus and aux features
 are computed, for training (``Actor``) and evaluation alike: it holds the
 shaped variants' command pointer and decides, per variant, when the
@@ -140,8 +151,21 @@ class AgentNet(Model):
     def _features(self, spatial: np.ndarray, nonspatial: np.ndarray, aux: np.ndarray) -> np.ndarray:
         return self.trunk.forward(self.encoder.forward(spatial, nonspatial, aux))
 
-    def _backward_features(self, g: np.ndarray) -> None:
-        self.encoder.backward(self.trunk.backward(g))
+    def saved(self) -> tuple:
+        """What the last one-row ``act`` or ``value_of`` cached for backward."""
+        return self.encoder.saved(), self.trunk.saved(), self.core.saved()
+
+    def restore(self, saved: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Cache the one-row passes in ``saved`` (each a ``saved()``), in order,
+        for ``core.backward_seq`` and ``_backward_features``; returns their
+        h_t (T, HIDDEN) and the row at which each of the trunk's memo runs
+        starts."""
+        run_starts = self.encoder.restore([s[0] for s in saved])
+        self.trunk.restore([s[1] for s in saved])
+        return self.core.restore([s[2] for s in saved])[:, 0], run_starts
+
+    def _backward_features(self, g: np.ndarray, run_starts: np.ndarray) -> None:
+        self.encoder.backward(self.trunk.backward(g), run_starts)
 
     def act(
         self,
@@ -202,11 +226,9 @@ def sample_from_logp(logp: np.ndarray, rng: np.random.Generator) -> int:
 
 @dataclass
 class Rollout:
-    """Fixed-length (or terminal-truncated) trajectory segment."""
+    """Fixed-length (or terminal-truncated) trajectory segment: what each
+    step chose and earned, and the pass that chose it."""
 
-    spatial: np.ndarray  # (T, 14, 16, 16)
-    nonspatial: np.ndarray  # (T, 10)
-    aux: np.ndarray  # (T, AUX_DIM)
     masks: np.ndarray  # (T, 6) bool
     kinds: np.ndarray  # (T,)
     xs: np.ndarray  # (T,)
@@ -214,8 +236,7 @@ class Rollout:
     rewards: np.ndarray  # (T,) shaped rewards actually optimized
     values: np.ndarray  # (T,) V(s_t) at collection time
     bootstrap: float  # V(s_T), 0 when terminal
-    h0: np.ndarray
-    c0: np.ndarray
+    played: list[tuple]  # AgentNet.saved() after each step's act: the pass a3c_loss backpropagates
 
     def __len__(self) -> int:
         return int(self.kinds.shape[0])
@@ -262,19 +283,22 @@ def _policy_head(
 def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[float, np.ndarray]:
     """Policy gradient + value regression + entropy bonus over one rollout.
 
-    Re-runs the forward pass (batched trunk, hoisted sequence pass), then
-    backpropagates through time. Advantages are constants in the policy
-    term; entropy covers only the heads actually used at each step: the
-    action-id head at every step, the x and y heads at build steps. The
-    loss sums the terms in timestep order (id, x, y, value).
+    Backpropagates through the pass that played the rollout
+    (``rollout.played``): the heads run again on its stacked h_t, BPTT runs
+    over its LSTM steps and the conv trunk's backward runs once per memo
+    run. Call it before the parameters change from those that played the
+    rollout (``train`` does), or the gradient is of a stale pass.
+    Advantages are constants in the policy term; entropy covers only the
+    heads actually used at each step: the action-id head at every step, the
+    x and y heads at build steps. The loss sums the terms in timestep order
+    (id, x, y, value).
     """
     t_len = len(rollout)
     returns, advantages = compute_returns(
         rollout.rewards, rollout.bootstrap, config.gamma, rollout.values
     )
     net.zero_grads()
-    feats = net._features(rollout.spatial, rollout.nonspatial, rollout.aux)  # (T, HIDDEN)
-    hs = net.core.forward_seq(feats[:, None], rollout.h0, rollout.c0)[:, 0]
+    hs, run_starts = net.restore(rollout.played)  # (T, HIDDEN)
     logits_id = net.head_action.forward(hs)
     logits_x = net.head_x.forward(hs)
     logits_y = net.head_y.forward(hs)
@@ -303,7 +327,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     gh += net.head_x.backward(g_x)
     gh += net.head_y.backward(g_y)
     gh += net.head_value.backward(g_v)
-    net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
+    net._backward_features(net.core.backward_seq(gh[:, None])[:, 0], run_starts)
     return loss, net.flat_grads.copy()
 
 
@@ -463,29 +487,26 @@ class Actor:
         action, _, value, (self.h, self.c) = self.net.act(self.obs, aux, self.h, self.c, mask, self.rng)
         return mask, action, value
 
-    def step(self) -> tuple[E.Observation, np.ndarray, np.ndarray, E.Action, float, float, bool]:
-        """Play one step: (observation, aux, mask, action, value, shaped reward, done)."""
-        obs, shaping = self.obs, self.shaping
-        aux = shaping.aux()
-        mask, action, value = self._choose(aux)
+    def step(self) -> tuple[np.ndarray, E.Action, float, float, bool]:
+        """Play one step: (mask, action, value, shaped reward, done)."""
+        shaping = self.shaping
+        mask, action, value = self._choose(shaping.aux())
         self.obs, env_r, done, events = self.env.step(action)
         reward = env_r + shaping.bonus(self.obs, events)
         self.shaped_return += reward
-        return obs, aux, mask, action, value, reward, done
+        return mask, action, value, reward, done
 
     def rollout(self) -> tuple[Rollout, bool]:
-        """Play up to ``rollout_len`` steps and stack their ``step`` records; True when the episode ended."""
-        h0, c0 = self.h, self.c
-        steps = [self.step()]
+        """Play up to ``rollout_len`` steps and stack their ``step`` records,
+        keeping the pass each step's ``act`` ran; True when the episode ended."""
+        steps, played = [self.step()], [self.net.saved()]
         while len(steps) < self.config.rollout_len and not steps[-1][-1]:
             steps.append(self.step())
-        obs, aux, masks, actions, values, rewards, dones = zip(*steps)
+            played.append(self.net.saved())
+        masks, actions, values, rewards, dones = zip(*steps)
         kinds, xs, ys = np.array(actions, dtype=np.int64).T
         bootstrap = 0.0 if dones[-1] else self.net.value_of(self.obs, self.shaping.aux(), self.h, self.c)
         rollout = Rollout(
-            spatial=np.array([o.spatial for o in obs]),
-            nonspatial=np.array([o.nonspatial for o in obs]),
-            aux=np.array(aux),
             masks=np.array(masks),
             kinds=kinds,
             xs=xs,
@@ -493,8 +514,7 @@ class Actor:
             rewards=np.array(rewards, dtype=np.float32),
             values=np.array(values, dtype=np.float32),
             bootstrap=bootstrap,
-            h0=h0,
-            c0=c0,
+            played=played,
         )
         return rollout, dones[-1]
 

@@ -326,9 +326,10 @@ class MemDataset:
         return {f.name: getattr(self, f.name) for f in fields(MemDataset)}
 
     def hash(self) -> str:
+        """sha256 of the arrays' bytes in ``arrays()`` order, each read in place as a buffer."""
         h = hashlib.sha256()
         for arr in self.arrays().values():
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))
         return h.hexdigest()
 
 

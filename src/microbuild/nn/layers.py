@@ -6,6 +6,12 @@ state. Every network is float32. A layer's parameters start as arrays of
 its own. The model the layer is built into binds it (``bind``): the
 parameters move into views of the model's flat array, and ``layer.grads``,
 which ``backward`` accumulates into, becomes views of its flat gradients.
+
+A layer's ``saved()`` is what its last forward cached for ``backward``, and
+``restore`` caches several forwards' ``saved()`` at once, row after row, as
+one forward over all their rows would have. So a caller that kept the
+passes it ran one row at a time backpropagates them in one batched
+backward without running them again.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ class Layer:
     """Base class: subclasses define param_names, forward and backward."""
 
     param_names: tuple[str, ...] = ()
+    _saved: tuple = ()  # what the last forward cached for backward, each array one row per input row
     grads: dict[str, np.ndarray]  # views of the flat gradients, set by bind
 
     def param_arrays(self) -> list[np.ndarray]:
@@ -45,6 +52,15 @@ class Layer:
     def spec(self) -> dict:
         raise NotImplementedError
 
+    def saved(self) -> tuple:
+        """The arrays the last forward cached for ``backward``."""
+        return self._saved
+
+    def restore(self, saved: list[tuple]) -> None:
+        """Cache the forwards in ``saved`` (each a ``saved()``), in order, as
+        one forward over all their rows would have."""
+        self._saved = tuple(np.concatenate(rows) for rows in zip(*saved))
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -62,7 +78,6 @@ class Dense(Layer):
         else:
             self.weight = glorot_uniform(rng, n_in, n_out, (n_in, n_out))
         self.bias = np.zeros(n_out, dtype=np.float32)
-        self._x: np.ndarray | None = None
 
     def spec(self) -> dict:
         return {"kind": "dense", "n_in": self.n_in, "n_out": self.n_out}
@@ -70,13 +85,13 @@ class Dense(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.n_in:
             raise ValueError(f"dense expects {self.n_in} inputs, got shape {x.shape}")
-        self._x = x
+        self._saved = (x,)
         return x @ self.weight + self.bias
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        x = self._x
-        if x is None:
+        if not self._saved:
             raise RuntimeError("backward called before forward")
+        (x,) = self._saved
         self.grads["weight"] += x.T @ gout
         self.grads["bias"] += gout.sum(axis=0)
         return gout @ self.weight.T
@@ -87,11 +102,12 @@ class ReLU(Layer):
         return {"kind": "relu"}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._saved = (mask,)
+        return x * mask
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        return gout * self._mask
+        return gout * self._saved[0]
 
 
 class Tanh(Layer):
@@ -99,11 +115,13 @@ class Tanh(Layer):
         return {"kind": "tanh"}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._saved = (out,)
+        return out
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        return gout * (1.0 - self._out * self._out)
+        out = self._saved[0]
+        return gout * (1.0 - out * out)
 
 
 class Flatten(Layer):
@@ -111,11 +129,11 @@ class Flatten(Layer):
         return {"kind": "flatten"}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape[1:]  # one row's; every row has it
         return x.reshape(x.shape[0], -1)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        return gout.reshape(self._shape)
+        return gout.reshape(gout.shape[0], *self._shape)
 
 
 def _patch_index(c: int, h: int, w: int, k: int, stride: int) -> np.ndarray:
@@ -184,27 +202,28 @@ class Conv2d(Layer):
         if chw != x.shape[1:]:
             index = _patch_index(*x.shape[1:], self.k, self.stride)
             self._index = (x.shape[1:], index)
-        self._x_shape = x.shape
-        self._cols = None  # free the last patch matrix before the next is gathered
-        self._cols = x.reshape(b, -1).take(index, axis=1, mode="wrap")  # (B, Ho*Wo, C*k*k)
-        out = self._cols @ self.weight.reshape(self.c_out, -1).T  # (B, Ho*Wo, c_out)
+        self._saved = ()  # free the last patch matrix before the next is gathered
+        cols = x.reshape(b, -1).take(index, axis=1, mode="wrap")  # (B, Ho*Wo, C*k*k)
+        self._saved = (cols,)
+        out = cols @ self.weight.reshape(self.c_out, -1).T  # (B, Ho*Wo, c_out)
         out += self.bias
         return out.transpose(0, 2, 1).reshape(b, self.c_out, ho, wo)
 
     def backward_params(self, gout: np.ndarray) -> np.ndarray:
         """Weight and bias gradients only (no input gradient); returns ``gout`` as (B*Ho*Wo, c_out)."""
         g = gout.reshape(gout.shape[0], self.c_out, -1).transpose(0, 2, 1).reshape(-1, self.c_out)
-        self.grads["weight"] += (g.T @ self._cols.reshape(g.shape[0], -1)).reshape(self.weight.shape)
+        self.grads["weight"] += (g.T @ self._saved[0].reshape(g.shape[0], -1)).reshape(self.weight.shape)
         self.grads["bias"] += g.sum(axis=0)
         return g
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         g = self.backward_params(gout)
-        b, n = gout.shape[0], int(np.prod(self._x_shape[1:]))
+        (chw, index), b = self._index, gout.shape[0]
+        n = int(np.prod(chw))
         gcols = g @ self.weight.reshape(self.c_out, -1)  # (B*Ho*Wo, C*k*k)
         # col2im: sum every patch entry into its input position
-        at = (self._index[1] + n * np.arange(b)[:, None, None]).ravel()
-        return np.bincount(at, gcols.ravel(), minlength=b * n).astype(gout.dtype).reshape(self._x_shape)
+        at = (index + n * np.arange(b)[:, None, None]).ravel()
+        return np.bincount(at, gcols.ravel(), minlength=b * n).astype(gout.dtype).reshape(b, *chw)
 
 
 def _logistic(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -230,7 +249,10 @@ class LSTM(Layer):
 
     - ``step`` runs one timestep of (B, n_in) inputs from state (h, c).
       Acting uses it alone, where each input depends on the last output.
-      It caches nothing.
+      It keeps its step's arrays (``saved``): the input, the entering
+      state, the gates, tanh(c) and the new h. ``restore`` stacks steps
+      kept that way into the cache ``forward_seq`` would have left, so a
+      rollout's acting steps backpropagate without a second forward.
     - ``forward_seq`` runs a whole (T, B, n_in) sequence known up front, as
       in training and in every command encoding (``MemModel``). The input
       projection of all T*B rows, plus the bias, is one product before the
@@ -239,7 +261,7 @@ class LSTM(Layer):
 
     The two agree to float rounding: the hoisted product and the bias add
     round in another order. ``backward_seq`` backpropagates through the
-    sequence the last ``forward_seq`` cached.
+    sequence the last ``forward_seq`` or ``restore`` cached.
     """
 
     param_names = ("w_x", "w_h", "bias")
@@ -254,7 +276,7 @@ class LSTM(Layer):
             self.w_h = glorot_uniform(rng, n_hidden, n_hidden, (n_hidden, 4 * n_hidden))
         self.bias = np.zeros(4 * n_hidden, dtype=np.float32)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate
-        # (x, h entering, c entering, gates, tanh c) of the last forward_seq, each (T, B, ...)
+        # (x, h entering, c entering, gates, tanh c) of the last forward_seq or restore, each (T, B, ...)
         self._cache: tuple | None = None
 
     def spec(self) -> dict:
@@ -276,7 +298,18 @@ class LSTM(Layer):
         i, f, g, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh : 3 * nh], gates[:, 3 * nh :]
         c_new = f * c
         c_new += i * g
-        return o * np.tanh(c_new), c_new
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        self._saved = (x, h, c, gates, tc, h_new)
+        return h_new, c_new
+
+    def restore(self, saved: list[tuple]) -> np.ndarray:
+        """Cache the steps in ``saved`` (each a ``saved()``), in order, as
+        ``forward_seq`` over their inputs would have, for ``backward_seq``;
+        returns their h_t, (T, B, n_hidden)."""
+        xs, hs, cs, gates, tcs, outs = (np.array(a) for a in zip(*saved))
+        self._cache = (xs, hs, cs, gates, tcs)
+        return outs
 
     def forward_seq(self, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray) -> np.ndarray:
         """Run a (T, B, n_in) sequence from state (h0, c0); returns every h_t, (T, B, n_hidden).
@@ -307,7 +340,7 @@ class LSTM(Layer):
         return hs[1:]
 
     def backward_seq(self, gh_seq: np.ndarray) -> np.ndarray:
-        """BPTT over the sequence the last ``forward_seq`` cached.
+        """BPTT over the sequence the last ``forward_seq`` or ``restore`` cached.
 
         ``gh_seq`` (T, B, n_hidden) is the loss gradient flowing into each
         h_t from outside the recurrence (e.g. from heads); a loss on the

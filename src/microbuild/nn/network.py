@@ -96,6 +96,13 @@ class Sequential(Model, Layer):
             gout = l.backward(gout)
         return gout
 
+    def saved(self) -> tuple:
+        return tuple([l.saved() for l in self.layers])
+
+    def restore(self, saved: list[tuple]) -> None:
+        for k, l in enumerate(self.layers):
+            l.restore([s[k] for s in saved])
+
 
 class StateEncoder(Model):
     """Observation features: a two-layer conv trunk over the spatial planes,
@@ -114,6 +121,13 @@ class StateEncoder(Model):
     caches a later ``backward`` reads always belong to the memoised input.
     Run the trunk only through this class, or a memo hit may pair with
     another input's caches.
+
+    Memo runs are also the backward's runs. A run is consecutive one-row
+    calls on which the memo returned the same trunk output; their
+    ``saved()`` share the trunk's cached arrays. ``restore`` of such calls
+    caches the trunk once per run, and ``backward`` with the run starts it
+    returns takes the trunk back once per run, on the summed gradient of
+    the calls that reused it.
     """
 
     def __init__(self, channels: int, grid: int, n_scalars: int, hidden: int, rng):
@@ -145,10 +159,31 @@ class StateEncoder(Model):
         self._memo = (key, out)
         return out
 
-    def backward(self, g: np.ndarray) -> None:
-        """Backpropagate the first ``out_dim`` columns; those of ``extra`` are dropped."""
+    def saved(self) -> tuple:
+        """(trunk caches, scalar-layer caches) of the last forward."""
+        return self.spatial_net.saved(), self.nonspatial_net.saved()
+
+    def restore(self, saved: list[tuple]) -> np.ndarray:
+        """Cache the one-row forwards in ``saved`` (each a ``saved()``), in
+        order, for ``backward``: the scalar layers one row per forward, the
+        trunk one row per memo run. Every trunk run gathers a new conv1
+        patch matrix, so a run starts where that array changes. Clears the
+        memo, as a batched call does; returns the row each run starts at."""
+        cols = [s[0][0][0] for s in saved]  # each forward's conv1 patch matrix
+        starts = [t for t in range(len(cols)) if t == 0 or cols[t] is not cols[t - 1]]
+        self._memo = None
+        self.spatial_net.restore([saved[t][0] for t in starts])
+        self.nonspatial_net.restore([s[1] for s in saved])
+        return np.array(starts)
+
+    def backward(self, g: np.ndarray, run_starts: np.ndarray | None = None) -> None:
+        """Backpropagate the first ``out_dim`` columns; those of ``extra`` are
+        dropped. With the ``run_starts`` of ``restore``, the trunk takes the
+        sum of each run's rows."""
         conv1, *above = self.spatial_net.layers  # the observation takes no gradient
         g_spatial = g[:, : self.n_spatial]
+        if run_starts is not None:
+            g_spatial = np.add.reduceat(g_spatial, run_starts, axis=0)
         for l in reversed(above):
             g_spatial = l.backward(g_spatial)
         conv1.backward_params(g_spatial)

@@ -33,42 +33,73 @@ def zeroed_net() -> A.AgentNet:
     return net
 
 
-def make_rollout(net, n_steps, seed=0, rewards=None, kinds=None, dtype=np.float32):
-    """Roll random observations through a net to build a consistent rollout."""
+@dataclass
+class Inputs:
+    """What a rollout's steps fed the network: frames, scalar features, aux
+    rows, each (T, ...), and the recurrent state entering the first step."""
+
+    spatial: np.ndarray
+    nonspatial: np.ndarray
+    aux: np.ndarray
+    h0: np.ndarray
+    c0: np.ndarray
+
+
+def record_pass(net, inputs):
+    """Play ``inputs`` through ``net`` one row at a time, as ``act`` does:
+    (every step's ``net.saved()``, every step's value)."""
+    h, c = inputs.h0, inputs.c0
+    played, values = [], []
+    for t in range(len(inputs.aux)):
+        x = net._features(inputs.spatial[t : t + 1], inputs.nonspatial[t : t + 1], inputs.aux[t : t + 1])
+        h, c = net.core.step(x, h, c)
+        values.append(net.head_value.forward(h)[0, 0])
+        played.append(net.saved())
+    return played, np.array(values, dtype=np.float32)
+
+
+def make_rollout(net, n_steps, seed=0, rewards=None, kinds=None, dtype=np.float32, frames=None):
+    """Play random observations through a net to build a consistent rollout:
+    its values and its recorded pass are the net's. Step t shows frame
+    ``frames[t]`` of n_steps random frames (all distinct by default).
+    Returns the rollout and its inputs."""
     rng = np.random.default_rng(seed)
     sp = (rng.random((n_steps, 14, 16, 16)) < 0.1).astype(dtype)
+    if frames is not None:
+        sp = sp[np.asarray(frames)]
     ns = rng.random((n_steps, 10)).astype(dtype)
-    aux = np.zeros((n_steps, A.AUX_DIM), dtype=dtype)
-    masks = np.ones((n_steps, 6), dtype=bool)
+    inputs = Inputs(sp, ns, np.zeros((n_steps, A.AUX_DIM), dtype=dtype), *net.zero_state())
     if kinds is None:
         kinds = rng.integers(0, 6, size=n_steps)
     xs = rng.integers(0, 16, size=n_steps)
     ys = rng.integers(0, 16, size=n_steps)
     if rewards is None:
         rewards = rng.random(n_steps).astype(np.float32)
-    h0, c0 = net.zero_state()
     # values from the net itself so advantages are consistent
-    values = np.zeros(n_steps, dtype=np.float32)
-    h, c = h0.copy(), c0.copy()
-    for t in range(n_steps):
-        obs = E.Observation(spatial=sp[t], nonspatial=ns[t])
-        values[t] = net.value_of(obs, aux[t], h, c)
-        x = net._features(sp[t : t + 1], ns[t : t + 1], aux[t : t + 1])
-        h, c = net.core.step(x, h, c)
-    return A.Rollout(
-        spatial=sp,
-        nonspatial=ns,
-        aux=aux,
-        masks=masks,
+    played, values = record_pass(net, inputs)
+    roll = A.Rollout(
+        masks=np.ones((n_steps, 6), dtype=bool),
         kinds=np.asarray(kinds),
         xs=xs,
         ys=ys,
         rewards=np.asarray(rewards, dtype=np.float32),
         values=values,
         bootstrap=0.0,
-        h0=h0,
-        c0=c0,
+        played=played,
     )
+    return roll, inputs
+
+
+def play_twin(twin, n_steps):
+    """Play ``twin`` up to ``n_steps`` steps or the episode's end, as
+    ``rollout`` plays, and return the inputs its steps fed the network."""
+    h0, c0 = twin.h, twin.c
+    obs, aux, done = [], [], False
+    while len(aux) < n_steps and not done:
+        obs.append(twin.obs)
+        aux.append(twin.shaping.aux())
+        done = twin.step()[-1]
+    return Inputs(np.array([o.spatial for o in obs]), np.array([o.nonspatial for o in obs]), np.array(aux), h0, c0)
 
 
 # ----------------------------------------------------------------- returns
@@ -253,7 +284,7 @@ def test_act_reproducible_given_seed():
 def test_a3c_loss_zero_advantage_leaves_only_entropy():
     net = zeroed_net()
     # zero rewards, zero bootstrap, zero values -> advantages 0, value loss 0
-    roll = make_rollout(net, 5, seed=2, rewards=np.zeros(5), kinds=[0, 1, 4, 5, 0])
+    roll, _ = make_rollout(net, 5, seed=2, rewards=np.zeros(5), kinds=[0, 1, 4, 5, 0])
     cfg = A.AgentConfig(entropy_coef=0.01, value_coef=0.5)
     loss, _ = A.a3c_loss(roll, net, cfg)
     expected = -cfg.entropy_coef * 5 * np.log(6.0)  # uniform over 6 legal ids
@@ -263,7 +294,7 @@ def test_a3c_loss_zero_advantage_leaves_only_entropy():
 
 def test_a3c_loss_entropy_bounded_per_step():
     net = A.AgentNet(np.random.default_rng(5))
-    roll = make_rollout(net, 6, seed=3, kinds=[2, 3, 0, 2, 5, 1])
+    roll, _ = make_rollout(net, 6, seed=3, kinds=[2, 3, 0, 2, 5, 1])
     cfg = A.AgentConfig(entropy_coef=1.0, value_coef=0.0)
     # with c_e=1 and zero advantages/values the loss is -sum(entropies);
     # bound per step: log 6 + 2 log 16
@@ -274,11 +305,15 @@ def test_a3c_loss_entropy_bounded_per_step():
 
 
 def test_a3c_loss_gradients_match_finite_differences():
+    """In float64, on a rollout whose first two steps share a frame (two memo
+    runs), with the pass recorded again at every perturbed parameter vector."""
     net = bound(A.AgentNet(np.random.default_rng(7)))
-    roll = make_rollout(net, 2, seed=11, kinds=[2, 5], dtype=np.float64)  # build + train heads
+    # build + train heads
+    roll, inputs = make_rollout(net, 3, seed=11, kinds=[2, 5, 3], dtype=np.float64, frames=[0, 0, 1])
     cfg = A.AgentConfig()
 
     def loss_fn():
+        roll.played = record_pass(net, inputs)[0]
         loss, flat = A.a3c_loss(roll, net, cfg)
         out, pos = [], 0
         for a in net.param_arrays():
@@ -292,10 +327,12 @@ def test_a3c_loss_gradients_match_finite_differences():
     assert err <= 1e-3
 
 
-def reference_a3c_loss(rollout, net, config):
+def reference_a3c_loss(rollout, net, config, rerun=None):
     """a3c_loss with its heads walked one timestep at a time, each head's
-    log-softmax taken over its legal entries only. The LSTM runs the same
-    sequence pass; test_nn checks that pass against step."""
+    log-softmax taken over its legal entries only, on the rollout's recorded
+    pass. Given the rollout's ``Inputs`` as ``rerun``, it runs the forward
+    pass on them again instead, as one batched trunk and one
+    ``forward_seq``, and backpropagates that."""
 
     def log_softmax(z):
         z = z - z.max()
@@ -303,8 +340,12 @@ def reference_a3c_loss(rollout, net, config):
 
     returns, advantages = A.compute_returns(rollout.rewards, rollout.bootstrap, config.gamma, rollout.values)
     net.zero_grads()
-    feats = net._features(rollout.spatial, rollout.nonspatial, rollout.aux)
-    hs = net.core.forward_seq(feats[:, None], rollout.h0, rollout.c0)[:, 0]
+    if rerun is not None:
+        feats = net._features(rerun.spatial, rerun.nonspatial, rerun.aux)
+        hs = net.core.forward_seq(feats[:, None], rerun.h0, rerun.c0)[:, 0]
+        run_starts = None  # one trunk row per step
+    else:
+        hs, run_starts = net.restore(rollout.played)
     heads = (net.head_action, net.head_x, net.head_y)
     logits = [head.forward(hs) for head in heads]
     values = net.head_value.forward(hs)[:, 0]
@@ -332,7 +373,7 @@ def reference_a3c_loss(rollout, net, config):
     gh += net.head_x.backward(gouts[1])
     gh += net.head_y.backward(gouts[2])
     gh += net.head_value.backward(g_v)
-    net._backward_features(net.core.backward_seq(gh[:, None])[:, 0])
+    net._backward_features(net.core.backward_seq(gh[:, None])[:, 0], run_starts)
     return loss, net.flat_grads.copy()
 
 
@@ -344,7 +385,7 @@ def test_a3c_loss_bitwise_equals_per_step_reference(n_steps, kinds, dtype):
     kind_choices = {"all-build": E.BUILD_KINDS, "no-build": (0, 1, 4, 5), "mixed": range(E.N_ACTIONS)}
     chosen = r.choice(list(kind_choices[kinds]), size=n_steps)
     net = bound(A.AgentNet(np.random.default_rng(17)), dtype)
-    roll = make_rollout(net, n_steps, seed=n_steps, kinds=chosen, dtype=dtype)
+    roll, _ = make_rollout(net, n_steps, seed=n_steps, kinds=chosen, dtype=dtype)
     masks = r.random((n_steps, E.N_ACTIONS)) < 0.6
     masks[:, E.A_NOOP] = True
     masks[np.arange(n_steps), chosen] = True
@@ -358,9 +399,48 @@ def test_a3c_loss_bitwise_equals_per_step_reference(n_steps, kinds, dtype):
     assert grads.tobytes() == want_grads.tobytes()
 
 
+def assert_rerun_gradient(roll, inputs, net, cfg):
+    loss, grads = A.a3c_loss(roll, net, cfg)
+    want_loss, want = reference_a3c_loss(roll, net, cfg, rerun=inputs)
+    assert loss == pytest.approx(want_loss, rel=1e-5, abs=1e-6)
+    np.testing.assert_allclose(grads, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("variant", ["none", "subtask", "narration"])
+def test_a3c_loss_on_played_rollouts_equals_rerun_forward(variant, tiny_mem, commands):
+    """Consecutive rollouts of a training actor, each taken before its update;
+    the last is cut short by the episode's end."""
+    cfg = A.AgentConfig(variant=variant, horizon=40, rollout_len=16, tau=2.0, lr=1e-3)
+    net = A.AgentNet(np.random.default_rng(5))
+    shared = A.SharedParams(net, cfg.lr)
+
+    def actor():
+        return A.Actor(net, cfg, A.EpisodeShaping(cfg, tiny_mem, commands), 7, np.random.default_rng(8))
+
+    rolling, twin = actor(), actor()
+    sizes, runs, done = [], [], False
+    while not done:
+        inputs = play_twin(twin, cfg.rollout_len)
+        roll, done = rolling.rollout()
+        runs.append(len(net.restore(roll.played)[1]))
+        assert_rerun_gradient(roll, inputs, net, cfg)
+        shared.apply_gradients(A.a3c_loss(roll, net, cfg)[1])
+        sizes.append(len(roll))
+    assert sizes == [16, 16, 8]
+    assert all(1 <= r < s for r, s in zip(runs, sizes))  # some frames repeat
+
+
+@pytest.mark.parametrize("frames, runs", [(None, 32), ([3] * 32, 1)], ids=["all-distinct", "all-equal"])
+def test_a3c_loss_memo_runs_equal_rerun_forward(frames, runs):
+    net = A.AgentNet(np.random.default_rng(9))
+    roll, inputs = make_rollout(net, 32, seed=4, frames=frames)
+    assert len(net.restore(roll.played)[1]) == runs
+    assert_rerun_gradient(roll, inputs, net, A.AgentConfig(entropy_coef=0.3))
+
+
 def test_a3c_loss_nan_detected():
     net = zeroed_net()
-    roll = make_rollout(net, 3, seed=2)
+    roll, _ = make_rollout(net, 3, seed=2)
     net.head_value.weight[...] = np.nan
     with pytest.raises(FloatingPointError):
         A.a3c_loss(roll, net, A.AgentConfig())
@@ -573,16 +653,13 @@ def test_rollout_stacks_the_records_of_the_steps_it_played(commands):
     rolling, twin = actor(), actor()
     sizes, done = [], False
     while not done:
-        h0, c0 = twin.h, twin.c
-        steps = [twin.step()]
+        steps, hs = [twin.step()], [twin.h]
         while len(steps) < cfg.rollout_len and not steps[-1][-1]:
             steps.append(twin.step())
+            hs.append(twin.h)
         roll, done = rolling.rollout()
-        obs, aux, masks, actions, values, rewards, dones = zip(*steps)
+        masks, actions, values, rewards, dones = zip(*steps)
         want = {
-            "spatial": (np.stack([o.spatial for o in obs]), np.float32),
-            "nonspatial": (np.stack([o.nonspatial for o in obs]), np.float32),
-            "aux": (np.stack(aux), np.float32),
             "masks": (np.stack(masks), np.bool_),
             "kinds": (np.array([a.kind for a in actions]), np.int64),
             "xs": (np.array([a.x for a in actions]), np.int64),
@@ -593,7 +670,7 @@ def test_rollout_stacks_the_records_of_the_steps_it_played(commands):
         for field, (array, dtype) in want.items():
             got = getattr(roll, field)
             assert got.dtype == dtype and np.array_equal(got, array), field
-        assert np.array_equal(roll.h0, h0) and np.array_equal(roll.c0, c0)
+        assert net.restore(roll.played)[0].tobytes() == np.concatenate(hs).tobytes()  # the pass it played
         assert done == dones[-1] and not any(dones[:-1])
         if not done:
             assert roll.bootstrap == net.value_of(twin.obs, twin.shaping.aux(), twin.h, twin.c)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -375,6 +376,21 @@ def test_dataset_hash_deterministic():
     assert a.hash() == b.hash()
     c = M.generate_dataset(M.Quotas(per_command=25, nulls=100), seed=22)
     assert c.hash() != a.hash()
+
+
+def test_dataset_hash_reads_the_arrays_in_place(small_dataset):
+    want = hashlib.sha256()
+    for arr in small_dataset.arrays().values():
+        want.update(np.ascontiguousarray(arr).tobytes())
+    assert small_dataset.hash() == want.hexdigest()
+    assert small_dataset.spatial.nbytes > 1_000_000  # a copy of the frames would show
+    tracemalloc.start()
+    try:
+        small_dataset.hash()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 def test_dataset_arrays_are_read_only_and_a_view_passed_in_is_copied(small_dataset):

@@ -360,6 +360,31 @@ def test_lstm_forward_seq_matches_per_step_reference(n_steps, batch, dtype, rtol
         np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * np.abs(b).max())
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_lstm_restore_of_steps_backpropagates_like_forward_seq(batch):
+    """``restore`` of the steps ``step`` kept gives their h_t and a cache on
+    which ``backward_seq`` matches it after ``forward_seq``, to rounding."""
+    r = rng(57)
+    cell = bound(LSTM(6, 5, r))
+    xs = r.standard_normal((7, batch, 6))
+    h0, c0 = (r.standard_normal((batch, 5)) for _ in range(2))
+    h, c = h0, c0
+    gh_seq = r.standard_normal((7, batch, 5))
+    steps = []
+    for x in xs:
+        h, c = cell.step(x, h, c)
+        steps.append(cell.saved())
+    hs = cell.restore(steps)
+    assert hs.shape == (7, batch, 5) and hs[-1].tobytes() == h.tobytes()
+    got = [cell.backward_seq(gh_seq)] + [cell.grads[n].copy() for n in cell.param_names]
+    zero_grads(cell)
+    want_hs = cell.forward_seq(xs, h0, c0)
+    want = [cell.backward_seq(gh_seq)] + [cell.grads[n] for n in cell.param_names]
+    np.testing.assert_allclose(hs, want_hs, rtol=1e-12, atol=1e-12)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.abs(b).max())
+
+
 def test_lstm_forward_seq_grads_with_per_step_head_gradients_match_finite_differences():
     r = rng(66)
     cell = bound(LSTM(3, 4, r))
@@ -596,6 +621,36 @@ def test_trunk_memo_backward_after_batched_forward_matches_fresh_network():
     fresh.zero_grads()
     fresh.backward(g)
     assert enc.flat_grads.tobytes() == fresh.flat_grads.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shown, starts",
+    [([0, 0, 1, 2, 2, 2, 0], [0, 2, 3, 6]), ([0, 1, 2, 3], [0, 1, 2, 3]), ([4] * 5, [0])],
+    ids=["mixed", "distinct", "one-run"],
+)
+def test_trunk_restore_takes_one_backward_row_per_memo_run(shown, starts):
+    """One-row forwards kept with ``saved()`` and restored backpropagate, with
+    the trunk once per memo run, like one batched forward over the same rows."""
+    enc, fresh = bound(make_encoder(11), np.float64), bound(make_encoder(11), np.float64)
+    sp, ns = frames(6, 8)
+    sp, ns = sp[shown].astype(np.float64), ns[: len(shown)].astype(np.float64)
+    g = rng(12).standard_normal((len(shown), enc.out_dim))
+    runs = count_trunk_runs(enc)
+    kept = []
+    for t in range(len(shown)):
+        enc.forward(sp[t : t + 1], ns[t : t + 1])
+        kept.append(enc.saved())
+    assert runs == [1] * len(starts)
+    assert enc.restore(kept).tolist() == starts
+    enc.forward(sp[-1:], ns[-1:])  # restore clears the memo: the trunk runs again
+    assert runs == [1] * (len(starts) + 1)
+    enc.restore(kept)
+    enc.zero_grads()
+    enc.backward(g, np.array(starts))
+    fresh.forward(sp, ns)
+    fresh.zero_grads()
+    fresh.backward(g)
+    np.testing.assert_allclose(enc.flat_grads, fresh.flat_grads, rtol=1e-10, atol=1e-12)
 
 
 # ------------------------------------------------------------------- adam

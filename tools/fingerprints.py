@@ -42,11 +42,12 @@ from microbuild import mem as M
 
 
 def sha(*parts) -> str:
-    """First 16 hex digits of the sha256 of bytes, arrays and reprs of anything else."""
+    """First 16 hex digits of the sha256 of bytes, arrays (read in place as
+    buffers) and reprs of anything else."""
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
-            part = np.ascontiguousarray(part).tobytes()
+            part = np.ascontiguousarray(part)
         elif not isinstance(part, bytes):
             part = repr(part).encode()
         h.update(part)

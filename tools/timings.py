@@ -12,9 +12,12 @@ untrained MEM, then the median time per call of ``env.reset``, of
 game), of ``Actor.rollout`` for 32 steps of the ``none`` variant,
 ``EpisodeShaping.bonus`` of the ``narration`` variant (on the untrained MEM)
 and of the ``subtask`` variant over that scripted-expert game's
-observations and detector events, ``a3c_loss`` on a 32-step rollout,
-``mem_loss`` with gradients on a 32-sample batch over the shipped commands,
-``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset with
+observations and detector events, ``a3c_loss`` on a 32-step rollout that
+``Actor.rollout`` played for the ``narration`` variant on the untrained MEM
+(the loss backpropagates the pass that played it), one training update of
+that variant (a 32-step rollout, its ``a3c_loss`` and the clipped Adam step
+``SharedParams.apply_gradients``), ``mem_loss`` with gradients on a
+32-sample batch over the shipped commands, ``evaluate_mem`` over all 900 samples of a ``Quotas(60, 300)`` dataset with
 the shipped commands (on the other of two parameter versions each call, so
 every call encodes the states) and again with the alternate commands on
 unchanged parameters (every call reuses the model's stored state rows and
@@ -106,12 +109,6 @@ def main() -> None:
     nonspatial = rng.random((t_len, E.OBS_NONSPATIAL)).astype(np.float32)
     aux = rng.standard_normal((t_len, A.AUX_DIM)).astype(np.float32)
     h0, c0 = net.zero_state()
-    rollout = A.Rollout(
-        spatial=spatial, nonspatial=nonspatial, aux=aux, masks=np.ones((t_len, E.N_ACTIONS), bool),
-        kinds=rng.integers(0, E.N_ACTIONS, t_len), xs=rng.integers(0, E.GRID, t_len),
-        ys=rng.integers(0, E.GRID, t_len), rewards=rng.random(t_len).astype(np.float32),
-        values=rng.standard_normal(t_len).astype(np.float32), bootstrap=0.3, h0=h0, c0=c0,
-    )
     cfg = A.AgentConfig()
     eval_cfg = A.AgentConfig(variant="none", horizon=256, eval_episodes=2)
     worker0 = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, 0)))
@@ -130,6 +127,22 @@ def main() -> None:
     narration_cfg = A.AgentConfig(variant="narration", horizon=256, eval_episodes=2)
     commands, wd = M.load_commands(), M.MemTrainConfig().weight_decay
     alternates = M.load_commands(alternate=True)
+
+    def narration_actor(learner: A.AgentNet) -> A.Actor:
+        """Worker 0 of a ``narration`` run with ``rollout_len`` 32 on the untrained MEM."""
+        shaping = A.EpisodeShaping(narration_cfg, mem, commands)
+        return A.Actor(learner, narration_cfg, shaping, narration_cfg.base_seed, np.random.default_rng(0))
+
+    rollout, _ = narration_actor(net).rollout()  # played on net; the loss calls leave its parameters as they are
+    learner = A.AgentNet(np.random.default_rng(0))
+    trainer, shared = narration_actor(learner), A.SharedParams(learner, narration_cfg.lr)
+
+    def train_update():
+        played, done = trainer.rollout()
+        shared.apply_gradients(A.a3c_loss(played, learner, narration_cfg)[1])
+        if done:
+            trainer.end_episode(0)
+
     stages = {
         "train_skipgram epochs=10": micros(
             lambda: L.train_skipgram(corpus, L.SkipgramConfig(epochs=10), seed=3), calls=1
@@ -191,7 +204,8 @@ def main() -> None:
         "Actor.rollout T=32": micros(play_rollout, calls=20),
         "EpisodeShaping.bonus narration": shaping_bonus("narration"),
         "EpisodeShaping.bonus subtask": shaping_bonus("subtask"),
-        "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, cfg), calls=20),
+        "a3c_loss T=32": micros(lambda: A.a3c_loss(rollout, net, narration_cfg), calls=20),
+        "train update T=32 narration": micros(train_update, calls=20),
         "mem_loss B=32": micros(lambda: M.mem_loss(mem_batch, mem, commands, wd), calls=50),
         f"evaluate_mem S={everything.size}": micros(evaluate_mem_encoding, calls=10),
         f"evaluate_mem S={everything.size} again": micros(
@@ -236,7 +250,7 @@ def main() -> None:
     )
     peaks = {
         "mem_loss B=32 peak": traced_rise_mb(lambda: M.mem_loss(mem_batch, mem, commands, wd)),
-        "a3c_loss T=32 peak": traced_rise_mb(lambda: A.a3c_loss(rollout, net, cfg)),
+        "a3c_loss T=32 peak": traced_rise_mb(lambda: A.a3c_loss(rollout, net, narration_cfg)),
         f"evaluate_mem S={everything.size} peak": traced_rise_mb(evaluate_mem_encoding),
     }
     for name, value in stages.items():
