@@ -28,10 +28,10 @@ are computed, for training (``Actor``) and evaluation alike: it holds the
 shaped variants' command pointer and decides, per variant, when the
 current command is satisfied.
 
-``sample_from_logp`` draws by inverse CDF. When rounding leaves the
-cumulative mass short of 1 and a draw lands past it, the draw takes the
-last entry with nonzero probability. So an agent never samples a masked
-action.
+``sample_from_logits`` draws each of ``act``'s heads straight from its
+logits by inverse CDF over the unnormalised mass. When rounding puts a
+draw past the cumulative mass, it takes the last entry with nonzero mass.
+So an agent never samples a masked action.
 """
 
 from __future__ import annotations
@@ -175,25 +175,18 @@ class AgentNet(Model):
         c: np.ndarray,
         legal_mask: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[E.Action, float, float, tuple[np.ndarray, np.ndarray]]:
-        """Sample one action; spatial heads only participate for builds."""
+    ) -> tuple[E.Action, float, tuple[np.ndarray, np.ndarray]]:
+        """Sample one action: (action, value, (h, c)); the x and y heads draw only for builds."""
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
         h, c = self.core.step(x, h, c)
-        logits = self.head_action.forward(h)[0]
+        kind = sample_from_logits(self.head_action.forward(h)[0], legal_mask, rng)
         value = float(self.head_value.forward(h)[0, 0])
-        logp_id = masked_log_softmax(logits, legal_mask)
-        kind = sample_from_logp(logp_id, rng)
-        logp = float(logp_id[kind])
         if kind in E.BUILD_KINDS:
-            logp_x = masked_log_softmax(self.head_x.forward(h)[0], None)
-            logp_y = masked_log_softmax(self.head_y.forward(h)[0], None)
-            ax = sample_from_logp(logp_x, rng)
-            ay = sample_from_logp(logp_y, rng)
-            logp += float(logp_x[ax]) + float(logp_y[ay])
-            action = E.Action(kind, x=ax, y=ay)
+            ax = sample_from_logits(self.head_x.forward(h)[0], None, rng)
+            action = E.Action(kind, x=ax, y=sample_from_logits(self.head_y.forward(h)[0], None, rng))
         else:
             action = E.Action(kind)
-        return action, logp, value, (h, c)
+        return action, value, (h, c)
 
     def value_of(self, obs: E.Observation, aux: np.ndarray, h: np.ndarray, c: np.ndarray) -> float:
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
@@ -210,13 +203,18 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarra
     return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
-def sample_from_logp(logp: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn with probabilities ``exp(logp)`` by inverse CDF; a
-    draw past the cumulative mass takes the last entry with nonzero mass."""
-    p = np.exp(logp)
-    p /= np.add.reduce(p)
-    i = int(p.cumsum().searchsorted(rng.random(), side="right"))
-    if i == p.size:
+def sample_from_logits(logits: np.ndarray, mask: np.ndarray | None, rng: np.random.Generator) -> int:
+    """One index of the (n,) ``logits`` drawn with probabilities softmax(logits)
+    over the entries ``mask`` allows (all when None), by inverse CDF on one
+    ``rng.random()``; a draw past the cumulative mass takes the last entry
+    with nonzero mass."""
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    p = logits - np.maximum.reduce(logits)
+    np.exp(p, out=p)
+    cdf = p.cumsum()
+    i = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
+    if i == cdf.size:
         i = int(np.flatnonzero(p)[-1])
     return i
 
@@ -291,7 +289,8 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     Advantages are constants in the policy term; entropy covers only the
     heads actually used at each step: the action-id head at every step, the
     x and y heads at build steps. The loss sums the terms in timestep order
-    (id, x, y, value).
+    (id, x, y, value). The gradient returned is ``net.flat_grads`` itself,
+    valid until the net's next backward.
     """
     t_len = len(rollout)
     returns, advantages = compute_returns(
@@ -305,7 +304,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     values = net.head_value.forward(hs)[:, 0]
 
     c_v, c_e = config.value_coef, config.entropy_coef
-    build = np.isin(rollout.kinds, E.BUILD_KINDS)
+    build = (rollout.kinds[:, None] == E.BUILD_KINDS).any(axis=1)
     terms = np.empty((t_len, 4))  # id, x, y, value
     terms[:, 0], g_id = _policy_head(logits_id, rollout.masks, rollout.kinds, advantages, c_e)
     g_x = np.zeros_like(logits_x)
@@ -328,7 +327,7 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     gh += net.head_y.backward(g_y)
     gh += net.head_value.backward(g_v)
     net._backward_features(net.core.backward_seq(gh[:, None])[:, 0], run_starts)
-    return loss, net.flat_grads.copy()
+    return loss, net.flat_grads
 
 
 # ---------------------------------------------------------------- shaping
@@ -484,7 +483,7 @@ class Actor:
     def _choose(self, aux: np.ndarray) -> tuple[np.ndarray, E.Action, float]:
         """The policy: (legal mask, action, value) for the current observation."""
         mask = self.env.legal_mask()
-        action, _, value, (self.h, self.c) = self.net.act(self.obs, aux, self.h, self.c, mask, self.rng)
+        action, value, (self.h, self.c) = self.net.act(self.obs, aux, self.h, self.c, mask, self.rng)
         return mask, action, value
 
     def step(self) -> tuple[np.ndarray, E.Action, float, float, bool]:

@@ -235,7 +235,8 @@ def mem_loss(
     The states go through the encoder as one batch, and the whole command
     set through ``MemModel.encode_command_batch`` and back in one BPTT; a
     command no sample names gets a zero gradient. The distance derivative
-    at exactly zero distance is defined as zero.
+    at exactly zero distance is defined as zero. The gradient is
+    ``model.flat_grads``, valid until the model's next backward.
     """
     if batch.labels.size == 0:
         raise ValueError("empty batch")
@@ -260,7 +261,7 @@ def mem_loss(
     g_cmd = np.zeros((len(commands), g_diff.shape[1]), dtype=g_diff.dtype)
     np.subtract.at(g_cmd, batch.command_ids, g_diff)  # d loss / d xc, summed per command
     model.backward_command(g_cmd)
-    grads = model.flat_grads.copy()
+    grads = model.flat_grads
     if weight_decay:
         grads += 2.0 * weight_decay * model.flat_params
     return loss, grads

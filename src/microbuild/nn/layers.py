@@ -86,7 +86,9 @@ class Dense(Layer):
         if x.shape[-1] != self.n_in:
             raise ValueError(f"dense expects {self.n_in} inputs, got shape {x.shape}")
         self._saved = (x,)
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         if not self._saved:
@@ -226,26 +228,16 @@ class Conv2d(Layer):
         return np.bincount(at, gcols.ravel(), minlength=b * n).astype(gout.dtype).reshape(b, *chw)
 
 
-def _logistic(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function as exp(min(z, 0)) / (1 + exp(-|z|)).
-
-    That is 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below,
-    bit for bit, with no mask or select. exp only sees arguments <= 0, so it
-    cannot overflow; it may underflow to 0, which is the right limit, so
-    run it with underflow ignored (``_sigmoid`` does).
-    """
-    return np.divide(np.exp(np.minimum(z, 0.0)), 1.0 + np.exp(-np.abs(z)), out=out)
-
-
-_sigmoid = np.errstate(under="ignore")(_logistic)
-
-
 class LSTM(Layer):
     """Standard LSTM cell (input/forget/output gates, tanh candidate).
 
     Gate pre-activations are ordered (i, f, g, o) along the last axis.
-    The forget-gate bias initializes to 1. Two forward passes compute the
-    same function:
+    The forget-gate bias initializes to 1. Every gate comes from one rule
+    over the whole 4n block, ``tanh(z * scale) * scale + shift``, with
+    constant ``scale`` ½ and ``shift`` ½ on the i, f and o blocks and 1 and 0
+    on g: σ(z) = ½·tanh(z/2) + ½ for i, f and o, tanh(z) for g. tanh cannot
+    overflow; only a pre-activation whose half is subnormal raises underflow.
+    Two forward passes compute the same function:
 
     - ``step`` runs one timestep of (B, n_in) inputs from state (h, c).
       Acting uses it alone, where each input depends on the last output.
@@ -256,8 +248,8 @@ class LSTM(Layer):
     - ``forward_seq`` runs a whole (T, B, n_in) sequence known up front, as
       in training and in every command encoding (``MemModel``). The input
       projection of all T*B rows, plus the bias, is one product before the
-      loop, which keeps only ``h @ w_h``, and the underflow setting is
-      entered once per sequence. It caches the sequence for ``backward_seq``.
+      loop, which keeps only ``h @ w_h``. It caches the sequence for
+      ``backward_seq``.
 
     The two agree to float rounding: the hoisted product and the bias add
     round in another order. ``backward_seq`` backpropagates through the
@@ -276,6 +268,9 @@ class LSTM(Layer):
             self.w_h = glorot_uniform(rng, n_hidden, n_hidden, (n_hidden, 4 * n_hidden))
         self.bias = np.zeros(4 * n_hidden, dtype=np.float32)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate
+        self._scale = np.full(4 * n_hidden, 0.5, dtype=np.float32)  # the gate rule's constants, not parameters
+        self._scale[2 * n_hidden : 3 * n_hidden] = 1.0
+        self._shift = 1.0 - self._scale
         # (x, h entering, c entering, gates, tanh c) of the last forward_seq or restore, each (T, B, ...)
         self._cache: tuple | None = None
 
@@ -288,13 +283,20 @@ class LSTM(Layer):
             np.zeros((batch, self.n_hidden), dtype=self.w_x.dtype),
         )
 
+    def _gates(self, z: np.ndarray) -> np.ndarray:
+        """The gates of the (..., 4n) pre-activations ``z``, computed in place."""
+        z *= self._scale
+        np.tanh(z, out=z)
+        z *= self._scale
+        z += self._shift
+        return z
+
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nh = self.n_hidden
         z = x @ self.w_x
         z += h @ self.w_h
         z += self.bias
-        gates = _sigmoid(z)  # i, f and o; the g block then takes its tanh
-        np.tanh(z[:, 2 * nh : 3 * nh], out=gates[:, 2 * nh : 3 * nh])
+        gates = self._gates(z)
         i, f, g, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh : 3 * nh], gates[:, 3 * nh :]
         c_new = f * c
         c_new += i * g
@@ -325,17 +327,13 @@ class LSTM(Layer):
         hs[0], cs[0] = h0, c0
         tcs = np.empty_like(hs[1:])
         i, f, g, o = (gates[..., k * nh : (k + 1) * nh] for k in range(4))
-        w_h = self.w_h
-        with np.errstate(under="ignore"):  # see _logistic
-            for t in range(n_steps):
-                z = hs[t] @ w_h
-                z += gates[t]
-                _logistic(z, out=gates[t])
-                np.tanh(z[:, 2 * nh : 3 * nh], out=g[t])
-                np.multiply(f[t], cs[t], out=cs[t + 1])
-                cs[t + 1] += i[t] * g[t]
-                np.tanh(cs[t + 1], out=tcs[t])
-                np.multiply(o[t], tcs[t], out=hs[t + 1])
+        for t in range(n_steps):
+            gates[t] += hs[t] @ self.w_h
+            self._gates(gates[t])
+            np.multiply(f[t], cs[t], out=cs[t + 1])
+            cs[t + 1] += i[t] * g[t]
+            np.tanh(cs[t + 1], out=tcs[t])
+            np.multiply(o[t], tcs[t], out=hs[t + 1])
         self._cache = (xs, hs[:-1], cs[:-1], gates, tcs)
         return hs[1:]
 

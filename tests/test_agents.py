@@ -146,13 +146,6 @@ def reference_log_softmax(logits, mask):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def reference_sample(logp, rng):
-    """``sample_from_logp`` through numpy's functions, clamped to the last entry."""
-    p = np.exp(logp)
-    p /= p.sum()
-    return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), p.size - 1)
-
-
 @pytest.mark.parametrize("masked", [True, False])
 @pytest.mark.parametrize("shape", [(6,), (16,), (32, 6)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -170,63 +163,65 @@ def test_masked_log_softmax_bitwise_equals_reference(masked, shape, dtype):
 
 
 class ConstantDraws:
-    """A generator stand-in whose every uniform draw is ``value``."""
+    """A generator stand-in whose every uniform draw is ``value``, a Python
+    float as ``Generator.random()`` returns."""
 
     def __init__(self, value: float):
-        self.value = value
+        self.value = float(value)
 
     def random(self) -> float:
         return self.value
 
 
-def test_sample_from_logp_bitwise_equals_reference():
-    """10k draws over masked id heads and unmasked coordinate heads in both
-    dtypes pick the reference's index and leave the generator in its state."""
-    inputs = np.random.default_rng(5)
-    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    for i in range(10_000):
-        n = (E.N_ACTIONS, E.GRID)[i % 2]
-        logits = (inputs.standard_normal(n) * inputs.uniform(0.1, 10)).astype((np.float32, np.float64)[i // 2 % 2])
-        mask = None
-        if n == E.N_ACTIONS:
-            mask = inputs.random(n) < 0.6
-            mask[inputs.integers(n)] = True
-        logp = A.masked_log_softmax(logits, mask)
-        assert A.sample_from_logp(logp, rng) == reference_sample(logp, ref_rng)
-        if i >= 500:
-            continue
-        # draws on each step of the cumulative mass and either side of it,
-        # short of its total, where one rounding changes the index
-        p = np.exp(logp)
-        p /= p.sum()
-        cdf = np.cumsum(p).astype(np.float64)
-        for u in (*cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 1.0)):
-            if u < cdf[-1]:
-                assert A.sample_from_logp(logp, ConstantDraws(u)) == reference_sample(logp, ConstantDraws(u))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+class CountingDraws:
+    """A generator stand-in that counts its uniform draws."""
+
+    def __init__(self, seed: int):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.rng.random()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sample_from_logits_matches_softmax_by_chi_square(dtype):
+    """20k draws from fixed logits, one uniform draw each: a masked id head
+    never draws a masked index, and both it and an unmasked 16-entry head
+    pass a chi-square test against the softmax at the 0.001 level."""
+    id_logits = np.array([0.5, -1.0, 2.0, 0.0, 1.0, -0.5], dtype)
+    mask = np.array([True, False, True, True, False, True])
+    grid_logits = np.linspace(-2.0, 1.5, E.GRID).astype(dtype)
+    cutoffs = {3: 16.27, 15: 37.70}  # chi-square 0.999 quantiles by degrees of freedom
+    n = 20_000
+    for logits, legal in ((id_logits, mask), (grid_logits, None)):
+        draws = CountingDraws(7)
+        counts = np.bincount([A.sample_from_logits(logits, legal, draws) for _ in range(n)], minlength=logits.size)
+        assert draws.draws == n
+        allowed = np.ones(logits.size, bool) if legal is None else legal
+        assert not counts[~allowed].any()
+        p = np.exp(logits[allowed].astype(np.float64))
+        expected = n * p / p.sum()
+        chi2 = ((counts[allowed] - expected) ** 2 / expected).sum()
+        assert chi2 < cutoffs[allowed.sum() - 1]
 
 
 def test_sample_never_takes_a_masked_entry_past_the_cumulative_mass():
-    """The float32 cumulative mass of the legal entries can end below 1; the
-    largest draw under 1 must still take a legal action with finite logp."""
+    """The largest draw under 1, scaled by the float32 cumulative mass,
+    rounds to that mass and lands past it; it takes the last legal entry,
+    in the sampler and in ``act``."""
     mask = np.array([True, True, True, False, False, False])
-    found = np.random.default_rng(0)
-    while True:
-        logits = found.standard_normal(E.N_ACTIONS).astype(np.float32)
-        p = np.exp(A.masked_log_softmax(logits, mask))
-        p /= p.sum()
-        if np.cumsum(p)[-1] < 1.0:
-            break
     top = ConstantDraws(np.nextafter(1.0, 0.0))
-    logp = A.masked_log_softmax(logits, mask)
-    kind = A.sample_from_logp(logp, top)
-    assert kind == 2 and np.isfinite(logp[kind])
+    found = np.random.default_rng(0)
+    for _ in range(20):
+        logits = found.standard_normal(E.N_ACTIONS).astype(np.float32)
+        assert A.sample_from_logits(logits, mask, top) == 2
     net = zeroed_net()
     net.head_action.bias[...] = logits  # a zero net's logits are the bias
     h, c = net.zero_state()
     obs = E.encode_observation(None, E.reset(0))
-    action, logp_action, _, _ = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, top)
-    assert mask[action.kind] and np.isfinite(logp_action)
+    action, _, _ = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, top)
+    assert action.kind == 2
 
 
 def test_act_uniform_over_legal_for_zero_net():
@@ -238,7 +233,7 @@ def test_act_uniform_over_legal_for_zero_net():
     h, c = net.zero_state()
     counts = Counter()
     for _ in range(10_000):
-        action, _, _, _ = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, rng)
+        action, _, _ = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, rng)
         counts[action.kind] += 1
     assert set(counts) == {E.A_NOOP, E.A_SELECT_WORKER}
     # chi-square against uniform: df=1, comfortably under the 0.001 cutoff
@@ -246,18 +241,21 @@ def test_act_uniform_over_legal_for_zero_net():
     assert chi2 < 10.8
 
 
-def test_act_noop_logp_excludes_spatial_heads():
-    net = zeroed_net()
+def test_act_draws_once_per_head_it_samples():
+    """One uniform draw for the action id; a build draws its x and y too."""
+    net = A.AgentNet(np.random.default_rng(2))
     s = E.reset(0)
     obs = E.encode_observation(None, s)
-    mask = E.legal_actions(s)
-    rng = np.random.default_rng(1)
+    builds_only = np.isin(np.arange(E.N_ACTIONS), E.BUILD_KINDS)
+    aux = np.zeros(A.AUX_DIM, dtype=np.float32)
     h, c = net.zero_state()
-    for _ in range(20):
-        action, logp, _, _ = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, rng)
-        if action.kind not in (E.A_BUILD_DEPOT, E.A_BUILD_BARRACKS):
-            # two legal actions, uniform: logp must be exactly log(1/2)
-            assert logp == pytest.approx(np.log(0.5), abs=1e-6)
+    for mask, per_act in ((E.legal_actions(s), 1), (builds_only, 3)):
+        draws = CountingDraws(1)
+        for i in range(1, 21):
+            action, _, _ = net.act(obs, aux, h, c, mask, draws)
+            assert mask[action.kind] and draws.draws == i * per_act
+            assert (action.kind in E.BUILD_KINDS) == (per_act == 3)
+            assert 0 <= action.x < E.GRID and 0 <= action.y < E.GRID
 
 
 def test_act_reproducible_given_seed():
@@ -271,8 +269,8 @@ def test_act_reproducible_given_seed():
         h, c = net.zero_state()
         out = []
         for _ in range(50):
-            action, logp, value, (h, c) = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, rng)
-            out.append((action, logp, value))
+            action, value, (h, c) = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, rng)
+            out.append((action, value, h.tobytes()))
         return out
 
     assert stream(9) == stream(9)
@@ -393,6 +391,7 @@ def test_a3c_loss_bitwise_equals_per_step_reference(n_steps, kinds, dtype):
     roll = A.Rollout(**{**roll.__dict__, "masks": masks, "rewards": rewards, "bootstrap": 0.7})
     cfg = A.AgentConfig(entropy_coef=0.3)
     loss, grads = A.a3c_loss(roll, net, cfg)
+    grads = grads.copy()  # net.flat_grads, which the reference's backward overwrites
     want_loss, want_grads = reference_a3c_loss(roll, net, cfg)
     assert loss == want_loss
     assert grads.dtype == dtype
@@ -401,6 +400,7 @@ def test_a3c_loss_bitwise_equals_per_step_reference(n_steps, kinds, dtype):
 
 def assert_rerun_gradient(roll, inputs, net, cfg):
     loss, grads = A.a3c_loss(roll, net, cfg)
+    grads = grads.copy()  # net.flat_grads, which the reference's backward overwrites
     want_loss, want = reference_a3c_loss(roll, net, cfg, rerun=inputs)
     assert loss == pytest.approx(want_loss, rel=1e-5, abs=1e-6)
     np.testing.assert_allclose(grads, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
@@ -696,7 +696,7 @@ def test_value_head_learns_constant_reward_stream():
         h, c = net.zero_state()
         rng = np.random.default_rng(0)
         for _ in range(20):  # settle the recurrent state
-            _, _, value, (h, c) = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, env.legal_mask(), rng)
+            _, value, (h, c) = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, env.legal_mask(), rng)
         assert value == pytest.approx(target, rel=0.05), f"seed {seed}"
 
 
@@ -882,7 +882,7 @@ def reference_evaluate_policy(params, config, mem=None, commands=None):
             if random_variant:
                 action = E.random_legal_action(env.state, rng)
             else:
-                action, _, _, (h, c) = net.act(obs, shaping.aux(), h, c, env.legal_mask(), rng)
+                action, _, (h, c) = net.act(obs, shaping.aux(), h, c, env.legal_mask(), rng)
             obs, env_r, done, events = env.step(action)
             total_shaped += env_r + shaping.bonus(obs, events)
         scores.append(float(env.score))

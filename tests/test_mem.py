@@ -275,6 +275,7 @@ def test_loss_unequal_command_lengths_match_per_command_reference(word_emb, uneq
     model = bound(M.MemModel(word_emb, np.random.default_rng(8)))
     batch = unequal_batch()
     loss, grads = M.mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
+    grads = grads.copy()  # model.flat_grads, which the reference's backward overwrites
     want_loss, want_grads = reference_mem_loss(batch, model, unequal_commands, weight_decay=2.5e-3)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     assert grads.dtype == want_grads.dtype == np.float64

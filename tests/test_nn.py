@@ -25,7 +25,7 @@ from microbuild.nn import (
     save_model,
 )
 from microbuild.nn import optim
-from microbuild.nn.layers import _patch_index, _sigmoid
+from microbuild.nn.layers import _patch_index
 
 from gradcheck import bound, grad_arrays, grad_check, grad_check_fn, zero_grads
 
@@ -86,13 +86,13 @@ def test_lstm_hidden_bounded():
 
 
 def reference_lstm_step(cell, x, h, c):
-    """``LSTM.step`` with its sums formed as new arrays."""
+    """``LSTM.step`` with its sums formed as new arrays and each gate block
+    computed on its own: σ(z) = ½·tanh(z/2) + ½ for i, f and o, tanh(z) for g."""
     nh = cell.n_hidden
     z = x @ cell.w_x + h @ cell.w_h + cell.bias
-    gates = _sigmoid(z)
-    np.tanh(z[:, 2 * nh : 3 * nh], out=gates[:, 2 * nh : 3 * nh])
-    i, f, g, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh : 3 * nh], gates[:, 3 * nh :]
-    c_new = f * c + i * g
+    i, f, g, o = (z[:, k * nh : (k + 1) * nh] for k in range(4))
+    i, f, o = (np.tanh(a * 0.5) * 0.5 + 0.5 for a in (i, f, o))
+    c_new = f * c + i * np.tanh(g)
     return o * np.tanh(c_new), c_new
 
 
@@ -100,7 +100,7 @@ def reference_lstm_step(cell, x, h, c):
 @pytest.mark.parametrize("batch", [1, 5])
 def test_lstm_step_bitwise_equals_reference(batch, dtype):
     """Equal bits, and no floating-point error raised, with every third
-    pre-activation below -104, where float32 exp underflows to 0."""
+    pre-activation below -104, where the gates saturate at 0 and -1."""
     r = rng(71)
     cell = bound(LSTM(6, 8, r), dtype)
     cell.bias[::3] = -120.0
@@ -474,21 +474,31 @@ def test_conv_forward_holds_one_patch_matrix():
     assert rise < patch_bytes / 2
 
 
-def test_sigmoid_bitwise_equals_two_branch_form():
-    for dtype in (np.float32, np.float64):
-        info = np.finfo(dtype)
-        special = [0.0, -0.0, 1e4, -1e4, info.max, -info.max, info.tiny, -info.tiny, 88.0, -88.0, 104.0, -104.0]
-        z = np.concatenate([np.array(special), rng(81).standard_normal(1000) * 30]).astype(dtype)
-        with np.errstate(all="ignore"):
-            want = np.empty_like(z)
-            pos = z >= 0
-            want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-            ez = np.exp(z[~pos])
-            want[~pos] = ez / (1.0 + ez)
-        with np.errstate(all="raise"):
-            got = _sigmoid(z)
-        assert got.dtype == dtype
-        assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_gates_match_the_closed_form_within_one_ulp_of_one(dtype):
+    """A cell with zero w_h and bias, stepped on one-hot rows, has the rows
+    of w_x as its pre-activations, so the step's gates are the gate rule on
+    them: within one ulp of 1 (``eps``) of σ(z) = 1 / (1 + exp(-z)) on the
+    i, f and o blocks and of tanh(z) on g, both in float64, with i, f and
+    o in [0, 1], and no floating-point error raised at 0, ±1e4 or ±max."""
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, 1.0, -1.0, 1e4, -1e4, info.max, -info.max, 88.0, -88.0, 104.0, -104.0]
+    z = np.concatenate([np.array(special), rng(81).standard_normal(1012) * 30]).astype(dtype).reshape(16, 64)
+    cell = bound(LSTM(16, 64), dtype)
+    cell.w_x[:] = np.tile(z, 4)
+    cell.bias[:] = 0.0
+    h, c = cell.zero_state(16)
+    with np.errstate(all="raise"):
+        cell.step(np.eye(16, dtype=dtype), h, c)
+    gates = cell.saved()[3]
+    assert gates.dtype == dtype
+    i, f, g, o = (gates[:, k * 64 : (k + 1) * 64].astype(np.float64) for k in range(4))
+    z64 = z.astype(np.float64)
+    with np.errstate(over="ignore"):
+        sigma = 1.0 / (1.0 + np.exp(-z64))
+    for got, want in ((i, sigma), (f, sigma), (g, np.tanh(z64)), (o, sigma)):
+        assert np.abs(got - want).max() <= info.eps
+    assert min(i.min(), f.min(), o.min()) >= 0.0 and max(i.max(), f.max(), o.max()) <= 1.0
 
 
 def test_grad_check_random_compositions():
@@ -562,8 +572,8 @@ def test_trunk_memo_hit_bitwise_equals_fresh_forward_agent_net():
         h, c = model.zero_state()
         act_rng, out = rng(6), []
         for _ in range(n):
-            action, logp, value, (h, c) = model.act(obs, aux, h, c, mask, act_rng)
-            out.append((action, logp, value, h.tobytes(), c.tobytes()))
+            action, value, (h, c) = model.act(obs, aux, h, c, mask, act_rng)
+            out.append((action, value, h.tobytes(), c.tobytes()))
         return out, model.value_of(obs, aux, h, c)
 
     runs = count_trunk_runs(net.encoder)

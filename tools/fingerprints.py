@@ -119,8 +119,8 @@ def main() -> None:
     for i in range(32):
         obs = E.Observation(batch.spatial[i], batch.nonspatial[i])
         aux = np.concatenate([mem0.encode_state(obs), cmd_vecs[i % len(cmd_vecs)]])
-        action, logp, value, (h, c) = net0.act(obs, aux, h, c, np.ones(E.N_ACTIONS, bool), act_rng)
-        acts.append((action, logp, value))
+        action, value, (h, c) = net0.act(obs, aux, h, c, np.ones(E.N_ACTIONS, bool), act_rng)
+        acts.append((action, value))
     out["infer_act"] = sha(acts, h, c)
     cfg = A.AgentConfig(variant="narration", horizon=720, eval_episodes=5)
     out["infer_policy_alt"] = sha(A.evaluate_policy(net0.get_flat(), cfg, mem0, alternates))

@@ -24,7 +24,9 @@ unchanged parameters (every call reuses the model's stored state rows and
 only encodes the commands and scores), ``AgentNet()`` with no ``rng`` (as
 ``evaluate_policy`` and ``AgentNet.load`` build it), ``AgentNet.act`` and
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
-and on two frames in turn (it misses every time), the untrained MEM's
+and on two frames in turn (it misses every time), ``AgentNet.act`` on the
+repeated frame with only the build ids legal (so it samples all three
+heads, the x and y heads too), the untrained MEM's
 ``encode_command_batch`` over the shipped commands (one sequence pass)
 and ``encode_command`` of one command, ``adam_step`` over the
 agent's parameters, the state encoder's two convs forward and backward and
@@ -121,6 +123,7 @@ def main() -> None:
     obs = E.Observation(spatial[0], nonspatial[0])
     other = itertools.cycle([obs, E.Observation(spatial[1], nonspatial[1])])
     mask = np.ones(E.N_ACTIONS, bool)
+    build_mask = np.isin(np.arange(E.N_ACTIONS), E.BUILD_KINDS)  # every act samples all three heads
     corpus = L.load_bundled_corpus()
     emb, _ = L.train_skipgram(corpus, L.SkipgramConfig(epochs=1), seed=3)
     mem = M.MemModel(emb, np.random.default_rng(1))
@@ -214,6 +217,7 @@ def main() -> None:
         "AgentNet()": micros(A.AgentNet, calls=50),
         "AgentNet.act repeated": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
         "AgentNet.act alternating": micros(lambda: net.act(next(other), aux[0], h0, c0, mask, rng)),
+        "AgentNet.act build": micros(lambda: net.act(obs, aux[0], h0, c0, build_mask, rng)),
         "MemModel.encode_state repeated": micros(lambda: mem.encode_state(obs)),
         "MemModel.encode_state alternating": micros(lambda: mem.encode_state(next(other))),
         f"MemModel.encode_command_batch U={len(commands)}": micros(lambda: mem.encode_command_batch(commands)),
