@@ -12,13 +12,14 @@ sequence pass over the set, ``MemModel.encode_command_batch``, which runs
 a one-command set as two copies of it. ``encode_command`` is its
 one-command call.
 
-States do not depend on the commands, so scoring a second command set on
-the same samples need not encode them again: each ``MemModel`` keeps the
-state rows of its last ``evaluate_mem`` call, and a call on the same
-parameters, dataset and distinct observations reuses them (see
-``evaluate_mem``). Only that exact set is reused. Rows for a subset would
-have to come from their own encoder pass, because a one-row remainder
-rounds differently.
+States do not depend on the commands, so a state row encoded once serves
+every later scoring on the same parameters: each ``MemModel`` keeps the
+rows of every observation ``evaluate_mem`` has encoded under its current
+parameters and dataset, and a call encodes only the observations the store
+lacks (see ``evaluate_mem``). The rows it takes from the store have the
+bits its own blocks would give them, by the rule above, as long as no row
+comes from a one-row pass: a one-row pass is never stored, and a single
+lacking row is encoded beside a held one.
 
 Training pulls matched (state, command) pairs to distance 0 and pushes
 mismatched pairs to distance 1:
@@ -116,9 +117,11 @@ class MemModel(Model):
     """Paired state and command encoders with shared output dimension. With
     no ``rng`` the weights start at zero, for callers that load them.
 
-    Each model holds one memo: the state rows of its last ``evaluate_mem``
-    call and that call's key. It belongs to the instance and is never shared
-    with another model, even one with the same parameters.
+    Each model holds one store of state rows: those ``evaluate_mem`` has
+    encoded under the current parameters and dataset, with that key. It
+    belongs to the instance and is never shared with another model, even one
+    with the same parameters; ``train_mem`` only hands a model back the store
+    of its own best epoch.
     """
 
     def __init__(self, word_embeddings: WordEmbeddings, rng: np.random.Generator | None = None):
@@ -129,7 +132,7 @@ class MemModel(Model):
         self.cmd_proj = Dense(EMBED_DIM, EMBED_DIM, rng)
         self.layers = [self.encoder, self.state_proj, self.cmd_lstm, self.cmd_proj]
         self._own_params()
-        self._state_memo: tuple | None = None  # (key, spatial ref, nonspatial ref, rows); see ``evaluate_mem``
+        self._state_store: tuple | None = None  # (digest, spatial ref, nonspatial ref, rows, held); see ``evaluate_mem``
 
     def spec(self) -> dict:
         return {
@@ -489,6 +492,21 @@ def _check_command_ids(dataset: MemDataset, commands: list[CommandSpec]) -> None
 _ENCODE_BLOCK = 32  # distinct observations per state-encoder call in ``evaluate_mem``, as in a training batch
 
 
+def _state_store(model: MemModel, dataset: MemDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The model's stored state rows and held mask, one entry per observation
+    of ``dataset``, under its current parameters; an empty store when the key
+    misses (see ``evaluate_mem``)."""
+    digest = hashlib.sha256(model.flat_params).digest()
+    store = model._state_store
+    if store is None or store[0] != digest or store[1]() is not dataset.spatial or store[2]() is not dataset.nonspatial:
+        model._state_store = store = None  # free the earlier rows before the new ones are allocated
+        n_obs = dataset.spatial.shape[0]
+        rows = np.empty((n_obs, EMBED_DIM), dtype=model.flat_params.dtype)
+        store = (digest, weakref.ref(dataset.spatial), weakref.ref(dataset.nonspatial), rows, np.zeros(n_obs, bool))
+        model._state_store = store
+    return store[3], store[4]
+
+
 def evaluate_mem(
     model: MemModel,
     dataset: MemDataset,
@@ -500,31 +518,37 @@ def evaluate_mem(
 ) -> tuple[float, float]:
     """(mean loss incl. penalty, accuracy) over the given sample indices.
 
-    Each distinct observation among the samples is encoded once, and every
-    sample is scored from its observation's state row. ``chunk`` below 1, a
-    ``threshold`` that is not positive (NaN included), a negative
-    ``weight_decay`` or a command list that misses an id the dataset's
-    samples name raises ``ValueError`` before anything is encoded.
+    Every sample is scored from its observation's state row, and each
+    distinct observation among the samples is encoded at most once.
+    ``chunk`` below 1, a ``threshold`` that is not positive (NaN included), a
+    negative ``weight_decay`` or a command list that misses an id the
+    dataset's samples name raises ``ValueError`` before anything is encoded.
 
-    - Encoding runs in blocks of ``_ENCODE_BLOCK`` distinct observations:
-      one sample per observation goes through ``dataset.batch``, and the
-      block through ``encode_state_batch``. A one-row tail joins the block
-      before it, so a block holds 2 to ``_ENCODE_BLOCK + 1`` rows, or one
-      when there is only one distinct observation.
+    - A call encodes only the distinct observations the model's store
+      (below) lacks, in blocks of ``_ENCODE_BLOCK``: one sample per
+      observation goes through ``dataset.batch``, and the block through
+      ``encode_state_batch``. A one-row tail joins the block before it, and
+      a single lacking row is encoded beside a row the store holds, so a
+      block holds 2 to ``_ENCODE_BLOCK + 1`` rows.
+    - A call with only one distinct observation encodes it alone and leaves
+      the store as it is: a one-row result is never stored.
     - ``chunk`` only groups the scoring: the squared errors are summed in
       float64 per ``chunk`` samples, in the given order.
 
     The bits are those of one ``encode_state_batch`` over all the distinct
     observations, and of encoding every sample with its chunk of samples:
     a state row has the same bits in any block of two or more rows (see the
-    module docstring), hence the tail rule.
+    module docstring), hence the tail and pairing rules. So a stored row, or
+    a held row encoded again beside a lacking one, has the bits a new model
+    would give it.
 
-    The state rows do not depend on the commands. The model keeps the rows
-    of its last call, and a call whose key matches reuses them: it makes no
+    The state rows do not depend on the commands, so the model keeps every
+    row it has encoded under its current parameters and dataset: a row
+    array with one row per observation of the dataset and a mask of the rows
+    held. A later call, with any command set and any sample list, takes the
+    rows the store holds; a call that needs no new row makes no
     ``dataset.batch`` or ``encode_state_batch`` call and only encodes the
-    commands and scores. So scoring a second command set on the same samples
-    costs the scoring alone, with the same bits, because the stored rows are
-    the ones the encoder gave. The key has three parts:
+    commands and scores. The store's key has two parts:
 
     - the sha256 digest of ``model.flat_params``' bytes, so ``set_flat``, an
       optimizer step or an in-place write to a weight misses, as in the conv
@@ -535,21 +559,21 @@ def evaluate_mem(
       and compared by identity, so the model never keeps a dataset alive and
       a reused ``id`` never matches. Identity suffices because a dataset's
       arrays are read-only (``MemDataset``); a content hash would cost about
-      as much as a block's encoding;
-    - the bytes of the distinct observation ids, as ``np.unique`` returns
-      them. Only the exact set hits: rows for a subset would round
-      differently as their own blocks.
+      as much as a block's encoding.
+
+    A call whose key misses drops the store before it allocates an empty
+    one, so the store never holds a row of earlier parameters or of another
+    dataset. ``train_mem`` keeps its best epoch's store beside that epoch's
+    parameters and restores both together.
 
     Memory: one block's float32 observations and conv1 patch matrix (about
     0.46 and 1.6 MB at 32 rows, the size of a training batch's) set the
     peak, whatever the number of observations. A block's frames are freed
     before the next block's are gathered, and ``Conv2d`` frees the last
     patch matrix before it gathers the next, so no two blocks' buffers are
-    held at once. Beyond them only the state rows (256 bytes per distinct
-    observation, written into one array) and the index arrays (tens of
-    bytes per sample, the key's observation ids among them) grow. A miss
-    drops the last call's rows before it encodes; the memo then holds this
-    call's.
+    held at once. Beyond them only the store (257 bytes per observation of
+    the dataset: its row and its mask entry) and the index arrays (tens of
+    bytes per sample) grow.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
@@ -561,27 +585,32 @@ def evaluate_mem(
         raise ValueError("empty sample set")
     _check_command_ids(dataset, commands)
     cmd_vecs = model.encode_command_batch(commands)
-    obs, first, obs_row = np.unique(dataset.sample_obs[sample_idx], return_index=True, return_inverse=True)
-    key = (hashlib.sha256(model.flat_params).digest(), obs.tobytes())
-    memo = model._state_memo
-    if memo is not None and memo[0] == key and memo[1]() is dataset.spatial and memo[2]() is dataset.nonspatial:
-        states = memo[3]
+    sample_obs = dataset.sample_obs[sample_idx]
+    obs, first = np.unique(sample_obs, return_index=True)
+    if obs.size == 1:
+        batch = dataset.batch(sample_idx[first])
+        states = model.encode_state_batch(batch.spatial, batch.nonspatial)  # one row: never stored
+        sample_obs = np.zeros_like(sample_obs)
+        del batch
     else:
-        model._state_memo = memo = None  # free the last call's rows before this call's are encoded
-        starts = list(range(0, first.size, _ENCODE_BLOCK))
-        if first.size - starts[-1] == 1 and len(starts) > 1:
+        states, held = _state_store(model, dataset)
+        lacking = np.flatnonzero(~held[obs])  # positions in ``obs`` of the rows to encode
+        if lacking.size == 1:
+            lacking = np.append(lacking, np.argmax(held[obs]))  # beside the first held row
+        starts = list(range(0, lacking.size, _ENCODE_BLOCK))
+        if len(starts) > 1 and lacking.size - starts[-1] == 1:
             starts.pop()  # a one-row block would round differently
-        states = np.empty((first.size, EMBED_DIM), dtype=model.flat_params.dtype)
-        for a, b in zip(starts, [*starts[1:], first.size]):
-            batch = dataset.batch(sample_idx[first[a:b]])
-            states[a:b] = model.encode_state_batch(batch.spatial, batch.nonspatial)
+        for a, b in zip(starts, [*starts[1:], lacking.size]):
+            block = lacking[a:b]
+            batch = dataset.batch(sample_idx[first[block]])
+            states[obs[block]] = model.encode_state_batch(batch.spatial, batch.nonspatial)
             del batch  # free this block's frames before the next block's are gathered
-        model._state_memo = (key, weakref.ref(dataset.spatial), weakref.ref(dataset.nonspatial), states)
+        held[obs] = True
     total_sq, correct = 0.0, 0
     for start in range(0, sample_idx.size, chunk):
         part = sample_idx[start : start + chunk]
         labels = dataset.sample_label[part]
-        diff = (states[obs_row[start : start + chunk]] - cmd_vecs[dataset.sample_cmd[part]]).astype(np.float64)
+        diff = (states[sample_obs[start : start + chunk]] - cmd_vecs[dataset.sample_cmd[part]]).astype(np.float64)
         dist = np.sqrt((diff * diff).sum(axis=1))
         err = dist - labels
         total_sq += float((err * err).sum())
@@ -597,7 +626,10 @@ def train_mem(
     seed: int,
 ) -> tuple[MemModel, MemMetrics]:
     """Adam, in place on the model's parameters, on the contrastive loss;
-    returns the minimum-validation snapshot. A config with ``epochs`` or
+    returns the minimum-validation snapshot, scored on the test split. The
+    snapshot keeps the store of state rows its validation scoring left (see
+    ``evaluate_mem``), so the test scoring and every later scoring on the
+    returned model start from the validation split's rows. A config with ``epochs`` or
     ``batch`` below 1, ``lr`` not positive or ``weight_decay`` negative, an
     empty split, or a command list that misses an id the samples name
     raises ``ValueError`` before the model is built."""
@@ -616,7 +648,7 @@ def train_mem(
     model = MemModel(word_embeddings, rng_init)
     adam = AdamState(model.n_params(), lr=config.lr)
     metrics = MemMetrics()
-    best = (np.inf, -1, model.get_flat())
+    best = (np.inf, -1, model.get_flat(), None)  # (val loss, epoch, parameters, state store)
 
     train_idx = dataset.split_train
     for epoch in range(config.epochs):
@@ -637,10 +669,11 @@ def train_mem(
         metrics.val_loss.append(va_loss)
         metrics.val_acc.append(va_acc)
         if va_loss < best[0]:
-            best = (va_loss, epoch, model.get_flat())
+            best = (va_loss, epoch, model.get_flat(), model._state_store)
 
     metrics.best_epoch = best[1]
     model.set_flat(best[2])
+    model._state_store = best[3]  # keyed by the digest of these parameters
     metrics.test_loss, metrics.test_acc = evaluate_mem(
         model, dataset, dataset.split_test, commands, config.weight_decay
     )

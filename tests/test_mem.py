@@ -774,7 +774,7 @@ def encodings(monkeypatch, model):
 
 
 def scored_fresh(word_emb, model, *args):
-    """``evaluate_mem`` on a new model with ``model``'s parameters, whose memo is empty."""
+    """``evaluate_mem`` on a new model with ``model``'s parameters, whose store is empty."""
     fresh = M.MemModel(word_emb)
     fresh.set_flat(model.get_flat())
     return M.evaluate_mem(fresh, *args)
@@ -829,6 +829,135 @@ def test_evaluate_mem_encodes_again_when_its_key_changes(monkeypatch, word_emb, 
     calls = encodings(monkeypatch, model)
     assert M.evaluate_mem(model, ds, idx, alternates, 2.5e-3, EVAL_THRESHOLD) == want
     assert "batch" in calls and "encode" in calls
+
+
+def obs_pool(ds, n_obs, seed=5):
+    """``n_obs`` distinct observation ids of ``ds`` in a random order."""
+    return np.random.default_rng(seed).choice(np.unique(ds.sample_obs), size=n_obs, replace=False)
+
+
+def obs_samples(ds, obs, seed=0):
+    """A shuffled list of every sample of the observations ``obs``."""
+    return np.random.default_rng(seed).permutation(np.flatnonzero(np.isin(ds.sample_obs, obs)))
+
+
+def frames_of(ds, obs):
+    """The sorted float32 frame bytes of the observations ``obs``, one entry per observation."""
+    return sorted(ds.spatial[i].astype(np.float32).tobytes() + ds.nonspatial[i].tobytes() for i in obs)
+
+
+def recording_blocks(model):
+    """The blocks ``model.encode_state_batch`` encodes from now on, each a list of its rows' frame bytes."""
+    blocks = []
+    encode = model.encode_state_batch
+
+    def recording(spatial, nonspatial):
+        blocks.append([s.tobytes() + n.tobytes() for s, n in zip(spatial, nonspatial)])
+        return encode(spatial, nonspatial)
+
+    model.encode_state_batch = recording
+    return blocks
+
+
+@pytest.mark.parametrize("relation", ["subset", "superset", "disjoint"])
+def test_evaluate_mem_encodes_only_the_rows_its_store_lacks(word_emb, small_dataset, relation):
+    ds = small_dataset
+    originals, alternates = M.load_commands(), M.load_commands(alternate=True)
+    pool = obs_pool(ds, 5 * BLOCK + 3)
+    held = pool[: 3 * BLOCK]
+    asked = {"subset": pool[BLOCK : 2 * BLOCK + 7], "superset": pool, "disjoint": pool[3 * BLOCK :]}[relation]
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    M.evaluate_mem(model, ds, obs_samples(ds, held), originals, 2.5e-3, EVAL_THRESHOLD)
+    idx = obs_samples(ds, asked, seed=1)
+    want = scored_fresh(word_emb, model, ds, idx, alternates, 2.5e-3, EVAL_THRESHOLD, 64)
+    blocks = recording_blocks(model)
+    assert M.evaluate_mem(model, ds, idx, alternates, 2.5e-3, EVAL_THRESHOLD, 64) == want
+    assert sorted(itertools.chain(*blocks)) == frames_of(ds, np.setdiff1d(asked, held))
+    assert all(2 <= len(b) <= BLOCK + 1 for b in blocks)
+
+
+def test_evaluate_mem_encodes_a_single_lacking_row_beside_a_held_one(word_emb, commands, small_dataset):
+    ds = small_dataset
+    pool = obs_pool(ds, 2 * BLOCK + 1)
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    M.evaluate_mem(model, ds, obs_samples(ds, pool[:-1]), commands, 2.5e-3, EVAL_THRESHOLD)
+    idx = obs_samples(ds, pool, seed=1)
+    want = scored_fresh(word_emb, model, ds, idx, commands, 2.5e-3, EVAL_THRESHOLD)
+    blocks = recording_blocks(model)
+    # encoded alone, the lacking row would round differently from a fresh model's
+    assert M.evaluate_mem(model, ds, idx, commands, 2.5e-3, EVAL_THRESHOLD) == want
+    assert [len(b) for b in blocks] == [2] and frames_of(ds, pool[-1:])[0] in blocks[0]
+
+
+def test_evaluate_mem_stores_no_row_of_a_one_observation_call(word_emb, small_dataset):
+    ds = small_dataset
+    originals, alternates = M.load_commands(), M.load_commands(alternate=True)
+    pool = obs_pool(ds, BLOCK)
+    one, some = obs_samples(ds, pool[:1]), obs_samples(ds, pool)
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    calls = [(one, originals), (some, alternates), (one, alternates)]
+    want = [scored_fresh(word_emb, model, ds, idx, cmds, 2.5e-3, EVAL_THRESHOLD) for idx, cmds in calls]
+    blocks = recording_blocks(model)
+    assert [M.evaluate_mem(model, ds, idx, cmds, 2.5e-3, EVAL_THRESHOLD) for idx, cmds in calls] == want
+    # the one-row result is not reused by the set, nor the set's row by a one-observation call
+    assert [len(b) for b in blocks] == [1, BLOCK, 1]
+
+
+def test_scoring_after_train_mem_encodes_only_the_training_split(word_emb, commands, small_dataset):
+    ds = small_dataset
+    cfg = M.MemTrainConfig(epochs=4, lr=5e-3, weight_decay=0.0)
+    model, metrics = M.train_mem(ds, word_emb, commands, cfg, seed=5)
+    assert metrics.best_epoch < cfg.epochs - 1  # so the returned parameters are not the last epoch's
+    everything = np.arange(ds.n_samples())
+    want = scored_fresh(word_emb, model, ds, everything, commands, 2.5e-3)
+    blocks = recording_blocks(model)
+    assert M.evaluate_mem(model, ds, everything, commands, 2.5e-3) == want
+    # the validation rows come from the best epoch and the test rows from the final scoring
+    assert sorted(itertools.chain(*blocks)) == frames_of(ds, np.unique(ds.sample_obs[ds.split_train]))
+
+
+def test_evaluate_mem_peak_memory_of_a_superset_call_stays_within_the_per_observation_bound(
+    word_emb, commands, small_dataset
+):
+    ds = small_dataset
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    versions = itertools.cycle([model.get_flat(), 0.5 * model.get_flat()])
+    pool = obs_pool(ds, 8 * BLOCK)
+    few, superset = obs_samples(ds, pool[: 4 * BLOCK]), obs_samples(ds, pool)
+
+    def peak(idx, held=None):
+        """Peak traced bytes of scoring ``idx`` on a new parameter version, after scoring ``held`` on it."""
+        M.evaluate_mem(model, ds, few, commands, 2.5e-3)  # the layers' caches now hold a block already
+        model.set_flat(next(versions))
+        if held is not None:
+            M.evaluate_mem(model, ds, held, commands, 2.5e-3)
+        tracemalloc.start()
+        try:
+            M.evaluate_mem(model, ds, idx, commands, 2.5e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # both calls encode 4 blocks; the superset call scores twice the observations from the store
+    assert peak(superset, held=few) - peak(few) < 1024 * 4 * BLOCK
+
+
+def test_evaluate_mem_keeps_no_row_of_earlier_parameters(word_emb, commands, small_dataset):
+    ds = small_dataset
+    pool = obs_pool(ds, 3 * BLOCK)
+    model = M.MemModel(word_emb, np.random.default_rng(1))
+    M.evaluate_mem(model, ds, obs_samples(ds, pool[: 2 * BLOCK]), commands, 2.5e-3)
+    model.set_flat(M.MemModel(word_emb, np.random.default_rng(2)).get_flat())
+    M.evaluate_mem(model, ds, obs_samples(ds, pool[BLOCK:]), commands, 2.5e-3)
+    blocks = recording_blocks(model)
+    M.evaluate_mem(model, ds, obs_samples(ds, pool), commands, 2.5e-3)  # reuses the rows of pool[BLOCK:]
+    assert sorted(itertools.chain(*blocks)) == frames_of(ds, pool[:BLOCK])
+    rows, held = model._state_store[3:]
+    obs = np.sort(pool)
+    assert np.array_equal(np.flatnonzero(held), obs)
+    fresh = M.MemModel(word_emb)
+    fresh.set_flat(model.get_flat())
+    assert rows[obs].tobytes() == fresh.encode_state_batch(ds.spatial[obs].astype(np.float32), ds.nonspatial[obs]).tobytes()
 
 
 def test_evaluate_mem_keeps_no_dataset_alive(word_emb, commands, small_dataset):

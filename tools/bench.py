@@ -11,7 +11,9 @@ with ``src`` on the path and one BLAS thread, and writes one JSON object:
   ``nproc`` (the CPUs this process may run on) and ``commit`` (12 hex
   digits of ``HEAD``);
 - ``changed``: ``git status --porcelain`` of the checkout, so a run on a
-  tree that differs from its commit says so;
+  tree that differs from its commit says so, less the untracked
+  ``BENCH_<commit>.json`` records this tool writes, so that a second run
+  does not list the first run's record;
 - ``timings``: every line of ``tools/timings.py`` as ``{"value", "unit"}``;
 - ``fingerprints``: every fingerprint line, name to value.
 
@@ -24,11 +26,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+OWN_RECORD = re.compile(r"\?\? BENCH_[0-9a-f]{12}\.json")  # an untracked record of this tool
+
+
+def changed(porcelain: str) -> list[str]:
+    """The lines of ``git status --porcelain`` output, less untracked ``BENCH_<commit>.json`` records."""
+    return [line for line in porcelain.splitlines() if not OWN_RECORD.fullmatch(line)]
 
 
 def run(*args: str) -> str:
@@ -60,7 +69,7 @@ def main() -> None:
         timings[name] = {"value": float(value), "unit": unit}
     record = {
         "header": header,
-        "changed": run("git", "status", "--porcelain").splitlines(),
+        "changed": changed(run("git", "status", "--porcelain")),
         "timings": timings,
         "fingerprints": fingerprints,
     }

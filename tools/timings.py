@@ -21,7 +21,10 @@ that variant (a 32-step rollout, its ``a3c_loss`` and the clipped Adam step
 the shipped commands (on the other of two parameter versions each call, so
 every call encodes the states) and again with the alternate commands on
 unchanged parameters (every call reuses the model's stored state rows and
-only encodes the commands and scores), ``AgentNet()`` with no ``rng`` (as
+only encodes the commands and scores), and once more with the shipped
+commands on a new parameter version whose validation and test rows are
+already held, as ``train_mem`` leaves them (every call encodes the training
+split's rows; storing the others is not timed), ``AgentNet()`` with no ``rng`` (as
 ``evaluate_policy`` and ``AgentNet.load`` build it), ``AgentNet.act`` and
 ``MemModel.encode_state`` on a repeated frame (the conv trunk's memo hits)
 and on two frames in turn (it misses every time), ``AgentNet.act`` on the
@@ -78,11 +81,14 @@ from microbuild import mem as M  # noqa: E402
 from microbuild.nn import AdamState, adam_step  # noqa: E402
 
 
-def micros(fn, calls: int = 200, repeats: int = 5) -> float:
+def micros(fn, calls: int = 200, repeats: int = 5, setup=None) -> float:
+    """The lowest of ``repeats`` medians of ``calls`` timed ``fn()`` calls, each after an untimed ``setup()``."""
     medians = []
     for _ in range(repeats):
         times = []
         for _ in range(calls):
+            if setup is not None:
+                setup()
             start = time.perf_counter()
             fn()
             times.append(time.perf_counter() - start)
@@ -175,6 +181,13 @@ def main() -> None:
     def evaluate_mem_encoding():
         scorer.set_flat(next(versions))  # another parameter version each call: no call reuses state rows
         return M.evaluate_mem(scorer, mem_ds, everything, commands, wd)
+
+    def hold_val_and_test():
+        """Another parameter version, with the rows ``train_mem`` leaves stored: the validation and test splits'."""
+        scorer.set_flat(next(versions))
+        for split in (mem_ds.split_val, mem_ds.split_test):
+            M.evaluate_mem(scorer, mem_ds, split, commands, wd)
+
     expert = E.Episode(0, 256)
     first_obs, game, trace, done = expert.observe(), [], [], False
     while not done:
@@ -213,6 +226,9 @@ def main() -> None:
         f"evaluate_mem S={everything.size}": micros(evaluate_mem_encoding, calls=10),
         f"evaluate_mem S={everything.size} again": micros(
             lambda: M.evaluate_mem(scorer, mem_ds, everything, alternates, wd), calls=10
+        ),
+        f"evaluate_mem S={everything.size} after train_mem": micros(
+            lambda: M.evaluate_mem(scorer, mem_ds, everything, commands, wd), calls=10, setup=hold_val_and_test
         ),
         "AgentNet()": micros(A.AgentNet, calls=50),
         "AgentNet.act repeated": micros(lambda: net.act(obs, aux[0], h0, c0, mask, rng)),
