@@ -100,6 +100,10 @@ class AgentConfig:
         for name in ("bonus", "value_coef", "entropy_coef"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("base_seed", "eval_seed"):
+            seed = getattr(self, name)
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
     def make_env(self, seed: int):
         factory = self.env_factory or (lambda s: E.Episode(s, self.horizon))

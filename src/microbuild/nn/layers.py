@@ -157,10 +157,22 @@ class Conv2d(Layer):
     here, so ``tests/test_nn.py`` checks the index range and the output
     against a sliding-window reference.
 
-    ``forward`` caches its patch matrix for ``backward``, which reads the
-    last forward's. The next ``forward`` drops that cache before it gathers
-    its own, so the layer never holds two patch matrices, and a second call
-    at the same batch size needs no more memory than the first.
+    Activations are channel-major: ``forward`` returns (B, c_out, Ho, Wo)
+    as one product per observation, ``W (c_out, C*k*k) @ colsᵀ``, whose
+    (c_out, Ho*Wo) result is already that layout, so no transposed copy is
+    made; the backward reads the output gradient in the same (B, c_out,
+    Ho*Wo) layout. The forward stays one product per observation at every
+    batch size and is never one GEMM over all B*Ho*Wo patch rows: that
+    GEMM's bits differ from the per-observation product's at some batch
+    sizes (OpenBLAS: at 7, 8, 16 and 32 of those tried, not at 1, 2 or 4),
+    and an observation's features must have the same bits in every batch
+    of two or more (the ``mem`` module docstring).
+
+    ``forward`` caches its patch matrix, (B, Ho*Wo, C*k*k), for
+    ``backward``, which reads the last forward's. The next ``forward``
+    drops that cache before it gathers its own, so the layer never holds
+    two patch matrices, and a second call at the same batch size needs no
+    more memory than the first.
     """
 
     param_names = ("weight", "bias")
@@ -207,22 +219,30 @@ class Conv2d(Layer):
         self._saved = ()  # free the last patch matrix before the next is gathered
         cols = x.reshape(b, -1).take(index, axis=1, mode="wrap")  # (B, Ho*Wo, C*k*k)
         self._saved = (cols,)
-        out = cols @ self.weight.reshape(self.c_out, -1).T  # (B, Ho*Wo, c_out)
-        out += self.bias
-        return out.transpose(0, 2, 1).reshape(b, self.c_out, ho, wo)
+        out = np.matmul(self.weight.reshape(self.c_out, -1), cols.transpose(0, 2, 1))  # (B, c_out, Ho*Wo)
+        out += self.bias[:, None]
+        return out.reshape(b, self.c_out, ho, wo)
 
     def backward_params(self, gout: np.ndarray) -> np.ndarray:
-        """Weight and bias gradients only (no input gradient); returns ``gout`` as (B*Ho*Wo, c_out)."""
-        g = gout.reshape(gout.shape[0], self.c_out, -1).transpose(0, 2, 1).reshape(-1, self.c_out)
-        self.grads["weight"] += (g.T @ self._saved[0].reshape(g.shape[0], -1)).reshape(self.weight.shape)
-        self.grads["bias"] += g.sum(axis=0)
+        """Weight and bias gradients only (no input gradient); returns ``gout`` as (B, c_out, Ho*Wo).
+
+        The weight gradient is one batched product, ``g_b @ cols_b`` for
+        every observation b at once, summed over the batch; each product
+        reads the observation's (c_out, Ho*Wo) gradient as it comes, so
+        nothing is transposed or copied first. It allocates a (B, c_out,
+        C*k*k) array, about 0.36 MB for the state encoder's first conv at
+        B=32.
+        """
+        g = gout.reshape(gout.shape[0], self.c_out, -1)
+        self.grads["weight"] += np.matmul(g, self._saved[0]).sum(axis=0).reshape(self.weight.shape)
+        self.grads["bias"] += g.sum(axis=(0, 2))
         return g
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         g = self.backward_params(gout)
         (chw, index), b = self._index, gout.shape[0]
         n = int(np.prod(chw))
-        gcols = g @ self.weight.reshape(self.c_out, -1)  # (B*Ho*Wo, C*k*k)
+        gcols = np.matmul(g.transpose(0, 2, 1), self.weight.reshape(self.c_out, -1))  # (B, Ho*Wo, C*k*k)
         # col2im: sum every patch entry into its input position
         at = (index + n * np.arange(b)[:, None, None]).ravel()
         return np.bincount(at, gcols.ravel(), minlength=b * n).astype(gout.dtype).reshape(b, *chw)

@@ -948,7 +948,9 @@ def test_train_rejects_zero_eval_setting_before_building_an_env(field):
     [("horizon", 0), ("horizon", -5), ("gamma", -0.01), ("gamma", 1.01), ("gamma", float("nan")),
      ("lr", 0.0), ("lr", -1e-4), ("lr", float("nan")), ("bonus", float("nan")), ("bonus", float("inf")),
      ("bonus", float("-inf")), ("value_coef", float("nan")), ("value_coef", float("inf")),
-     ("entropy_coef", float("nan")), ("entropy_coef", float("-inf"))],
+     ("entropy_coef", float("nan")), ("entropy_coef", float("-inf")),
+     ("base_seed", -1), ("base_seed", 1.5), ("base_seed", True), ("base_seed", np.int64(-2)),
+     ("eval_seed", -3), ("eval_seed", 2.0), ("eval_seed", "7"), ("eval_seed", None)],
 )
 def test_config_rejects_bad_training_setting_before_building_an_env(field, value):
     built = []
@@ -957,7 +959,13 @@ def test_config_rejects_bad_training_setting_before_building_an_env(field, value
         cfg.validate()
     with pytest.raises(ValueError, match=field):
         A.train(cfg)
+    with pytest.raises(ValueError, match=field):
+        A.evaluate_policy(A.AgentNet().get_flat(), cfg)
     assert built == []
+
+
+def test_config_accepts_numpy_integer_seeds():
+    A.AgentConfig(base_seed=np.int64(3), eval_seed=np.uint32(7)).validate()
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])

@@ -474,6 +474,51 @@ def test_conv_forward_holds_one_patch_matrix():
     assert rise < patch_bytes / 2
 
 
+def conv_backward_reference(conv, x, gout):
+    """Float64 weight, bias and input gradients of ``conv`` for output
+    gradient ``gout`` at input ``x``, one observation and one output
+    position at a time."""
+    w, k, s = conv.weight.astype(np.float64), conv.k, conv.stride
+    gw, gb, gx = np.zeros(w.shape), np.zeros(conv.c_out), np.zeros(x.shape)
+    for b in range(x.shape[0]):
+        xb, gb_out = x[b].astype(np.float64), gout[b].astype(np.float64)
+        for i in range(gout.shape[2]):
+            for j in range(gout.shape[3]):
+                window = (slice(None), slice(i * s, i * s + k), slice(j * s, j * s + k))
+                gw += gb_out[:, i, j, None, None, None] * xb[window]
+                gx[b][window] += np.tensordot(gb_out[:, i, j], w, axes=1)
+        gb += gb_out.sum(axis=(1, 2))
+    return gw, gb, gx
+
+
+@pytest.mark.parametrize("batch", [1, 6, 32])
+@pytest.mark.parametrize("c_in, c_out, k, size", [(14, 8, 5, 16), (8, 16, 3, 6)], ids=["conv1", "conv2"])
+def test_conv_backward_matches_a_float64_per_observation_reference(c_in, c_out, k, size, batch):
+    """The state encoder's two convs: ``backward_params`` gives the weight
+    and bias gradients summed over every observation, and ``backward``
+    the same plus the input gradient."""
+    r = rng(74)
+    conv = bound(Conv2d(c_in, c_out, k=k, stride=2, rng=r), np.float32)
+    conv.bias[:] = r.standard_normal(c_out)
+    x = r.standard_normal((batch, c_in, size, size)).astype(np.float32)
+    gout = r.standard_normal(conv.forward(x).shape).astype(np.float32)
+    want_w, want_b, want_x = conv_backward_reference(conv, x, gout)
+
+    def assert_close(got, want):
+        # rtol 1e-5, plus 1e-5 of the largest entry for entries whose float32 sum cancels to near 0
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+    conv.backward_params(gout)
+    assert_close(conv.grads["weight"], want_w)
+    assert_close(conv.grads["bias"], want_b)
+    zero_grads(conv)
+    gx = conv.backward(gout)
+    assert gx.dtype == np.float32
+    assert_close(conv.grads["weight"], want_w)
+    assert_close(conv.grads["bias"], want_b)
+    assert_close(gx, want_x)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_lstm_gates_match_the_closed_form_within_one_ulp_of_one(dtype):
     """A cell with zero w_h and bias, stepped on one-hot rows, has the rows

@@ -32,9 +32,13 @@ repeated frame with only the build ids legal (so it samples all three
 heads, the x and y heads too), the untrained MEM's
 ``encode_command_batch`` over the shipped commands (one sequence pass)
 and ``encode_command`` of one command, ``adam_step`` over the
-agent's parameters, the state encoder's two convs forward and backward and
-its whole backward at batch 1 and 32 (32 is also the block size
-``evaluate_mem`` encodes), its first conv forward at batch 8 and 64, and
+agent's parameters, the state encoder's two convs forward, backward
+(input gradient included) and weight gradient alone (``backward_params``,
+which is all ``StateEncoder.backward`` runs of the first conv: no program
+takes the first conv's col2im input gradient that its ``backward`` line
+times) and the encoder's whole backward at batch 1 and 32 (32 is also the
+block size ``evaluate_mem`` encodes and ``mem_loss`` trains on), its
+first conv forward at batch 8 and 64, and
 the agent's LSTM (one step; 32 steps, as a rollout's ``act`` calls run
 them; and the 32-step ``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the
 lowest of five medians (of five runs for a set-up stage), which damps the
@@ -248,6 +252,7 @@ def main() -> None:
             gy = rng.standard_normal(y.shape).astype(np.float32)
             out[f"{name} forward B={batch}"] = micros(lambda: conv.forward(x))
             out[f"{name} backward B={batch}"] = micros(lambda: conv.backward(gy), calls=50)
+            out[f"{name} weight gradient B={batch}"] = micros(lambda: conv.backward_params(gy), calls=50)
             x = np.maximum(y, 0.0)
         g = rng.standard_normal((batch, net.encoder.out_dim)).astype(np.float32)
         net.encoder.forward(spatial[:batch], nonspatial[:batch])
