@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import check_int
 from . import env as E
 from .mem import DEFAULT_THRESHOLD, EMBED_DIM, NONSPATIAL_HIDDEN, CommandSpec, MemModel, mem_distance
 from .nn import (
@@ -87,12 +88,10 @@ class AgentConfig:
             raise ValueError(f"unknown variant {self.variant!r} (expected one of {VARIANTS})")
         if self.variant == "narration" and not self.tau > 0:
             raise ValueError(f"narration shaping needs a positive distance threshold tau, got {self.tau}")
-        if self.workers < 1 or self.rollout_len < 1 or self.total_steps < 1:
-            raise ValueError("workers, rollout_len and total_steps must be positive")
-        if self.eval_interval < 1 or self.eval_episodes < 1:
-            raise ValueError("eval_interval and eval_episodes must be positive")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        for name in ("workers", "rollout_len", "total_steps", "eval_interval", "eval_episodes", "horizon"):
+            check_int(name, getattr(self, name), 1)
+        for name in ("base_seed", "eval_seed"):
+            check_int(name, getattr(self, name), 0)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not self.lr > 0:
@@ -100,10 +99,6 @@ class AgentConfig:
         for name in ("bonus", "value_coef", "entropy_coef"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("base_seed", "eval_seed"):
-            seed = getattr(self, name)
-            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
     def make_env(self, seed: int):
         factory = self.env_factory or (lambda s: E.Episode(s, self.horizon))

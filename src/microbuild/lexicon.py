@@ -18,6 +18,8 @@ from importlib import resources
 
 import numpy as np
 
+from . import check_int
+
 UNK = "<unk>"
 WORD_DIM = 32
 WINDOW = 2  # context words taken on each side of a center word
@@ -114,7 +116,8 @@ def train_skipgram(
     """Skip-gram with negative sampling; returns embeddings + per-epoch loss.
 
     Noise distribution is unigram^0.75. Deterministic for a fixed seed. A
-    config with ``epochs`` or ``batch`` below 1 raises ``ValueError`` first.
+    config whose ``epochs`` or ``batch`` is not an integer of at least 1
+    raises ``ValueError`` first.
 
     Negatives are drawn as ``Generator.choice(n_vocab, size, p=noise)``
     draws them: a uniform per draw, looked up in the noise CDF, which is
@@ -125,8 +128,8 @@ def train_skipgram(
     so the sums are the same bit for bit. (The 1-D form runs on numpy's
     fast path for ``add.at``; a row-wise one does not.)
     """
-    if config.epochs < 1 or config.batch < 1:
-        raise ValueError(f"epochs and batch must be positive, got {config.epochs} and {config.batch}")
+    check_int("epochs", config.epochs, 1)
+    check_int("batch", config.batch, 1)
     rng = np.random.default_rng(seed)
     tokens, counts = count_tokens(sentences)
     n_vocab = len(tokens)

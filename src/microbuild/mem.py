@@ -16,10 +16,7 @@ States do not depend on the commands, so a state row encoded once serves
 every later scoring on the same parameters: each ``MemModel`` keeps the
 rows of every observation ``evaluate_mem`` has encoded under its current
 parameters and dataset, and a call encodes only the observations the store
-lacks (see ``evaluate_mem``). The rows it takes from the store have the
-bits its own blocks would give them, by the rule above, as long as no row
-comes from a one-row pass: a one-row pass is never stored, and a single
-lacking row is encoded beside a held one.
+lacks, in blocks that run a lone row as two copies (see ``evaluate_mem``).
 
 Training pulls matched (state, command) pairs to distance 0 and pushes
 mismatched pairs to distance 1:
@@ -50,6 +47,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import check_int
 from . import env as E
 from .lexicon import WordEmbeddings, tokenize
 from .nn import (
@@ -118,10 +116,11 @@ class MemModel(Model):
     no ``rng`` the weights start at zero, for callers that load them.
 
     Each model holds one store of state rows: those ``evaluate_mem`` has
-    encoded under the current parameters and dataset, with that key. It
-    belongs to the instance and is never shared with another model, even one
-    with the same parameters; ``train_mem`` only hands a model back the store
-    of its own best epoch.
+    encoded under the current parameters and dataset, with that key, each
+    with the bits of a batch of two or more rows. It belongs to the instance
+    and is never shared with another model, even one with the same
+    parameters; ``train_mem`` only hands a model back the store of its own
+    best epoch.
     """
 
     def __init__(self, word_embeddings: WordEmbeddings, rng: np.random.Generator | None = None):
@@ -520,27 +519,21 @@ def evaluate_mem(
 
     Every sample is scored from its observation's state row, and each
     distinct observation among the samples is encoded at most once.
-    ``chunk`` below 1, a ``threshold`` that is not positive (NaN included), a
-    negative ``weight_decay`` or a command list that misses an id the
-    dataset's samples name raises ``ValueError`` before anything is encoded.
+    A ``chunk`` that is not an integer of at least 1, a ``threshold`` that
+    is not positive (NaN included), a negative ``weight_decay`` or a command
+    list that misses an id the dataset's samples name raises ``ValueError``
+    before anything is encoded.
 
-    - A call encodes only the distinct observations the model's store
-      (below) lacks, in blocks of ``_ENCODE_BLOCK``: one sample per
-      observation goes through ``dataset.batch``, and the block through
-      ``encode_state_batch``. A one-row tail joins the block before it, and
-      a single lacking row is encoded beside a row the store holds, so a
-      block holds 2 to ``_ENCODE_BLOCK + 1`` rows.
-    - A call with only one distinct observation encodes it alone and leaves
-      the store as it is: a one-row result is never stored.
-    - ``chunk`` only groups the scoring: the squared errors are summed in
-      float64 per ``chunk`` samples, in the given order.
-
-    The bits are those of one ``encode_state_batch`` over all the distinct
-    observations, and of encoding every sample with its chunk of samples:
-    a state row has the same bits in any block of two or more rows (see the
-    module docstring), hence the tail and pairing rules. So a stored row, or
-    a held row encoded again beside a lacking one, has the bits a new model
-    would give it.
+    A call encodes only the distinct observations the model's store (below)
+    lacks, in blocks of up to ``_ENCODE_BLOCK``: one sample per observation
+    goes through ``dataset.batch``, and the block through
+    ``encode_state_batch``. A one-row block runs as two copies of its row and
+    keeps the first result, as ``encode_command_batch`` runs one command. So
+    every row comes from a batch of two or more rows and has the bits it has
+    in any such batch (see the module docstring): a stored row has the bits
+    a new model would give it. ``chunk`` only groups the scoring: the
+    squared errors are summed in float64 per ``chunk`` samples, in the given
+    order.
 
     The state rows do not depend on the commands, so the model keeps every
     row it has encoded under its current parameters and dataset: a row
@@ -575,8 +568,7 @@ def evaluate_mem(
     the dataset: its row and its mask entry) and the index arrays (tens of
     bytes per sample) grow.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
+    check_int("chunk", chunk, 1)
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     if not weight_decay >= 0:
@@ -587,25 +579,14 @@ def evaluate_mem(
     cmd_vecs = model.encode_command_batch(commands)
     sample_obs = dataset.sample_obs[sample_idx]
     obs, first = np.unique(sample_obs, return_index=True)
-    if obs.size == 1:
-        batch = dataset.batch(sample_idx[first])
-        states = model.encode_state_batch(batch.spatial, batch.nonspatial)  # one row: never stored
-        sample_obs = np.zeros_like(sample_obs)
-        del batch
-    else:
-        states, held = _state_store(model, dataset)
-        lacking = np.flatnonzero(~held[obs])  # positions in ``obs`` of the rows to encode
-        if lacking.size == 1:
-            lacking = np.append(lacking, np.argmax(held[obs]))  # beside the first held row
-        starts = list(range(0, lacking.size, _ENCODE_BLOCK))
-        if len(starts) > 1 and lacking.size - starts[-1] == 1:
-            starts.pop()  # a one-row block would round differently
-        for a, b in zip(starts, [*starts[1:], lacking.size]):
-            block = lacking[a:b]
-            batch = dataset.batch(sample_idx[first[block]])
-            states[obs[block]] = model.encode_state_batch(batch.spatial, batch.nonspatial)
-            del batch  # free this block's frames before the next block's are gathered
-        held[obs] = True
+    states, held = _state_store(model, dataset)
+    lacking = np.flatnonzero(~held[obs])  # positions in ``obs`` of the rows to encode
+    for start in range(0, lacking.size, _ENCODE_BLOCK):
+        block = lacking[start : start + _ENCODE_BLOCK]
+        batch = dataset.batch(sample_idx[first[np.resize(block, max(block.size, 2))]])  # a lone row runs twice
+        states[obs[block]] = model.encode_state_batch(batch.spatial, batch.nonspatial)[: block.size]
+        del batch  # free this block's frames before the next block's are gathered
+    held[obs] = True
     total_sq, correct = 0.0, 0
     for start in range(0, sample_idx.size, chunk):
         part = sample_idx[start : start + chunk]
@@ -629,12 +610,13 @@ def train_mem(
     returns the minimum-validation snapshot, scored on the test split. The
     snapshot keeps the store of state rows its validation scoring left (see
     ``evaluate_mem``), so the test scoring and every later scoring on the
-    returned model start from the validation split's rows. A config with ``epochs`` or
-    ``batch`` below 1, ``lr`` not positive or ``weight_decay`` negative, an
-    empty split, or a command list that misses an id the samples name
-    raises ``ValueError`` before the model is built."""
-    if config.epochs < 1 or config.batch < 1:
-        raise ValueError(f"epochs and batch must be positive, got {config.epochs} and {config.batch}")
+    returned model start from the validation split's rows. A config whose
+    ``epochs`` or ``batch`` is not an integer of at least 1, ``lr`` not
+    positive or ``weight_decay`` negative, an empty split, or a command list
+    that misses an id the samples name raises ``ValueError`` before the
+    model is built."""
+    check_int("epochs", config.epochs, 1)
+    check_int("batch", config.batch, 1)
     if not config.lr > 0:
         raise ValueError(f"lr must be positive, got {config.lr}")
     if not config.weight_decay >= 0:

@@ -950,11 +950,14 @@ def test_train_rejects_zero_eval_setting_before_building_an_env(field):
      ("bonus", float("-inf")), ("value_coef", float("nan")), ("value_coef", float("inf")),
      ("entropy_coef", float("nan")), ("entropy_coef", float("-inf")),
      ("base_seed", -1), ("base_seed", 1.5), ("base_seed", True), ("base_seed", np.int64(-2)),
-     ("eval_seed", -3), ("eval_seed", 2.0), ("eval_seed", "7"), ("eval_seed", None)],
+     ("eval_seed", -3), ("eval_seed", 2.0), ("eval_seed", "7"), ("eval_seed", None),
+     ("rollout_len", 2.5), ("total_steps", 40.5), ("horizon", 8.5), ("workers", True), ("workers", 1.5),
+     ("eval_episodes", 1.5), ("eval_interval", 10.5)],
 )
 def test_config_rejects_bad_training_setting_before_building_an_env(field, value):
     built = []
-    cfg = A.AgentConfig(**{field: value}, workers=1, total_steps=32, eval_episodes=1, env_factory=built.append)
+    settings = {"workers": 1, "total_steps": 32, "eval_episodes": 1, field: value}
+    cfg = A.AgentConfig(**settings, env_factory=built.append)
     with pytest.raises(ValueError, match=field):
         cfg.validate()
     with pytest.raises(ValueError, match=field):

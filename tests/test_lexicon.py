@@ -216,7 +216,9 @@ class UnreadCorpus(list):
         raise AssertionError("the corpus was read")
 
 
-@pytest.mark.parametrize("field,value", [("epochs", 0), ("epochs", -3), ("batch", 0), ("batch", -256)])
+@pytest.mark.parametrize(
+    "field,value", [("epochs", 0), ("epochs", -3), ("batch", 0), ("batch", -256), ("epochs", 1.5), ("batch", 2.5)]
+)
 def test_skipgram_rejects_a_config_below_one_before_reading_the_corpus(field, value):
     with pytest.raises(ValueError, match=field):
         L.train_skipgram(UnreadCorpus(["build a depot"]), L.SkipgramConfig(**{field: value}), seed=3)

@@ -460,12 +460,14 @@ def test_train_mem_smoke_and_model_selection(word_emb, commands, small_dataset):
 @pytest.mark.parametrize(
     "field, value",
     [("epochs", 0), ("batch", 0), ("batch", -32), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
-     ("weight_decay", -1e-3)],
+     ("weight_decay", -1e-3), ("epochs", 1.5), ("batch", 2.5), ("epochs", True)],
 )
-def test_train_mem_rejects_bad_config(word_emb, commands, small_dataset, field, value):
+def test_train_mem_rejects_bad_config(monkeypatch, word_emb, commands, small_dataset, field, value):
     cfg = dataclasses.replace(M.MemTrainConfig(epochs=1), **{field: value})
+    built = count_models(monkeypatch)
     with pytest.raises(ValueError, match=field):
         M.train_mem(small_dataset, word_emb, commands, cfg, seed=5)
+    assert built == []
 
 
 def count_models(monkeypatch):
@@ -681,7 +683,10 @@ def test_evaluate_mem_encodes_blocks_with_the_bits_of_one_batch(word_emb, comman
     idx = samples_of(ds, n_obs)
     model = M.MemModel(word_emb, np.random.default_rng(1))
     obs, obs_row = np.unique(ds.sample_obs[idx], return_inverse=True)
-    one_batch = model.encode_state_batch(ds.spatial[obs].astype(np.float32), ds.nonspatial[obs])
+    # a one-row batch runs its dense products as vector products, which round differently,
+    # so the reference for one observation is the first row of a batch of two copies
+    batch_obs = np.resize(obs, max(obs.size, 2))
+    one_batch = model.encode_state_batch(ds.spatial[batch_obs].astype(np.float32), ds.nonspatial[batch_obs])[: obs.size]
     want = reference_evaluate_mem(model, ds, idx, commands, 0.0, EVAL_THRESHOLD, 100, one_batch[obs_row])
     blocks = []
     encode = model.encode_state_batch
@@ -692,12 +697,12 @@ def test_evaluate_mem_encodes_blocks_with_the_bits_of_one_batch(word_emb, comman
 
     model.encode_state_batch = recording
     got = M.evaluate_mem(model, ds, idx, commands, 0.0, EVAL_THRESHOLD, chunk=100)
-    sizes = [b.shape[0] for b in blocks]
-    # a one-row block runs its dense products as vector products, which round differently
-    if n_obs == 1:
-        assert sizes == [1]
-    else:
-        assert all(2 <= n <= BLOCK + 1 for n in sizes) and len(sizes) == max(n_obs // BLOCK, 1)
+    full, tail = divmod(n_obs, BLOCK)
+    # full blocks, then the tail; a one-row tail runs as two copies of its row
+    assert [b.shape[0] for b in blocks] == [BLOCK] * full + [max(tail, 2)] * (tail > 0)
+    if tail == 1:
+        assert blocks[-1][0].tobytes() == blocks[-1][1].tobytes()
+        blocks[-1] = blocks[-1][:1]
     assert np.concatenate(blocks).tobytes() == one_batch.tobytes()
     assert got == want
 
@@ -754,7 +759,7 @@ def test_evaluate_mem_rejects_empty_sample_set(word_emb, commands, small_dataset
 @pytest.mark.parametrize(
     "setting, value",
     [("chunk", 0), ("chunk", -5), ("threshold", 0.0), ("threshold", -1.0), ("threshold", float("nan")),
-     ("weight_decay", -1.0)],
+     ("weight_decay", -1.0), ("chunk", 1.5), ("chunk", 64.5), ("chunk", True)],
 )
 def test_evaluate_mem_rejects_settings_that_cannot_score(word_emb, commands, small_dataset, setting, value):
     model = M.MemModel(word_emb, np.random.default_rng(1))
@@ -873,10 +878,10 @@ def test_evaluate_mem_encodes_only_the_rows_its_store_lacks(word_emb, small_data
     blocks = recording_blocks(model)
     assert M.evaluate_mem(model, ds, idx, alternates, 2.5e-3, EVAL_THRESHOLD, 64) == want
     assert sorted(itertools.chain(*blocks)) == frames_of(ds, np.setdiff1d(asked, held))
-    assert all(2 <= len(b) <= BLOCK + 1 for b in blocks)
+    assert all(2 <= len(b) <= BLOCK for b in blocks)
 
 
-def test_evaluate_mem_encodes_a_single_lacking_row_beside_a_held_one(word_emb, commands, small_dataset):
+def test_evaluate_mem_encodes_a_single_lacking_row_beside_its_own_copy(word_emb, commands, small_dataset):
     ds = small_dataset
     pool = obs_pool(ds, 2 * BLOCK + 1)
     model = M.MemModel(word_emb, np.random.default_rng(1))
@@ -886,21 +891,31 @@ def test_evaluate_mem_encodes_a_single_lacking_row_beside_a_held_one(word_emb, c
     blocks = recording_blocks(model)
     # encoded alone, the lacking row would round differently from a fresh model's
     assert M.evaluate_mem(model, ds, idx, commands, 2.5e-3, EVAL_THRESHOLD) == want
-    assert [len(b) for b in blocks] == [2] and frames_of(ds, pool[-1:])[0] in blocks[0]
+    assert blocks == [frames_of(ds, pool[-1:]) * 2]
 
 
-def test_evaluate_mem_stores_no_row_of_a_one_observation_call(word_emb, small_dataset):
+def test_evaluate_mem_stores_the_batch_row_of_a_one_observation_call(word_emb, small_dataset):
     ds = small_dataset
     originals, alternates = M.load_commands(), M.load_commands(alternate=True)
     pool = obs_pool(ds, BLOCK)
     one, some = obs_samples(ds, pool[:1]), obs_samples(ds, pool)
     model = M.MemModel(word_emb, np.random.default_rng(1))
-    calls = [(one, originals), (some, alternates), (one, alternates)]
-    want = [scored_fresh(word_emb, model, ds, idx, cmds, 2.5e-3, EVAL_THRESHOLD) for idx, cmds in calls]
+    fresh = M.MemModel(word_emb)
+    fresh.set_flat(model.get_flat())
+    want = M.evaluate_mem(fresh, ds, one, originals, 2.5e-3, EVAL_THRESHOLD)
+    want_some = scored_fresh(word_emb, model, ds, some, alternates, 2.5e-3, EVAL_THRESHOLD)
+    # a one-row pass rounds differently, so the row is the first of a batch of two copies
+    two = np.repeat(pool[:1], 2)
+    pair = model.encode_state_batch(ds.spatial[two].astype(np.float32), ds.nonspatial[two])
     blocks = recording_blocks(model)
-    assert [M.evaluate_mem(model, ds, idx, cmds, 2.5e-3, EVAL_THRESHOLD) for idx, cmds in calls] == want
-    # the one-row result is not reused by the set, nor the set's row by a one-observation call
-    assert [len(b) for b in blocks] == [1, BLOCK, 1]
+    assert M.evaluate_mem(model, ds, one, originals, 2.5e-3, EVAL_THRESHOLD) == want
+    rows, held = model._state_store[3:]
+    assert np.flatnonzero(held).tolist() == [pool[0]]
+    assert rows[pool[0]].tobytes() == fresh._state_store[3][pool[0]].tobytes() == pair[0].tobytes()
+    # a later call on a superset takes that row from the store and encodes only the others
+    assert M.evaluate_mem(model, ds, some, alternates, 2.5e-3, EVAL_THRESHOLD) == want_some
+    assert blocks[0] == frames_of(ds, pool[:1]) * 2
+    assert sorted(itertools.chain(*blocks[1:])) == frames_of(ds, pool[1:])
 
 
 def test_scoring_after_train_mem_encodes_only_the_training_split(word_emb, commands, small_dataset):
