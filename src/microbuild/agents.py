@@ -17,7 +17,7 @@ each step's ``act`` cached in the network's layers (``AgentNet.saved``):
 the conv trunk's caches, which the steps of one memo run share, the
 scalar and trunk layers' inputs and masks, each LSTM step's arrays and
 h_t. The loss stacks them into the caches the layers' backward methods
-read, the trunk's once per memo run, re-evaluates the heads on the
+read, the trunk's once per memo run, re-evaluates the head on the
 stacked h_t and backpropagates. So its gradient is that of the pass that
 played the rollout, and it must run before the parameters change, which
 ``train`` guarantees: it takes each update right after its rollout.
@@ -37,11 +37,12 @@ So an agent never samples a masked action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from . import check_int
+from . import check_int, check_rate
 from . import env as E
 from .mem import DEFAULT_THRESHOLD, EMBED_DIM, NONSPATIAL_HIDDEN, CommandSpec, MemModel, mem_distance
 from .nn import (
@@ -53,6 +54,7 @@ from .nn import (
     Sequential,
     StateEncoder,
     adam_step,
+    glorot_uniform,
     load_model,
     save_model,
 )
@@ -61,6 +63,9 @@ VARIANTS = ("narration", "subtask", "none", "random")
 AUX_DIM = 128  # state embedding + command embedding
 HIDDEN = 128
 GRAD_CLIP = 40.0  # an update's gradient is scaled down to at most this L2 norm
+_HEAD_WIDTHS = (E.N_ACTIONS, E.GRID, E.GRID, 1)  # the head's column blocks: action-id, x and y logits, value
+_ID, _X, _Y = (slice(end - n, end) for n, end in zip(_HEAD_WIDTHS, accumulate(_HEAD_WIDTHS[:3])))
+_VALUE = sum(_HEAD_WIDTHS) - 1  # the value's column, the last
 
 
 @dataclass
@@ -94,8 +99,7 @@ class AgentConfig:
             check_int(name, getattr(self, name), 0)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        check_rate("lr", self.lr)
         for name in ("bonus", "value_coef", "entropy_coef"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -106,26 +110,21 @@ class AgentConfig:
 
 
 class AgentNet(Model):
-    """State encoder + dense trunk + LSTM core with action-id, x, y and value
-    heads. With no ``rng`` the weights start at zero, for callers that load them."""
+    """State encoder + dense trunk + LSTM core + one ``Dense(HIDDEN, 39)`` head
+    whose columns are the action-id, x and y logits and the value (``_ID``,
+    ``_X``, ``_Y``, ``_VALUE``). Each block of columns draws its weights in
+    that order at its own Glorot limit, sqrt(6 / (HIDDEN + its width)): bit
+    for bit four separate ``Dense`` heads. With no ``rng`` the weights start
+    at zero, for callers that load them."""
 
     def __init__(self, rng: np.random.Generator | None = None):
         self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng)
         self.trunk = Sequential([Dense(self.encoder.out_dim + AUX_DIM, HIDDEN, rng), ReLU()])
         self.core = LSTM(HIDDEN, HIDDEN, rng)
-        self.head_action = Dense(HIDDEN, E.N_ACTIONS, rng)
-        self.head_x = Dense(HIDDEN, E.GRID, rng)
-        self.head_y = Dense(HIDDEN, E.GRID, rng)
-        self.head_value = Dense(HIDDEN, 1, rng)
-        self.layers = [
-            self.encoder,
-            self.trunk,
-            self.core,
-            self.head_action,
-            self.head_x,
-            self.head_y,
-            self.head_value,
-        ]
+        self.head = Dense(HIDDEN, sum(_HEAD_WIDTHS))
+        if rng is not None:
+            self.head.weight = np.concatenate([glorot_uniform(rng, HIDDEN, n, (HIDDEN, n)) for n in _HEAD_WIDTHS], 1)
+        self.layers = [self.encoder, self.trunk, self.core, self.head]
         self._own_params()
 
     def spec(self) -> dict:
@@ -178,19 +177,19 @@ class AgentNet(Model):
         """Sample one action: (action, value, (h, c)); the x and y heads draw only for builds."""
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
         h, c = self.core.step(x, h, c)
-        kind = sample_from_logits(self.head_action.forward(h)[0], legal_mask, rng)
-        value = float(self.head_value.forward(h)[0, 0])
+        out = self.head.forward(h)[0]
+        kind = sample_from_logits(out[_ID], legal_mask, rng)
         if kind in E.BUILD_KINDS:
-            ax = sample_from_logits(self.head_x.forward(h)[0], None, rng)
-            action = E.Action(kind, x=ax, y=sample_from_logits(self.head_y.forward(h)[0], None, rng))
+            ax = sample_from_logits(out[_X], None, rng)
+            action = E.Action(kind, x=ax, y=sample_from_logits(out[_Y], None, rng))
         else:
             action = E.Action(kind)
-        return action, value, (h, c)
+        return action, float(out[_VALUE]), (h, c)
 
     def value_of(self, obs: E.Observation, aux: np.ndarray, h: np.ndarray, c: np.ndarray) -> float:
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
         h, _ = self.core.step(x, h, c)
-        return float(self.head_value.forward(h)[0, 0])
+        return float(self.head.forward(h)[0, _VALUE])
 
 
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -252,10 +251,10 @@ def compute_returns(
     return returns, returns - values.astype(np.float64)
 
 
-def _policy_head(
+def _policy_terms(
     logits: np.ndarray, mask: np.ndarray | None, chosen: np.ndarray, adv: np.ndarray, c_e: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One head's policy and entropy terms over its (R, n) rows.
+    """One policy's (action id, x or y) policy and entropy terms over its (R, n) logit rows.
 
     Returns each row's loss term, ``-adv * logp[chosen] - c_e * entropy`` in
     float64, and the gradient of their sum with respect to the logits; the
@@ -281,36 +280,31 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     """Policy gradient + value regression + entropy bonus over one rollout.
 
     Backpropagates through the pass that played the rollout
-    (``rollout.played``): the heads run again on its stacked h_t, BPTT runs
+    (``rollout.played``): the head runs again on its stacked h_t, BPTT runs
     over its LSTM steps and the conv trunk's backward runs once per memo
     run. Call it before the parameters change from those that played the
     rollout (``train`` does), or the gradient is of a stale pass.
     Advantages are constants in the policy term; entropy covers only the
-    heads actually used at each step: the action-id head at every step, the
-    x and y heads at build steps. The loss sums the terms in timestep order
+    policies actually used at each step: the action id at every step, x
+    and y at build steps. The loss sums the terms in timestep order
     (id, x, y, value). The gradient returned is ``net.flat_grads`` itself,
     valid until the net's next backward.
     """
     t_len = len(rollout)
-    returns, advantages = compute_returns(
-        rollout.rewards, rollout.bootstrap, config.gamma, rollout.values
-    )
+    returns, advantages = compute_returns(rollout.rewards, rollout.bootstrap, config.gamma, rollout.values)
     net.zero_grads()
     hs, run_starts = net.restore(rollout.played)  # (T, HIDDEN)
-    logits_id = net.head_action.forward(hs)
-    logits_x = net.head_x.forward(hs)
-    logits_y = net.head_y.forward(hs)
-    values = net.head_value.forward(hs)[:, 0]
+    out = net.head.forward(hs)  # (T, 39)
+    values = out[:, _VALUE]
 
     c_v, c_e = config.value_coef, config.entropy_coef
     build = (rollout.kinds[:, None] == E.BUILD_KINDS).any(axis=1)
     terms = np.empty((t_len, 4))  # id, x, y, value
-    terms[:, 0], g_id = _policy_head(logits_id, rollout.masks, rollout.kinds, advantages, c_e)
-    g_x = np.zeros_like(logits_x)
-    g_y = np.zeros_like(logits_y)
+    g = np.zeros_like(out)
+    terms[:, 0], g[:, _ID] = _policy_terms(out[:, _ID], rollout.masks, rollout.kinds, advantages, c_e)
     adv_b = advantages[build]
-    terms[build, 1], g_x[build] = _policy_head(logits_x[build], None, rollout.xs[build], adv_b, c_e)
-    terms[build, 2], g_y[build] = _policy_head(logits_y[build], None, rollout.ys[build], adv_b, c_e)
+    terms[build, 1], g[build, _X] = _policy_terms(out[build, _X], None, rollout.xs[build], adv_b, c_e)
+    terms[build, 2], g[build, _Y] = _policy_terms(out[build, _Y], None, rollout.ys[build], adv_b, c_e)
     verr = values.astype(np.float64) - returns
     terms[:, 3] = c_v * verr * verr
     used = np.ones((t_len, 4), bool)
@@ -320,12 +314,8 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
         bad = [t for t in range(t_len) if not np.isfinite(values[t])]
         raise FloatingPointError(f"non-finite loss in rollout (suspect timesteps {bad[:4]})")
 
-    g_v = (2.0 * c_v * verr).astype(net.flat_params.dtype)[:, None]
-    gh = net.head_action.backward(g_id)
-    gh += net.head_x.backward(g_x)
-    gh += net.head_y.backward(g_y)
-    gh += net.head_value.backward(g_v)
-    net._backward_features(net.core.backward_seq(gh[:, None])[:, 0], run_starts)
+    g[:, _VALUE] = 2.0 * c_v * verr
+    net._backward_features(net.core.backward_seq(net.head.backward(g)[:, None])[:, 0], run_starts)
     return loss, net.flat_grads
 
 

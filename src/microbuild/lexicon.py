@@ -116,8 +116,9 @@ def train_skipgram(
     """Skip-gram with negative sampling; returns embeddings + per-epoch loss.
 
     Noise distribution is unigram^0.75. Deterministic for a fixed seed. A
-    config whose ``epochs`` or ``batch`` is not an integer of at least 1
-    raises ``ValueError`` first.
+    config whose ``epochs`` or ``batch`` is not an integer of at least 1, or
+    a ``seed`` that is not an integer of at least 0, raises ``ValueError``
+    first.
 
     Negatives are drawn as ``Generator.choice(n_vocab, size, p=noise)``
     draws them: a uniform per draw, looked up in the noise CDF, which is
@@ -130,6 +131,7 @@ def train_skipgram(
     """
     check_int("epochs", config.epochs, 1)
     check_int("batch", config.batch, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     tokens, counts = count_tokens(sentences)
     n_vocab = len(tokens)

@@ -47,7 +47,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import check_int
+from . import check_int, check_rate
 from . import env as E
 from .lexicon import WordEmbeddings, tokenize
 from .nn import (
@@ -355,8 +355,13 @@ def generate_dataset(quotas: Quotas, seed: int) -> MemDataset:
     the ``k``-th goal observation of command ``cid`` is written to row
     ``cid * per_command + k`` and the ``k``-th null to row ``n_goal + k``
     as it is kept, so play holds one copy of each observation and only a
-    count per command and one for the nulls beside them.
+    count per command and one for the nulls beside them. A ``per_command``
+    below 1, or a ``nulls`` or ``seed`` below 0, or any of them not an
+    integer, raises ``ValueError`` before play.
     """
+    check_int("per_command", quotas.per_command, 1)
+    check_int("nulls", quotas.nulls, 0)
+    check_int("seed", seed, 0)
     n_commands = E.N_COMMANDS
     seq = np.random.SeedSequence(seed)
     rng_policy, rng_pairs, rng_split, rng_env = [np.random.default_rng(s) for s in seq.spawn(4)]
@@ -520,9 +525,9 @@ def evaluate_mem(
     Every sample is scored from its observation's state row, and each
     distinct observation among the samples is encoded at most once.
     A ``chunk`` that is not an integer of at least 1, a ``threshold`` that
-    is not positive (NaN included), a negative ``weight_decay`` or a command
-    list that misses an id the dataset's samples name raises ``ValueError``
-    before anything is encoded.
+    is not positive (NaN included), a ``weight_decay`` that is not finite
+    and non-negative or a command list that misses an id the dataset's
+    samples name raises ``ValueError`` before anything is encoded.
 
     A call encodes only the distinct observations the model's store (below)
     lacks, in blocks of up to ``_ENCODE_BLOCK``: one sample per observation
@@ -571,8 +576,7 @@ def evaluate_mem(
     check_int("chunk", chunk, 1)
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if not weight_decay >= 0:
-        raise ValueError(f"weight_decay must not be negative, got {weight_decay}")
+    check_rate("weight_decay", weight_decay, zero_ok=True)
     if sample_idx.size == 0:
         raise ValueError("empty sample set")
     _check_command_ids(dataset, commands)
@@ -610,17 +614,14 @@ def train_mem(
     returns the minimum-validation snapshot, scored on the test split. The
     snapshot keeps the store of state rows its validation scoring left (see
     ``evaluate_mem``), so the test scoring and every later scoring on the
-    returned model start from the validation split's rows. A config whose
-    ``epochs`` or ``batch`` is not an integer of at least 1, ``lr`` not
-    positive or ``weight_decay`` negative, an empty split, or a command list
-    that misses an id the samples name raises ``ValueError`` before the
-    model is built."""
+    returned model start from the validation split's rows. A setting that
+    the checks below reject, an empty split, or a command list that misses
+    an id the samples name raises ``ValueError`` before the model is built."""
     check_int("epochs", config.epochs, 1)
     check_int("batch", config.batch, 1)
-    if not config.lr > 0:
-        raise ValueError(f"lr must be positive, got {config.lr}")
-    if not config.weight_decay >= 0:
-        raise ValueError(f"weight_decay must not be negative, got {config.weight_decay}")
+    check_int("seed", seed, 0)
+    check_rate("lr", config.lr)
+    check_rate("weight_decay", config.weight_decay, zero_ok=True)
     n_train, n_val, n_test = dataset.split_train.size, dataset.split_val.size, dataset.split_test.size
     if 0 in (n_train, n_val, n_test):
         raise ValueError(f"empty split: train/val/test hold {n_train}/{n_val}/{n_test} samples")

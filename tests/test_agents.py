@@ -10,7 +10,7 @@ from microbuild import agents as A
 from microbuild import env as E
 from microbuild import lexicon as L
 from microbuild import mem as M
-from microbuild.nn import AdamState, adam_step
+from microbuild.nn import LSTM, AdamState, Dense, StateEncoder, adam_step, glorot_uniform, save_model
 
 from gradcheck import bound, grad_check_fn
 
@@ -53,7 +53,7 @@ def record_pass(net, inputs):
     for t in range(len(inputs.aux)):
         x = net._features(inputs.spatial[t : t + 1], inputs.nonspatial[t : t + 1], inputs.aux[t : t + 1])
         h, c = net.core.step(x, h, c)
-        values.append(net.head_value.forward(h)[0, 0])
+        values.append(net.head.forward(h)[0, A._VALUE])
         played.append(net.saved())
     return played, np.array(values, dtype=np.float32)
 
@@ -124,6 +124,25 @@ def test_returns_hand_case_matches_recurrence_oracle():
 
 
 # ---------------------------------------------------------------- act head
+
+
+def test_head_blocks_start_at_their_own_glorot_draws():
+    """Replaying the layers below the head, then one Glorot draw per column
+    block at that block's own fan-out, in column order, gives the head's
+    initial weights bit for bit: those of four separate heads."""
+    net = A.AgentNet(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    enc = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, M.NONSPATIAL_HIDDEN, rng)
+    Dense(enc.out_dim + A.AUX_DIM, A.HIDDEN, rng)
+    LSTM(A.HIDDEN, A.HIDDEN, rng)
+    blocks = (A._ID, A._X, A._Y, slice(A._VALUE, A._VALUE + 1))
+    assert [b.stop - b.start for b in blocks] == [E.N_ACTIONS, E.GRID, E.GRID, 1]
+    assert net.head.weight.shape == (A.HIDDEN, blocks[-1].stop)
+    for block in blocks:
+        width = block.stop - block.start
+        want = glorot_uniform(rng, A.HIDDEN, width, (A.HIDDEN, width))
+        assert net.head.weight[:, block].tobytes() == want.tobytes()
+    assert not net.head.bias.any()
 
 
 def test_masked_log_softmax_is_distribution():
@@ -217,7 +236,7 @@ def test_sample_never_takes_a_masked_entry_past_the_cumulative_mass():
         logits = found.standard_normal(E.N_ACTIONS).astype(np.float32)
         assert A.sample_from_logits(logits, mask, top) == 2
     net = zeroed_net()
-    net.head_action.bias[...] = logits  # a zero net's logits are the bias
+    net.head.bias[A._ID] = logits  # a zero net's logits are the bias
     h, c = net.zero_state()
     obs = E.encode_observation(None, E.reset(0))
     action, _, _ = net.act(obs, np.zeros(A.AUX_DIM, dtype=np.float32), h, c, mask, top)
@@ -326,11 +345,11 @@ def test_a3c_loss_gradients_match_finite_differences():
 
 
 def reference_a3c_loss(rollout, net, config, rerun=None):
-    """a3c_loss with its heads walked one timestep at a time, each head's
-    log-softmax taken over its legal entries only, on the rollout's recorded
-    pass. Given the rollout's ``Inputs`` as ``rerun``, it runs the forward
-    pass on them again instead, as one batched trunk and one
-    ``forward_seq``, and backpropagates that."""
+    """a3c_loss with its policies walked one timestep at a time, each
+    policy's log-softmax taken over the legal entries of its column block
+    only, on the rollout's recorded pass. Given the rollout's ``Inputs`` as
+    ``rerun``, it runs the forward pass on them again instead, as one
+    batched trunk and one ``forward_seq``, and backpropagates that."""
 
     def log_softmax(z):
         z = z - z.max()
@@ -344,10 +363,10 @@ def reference_a3c_loss(rollout, net, config, rerun=None):
         run_starts = None  # one trunk row per step
     else:
         hs, run_starts = net.restore(rollout.played)
-    heads = (net.head_action, net.head_x, net.head_y)
-    logits = [head.forward(hs) for head in heads]
-    values = net.head_value.forward(hs)[:, 0]
-    gouts = [np.zeros_like(z) for z in logits]
+    out = net.head.forward(hs)
+    blocks = (A._ID, A._X, A._Y)
+    values = out[:, A._VALUE]
+    gout = np.zeros_like(out)
     loss = 0.0
     c_v, c_e = config.value_coef, config.entropy_coef
     for t in range(len(rollout)):
@@ -356,21 +375,18 @@ def reference_a3c_loss(rollout, net, config, rerun=None):
         if rollout.kinds[t] in E.BUILD_KINDS:
             used += [(1, np.arange(E.GRID), int(rollout.xs[t])), (2, np.arange(E.GRID), int(rollout.ys[t]))]
         for k, legal, chosen in used:
-            logp = log_softmax(logits[k][t][legal])
+            logp = log_softmax(out[t, blocks[k]][legal])
             p = np.exp(logp)
             ent = float(-(p * logp).sum())
             loss += -adv * float(logp[legal == chosen][0]) - c_e * ent
             g = adv * p
             g[legal == chosen] -= adv
             g += c_e * p * (logp + ent)
-            gouts[k][t][legal] += g
+            gout[t, blocks[k]][legal] += g
         verr = float(values[t]) - ret
         loss += c_v * verr * verr
-    g_v = (2.0 * c_v * (values.astype(np.float64) - returns)).astype(net.flat_params.dtype)[:, None]
-    gh = net.head_action.backward(gouts[0])
-    gh += net.head_x.backward(gouts[1])
-    gh += net.head_y.backward(gouts[2])
-    gh += net.head_value.backward(g_v)
+        gout[t, A._VALUE] = 2.0 * c_v * verr
+    gh = net.head.backward(gout)
     net._backward_features(net.core.backward_seq(gh[:, None])[:, 0], run_starts)
     return loss, net.flat_grads.copy()
 
@@ -441,7 +457,7 @@ def test_a3c_loss_memo_runs_equal_rerun_forward(frames, runs):
 def test_a3c_loss_nan_detected():
     net = zeroed_net()
     roll, _ = make_rollout(net, 3, seed=2)
-    net.head_value.weight[...] = np.nan
+    net.head.weight[:, A._VALUE] = np.nan
     with pytest.raises(FloatingPointError):
         A.a3c_loss(roll, net, A.AgentConfig())
 
@@ -952,7 +968,7 @@ def test_train_rejects_zero_eval_setting_before_building_an_env(field):
      ("base_seed", -1), ("base_seed", 1.5), ("base_seed", True), ("base_seed", np.int64(-2)),
      ("eval_seed", -3), ("eval_seed", 2.0), ("eval_seed", "7"), ("eval_seed", None),
      ("rollout_len", 2.5), ("total_steps", 40.5), ("horizon", 8.5), ("workers", True), ("workers", 1.5),
-     ("eval_episodes", 1.5), ("eval_interval", 10.5)],
+     ("eval_episodes", 1.5), ("eval_interval", 10.5), ("lr", float("inf"))],
 )
 def test_config_rejects_bad_training_setting_before_building_an_env(field, value):
     built = []
@@ -1003,3 +1019,16 @@ def test_agent_net_save_load_round_trip(tmp_path):
     net.save(path)
     loaded = A.AgentNet.load(path)
     np.testing.assert_array_equal(loaded.get_flat(), net.get_flat())
+
+
+def test_agent_net_load_rejects_a_file_with_four_heads(tmp_path):
+    """A file of the four-head layout holds as many parameters, in another
+    order; its spec tells it apart."""
+    net = A.AgentNet(np.random.default_rng(4))
+    spec = net.spec()
+    heads = [{"kind": "dense", "n_in": A.HIDDEN, "n_out": n} for n in (E.N_ACTIONS, E.GRID, E.GRID, 1)]
+    assert spec["modules"][-1] == {"kind": "dense", "n_in": A.HIDDEN, "n_out": sum(h["n_out"] for h in heads)}
+    path = tmp_path / "agent.bin"
+    save_model(path, {**spec, "modules": spec["modules"][:-1] + heads}, net.flat_params)
+    with pytest.raises(ValueError, match="spec mismatch"):
+        A.AgentNet.load(path)

@@ -98,8 +98,8 @@ def test_ladder_rung_a_learns_a_delayed_reward():
     through the LSTM core.
 
     Pass rule: the final eval scores at least 3x the step-0 eval, which
-    scores above 0. On seeds 0 and 1 it read 8.375 -> 42.875 and 8.375 ->
-    45.375 (about 15 s each); at 20k steps seed 0 read only 14.875."""
+    scores above 0. On seeds 0 and 1 it read 8.375 -> 42.25 and 8.375 ->
+    40.0 (about 13 s each); at 20k steps seed 0 once read only 14.875."""
     scores = ladder_run(DelayedMarineEnv, 80_000)
     assert scores[-1] >= 3 * scores[0] > 0, scores
 
@@ -118,10 +118,10 @@ def test_ladder_rung_b_learns_a_cued_chain():
     on a share of the steps that show the selection at least 0.05 above its
     share of the steps that do not.
 
-    On seeds 0 and 1 it read 2.0 -> 16.75 and 1.875 -> 16.25, with lifts of
-    0.11 and 0.14 (about 21 s each). Those trained policies read the cue
-    through the scalar one-hot: shown in the selection layer alone, it
-    moves their TRAIN_MARINE probability by under 0.002 (CHANGES.md). So
+    On seeds 0 and 1 it read 2.0 -> 18.375 and 1.875 -> 16.875, with lifts
+    of 0.19 and 0.17 (about 18 s each). Policies trained this way have read
+    the cue through the scalar one-hot: shown in the selection layer alone,
+    it moved their TRAIN_MARINE probability by under 0.002 (CHANGES.md). So
     the conv trunk is not what this rung checks."""
     latest = {}
 

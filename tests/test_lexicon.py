@@ -217,11 +217,15 @@ class UnreadCorpus(list):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("epochs", 0), ("epochs", -3), ("batch", 0), ("batch", -256), ("epochs", 1.5), ("batch", 2.5)]
+    "field,value",
+    [("epochs", 0), ("epochs", -3), ("batch", 0), ("batch", -256), ("epochs", 1.5), ("batch", 2.5),
+     ("seed", 1.5), ("seed", -1), ("seed", True)],
 )
 def test_skipgram_rejects_a_config_below_one_before_reading_the_corpus(field, value):
+    settings = {"seed": 3, field: value}
+    seed = settings.pop("seed")
     with pytest.raises(ValueError, match=field):
-        L.train_skipgram(UnreadCorpus(["build a depot"]), L.SkipgramConfig(**{field: value}), seed=3)
+        L.train_skipgram(UnreadCorpus(["build a depot"]), L.SkipgramConfig(**settings), seed=seed)
 
 
 def test_skipgram_loss_decreases_smoothed(trained):

@@ -417,6 +417,19 @@ def test_dataset_budget_failure_names_starving_command(monkeypatch):
         M.generate_dataset(M.Quotas(per_command=50, nulls=50), seed=1)
 
 
+@pytest.mark.parametrize(
+    "field, quotas, seed",
+    [("per_command", M.Quotas(True, 10), 0), ("per_command", M.Quotas(2.5, 10), 0),
+     ("per_command", M.Quotas(-1, 10), 0), ("per_command", M.Quotas(0, 10), 0),
+     ("nulls", M.Quotas(3, 6.5), 0), ("nulls", M.Quotas(3, -1), 0), ("nulls", M.Quotas(3, False), 0),
+     ("seed", M.Quotas(3, 6), True), ("seed", M.Quotas(3, 6), -1), ("seed", M.Quotas(3, 6), 1.5)],
+)
+def test_generate_dataset_rejects_bad_quotas_or_seed_before_play(monkeypatch, field, quotas, seed):
+    monkeypatch.setattr(M.E, "reset", None)  # no episode may start
+    with pytest.raises(ValueError, match=field):
+        M.generate_dataset(quotas, seed=seed)
+
+
 def traced_rise(fn):
     """Peak traced bytes of a second ``fn()`` above the level after the first.
 
@@ -460,13 +473,17 @@ def test_train_mem_smoke_and_model_selection(word_emb, commands, small_dataset):
 @pytest.mark.parametrize(
     "field, value",
     [("epochs", 0), ("batch", 0), ("batch", -32), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
-     ("weight_decay", -1e-3), ("epochs", 1.5), ("batch", 2.5), ("epochs", True)],
+     ("weight_decay", -1e-3), ("epochs", 1.5), ("batch", 2.5), ("epochs", True),
+     ("lr", float("inf")), ("weight_decay", float("inf")), ("weight_decay", float("nan")),
+     ("seed", True), ("seed", -1), ("seed", 1.5)],
 )
 def test_train_mem_rejects_bad_config(monkeypatch, word_emb, commands, small_dataset, field, value):
-    cfg = dataclasses.replace(M.MemTrainConfig(epochs=1), **{field: value})
+    settings = {"seed": 5, field: value}
+    seed = settings.pop("seed")
+    cfg = dataclasses.replace(M.MemTrainConfig(epochs=1), **settings)
     built = count_models(monkeypatch)
     with pytest.raises(ValueError, match=field):
-        M.train_mem(small_dataset, word_emb, commands, cfg, seed=5)
+        M.train_mem(small_dataset, word_emb, commands, cfg, seed=seed)
     assert built == []
 
 
@@ -759,7 +776,8 @@ def test_evaluate_mem_rejects_empty_sample_set(word_emb, commands, small_dataset
 @pytest.mark.parametrize(
     "setting, value",
     [("chunk", 0), ("chunk", -5), ("threshold", 0.0), ("threshold", -1.0), ("threshold", float("nan")),
-     ("weight_decay", -1.0), ("chunk", 1.5), ("chunk", 64.5), ("chunk", True)],
+     ("weight_decay", -1.0), ("chunk", 1.5), ("chunk", 64.5), ("chunk", True),
+     ("weight_decay", float("inf")), ("weight_decay", float("nan"))],
 )
 def test_evaluate_mem_rejects_settings_that_cannot_score(word_emb, commands, small_dataset, setting, value):
     model = M.MemModel(word_emb, np.random.default_rng(1))

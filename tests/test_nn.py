@@ -879,7 +879,7 @@ def test_layers_are_views_of_the_model_flat_arrays():
         assert np.shares_memory(p, net.flat_params[pos : pos + p.size])
         pos += p.size
     assert pos == n
-    for l in [net.core, net.head_value, *net.encoder.spatial_net.layers]:
+    for l in [net.core, net.head, *net.encoder.spatial_net.layers]:
         for name in l.param_names:
             assert np.shares_memory(l.grads[name], net.flat_grads)
     # inner models are rebound to their slice of the outer arrays
@@ -889,7 +889,7 @@ def test_layers_are_views_of_the_model_flat_arrays():
     assert enc.n_params() == sum(p.size for p in enc.param_arrays())
     # a write to the flat array is a write to the layers, and back
     net.set_flat(np.arange(n, dtype=np.float32))
-    assert net.head_value.bias[0] == n - 1
+    assert net.head.bias[-1] == n - 1
     net.core.w_x[0, 0] = -7.0
     assert net.flat_params[enc.n_params() + net.trunk.n_params()] == -7.0
 
@@ -931,9 +931,9 @@ def test_building_a_model_binds_each_layer_once(monkeypatch, build):
 def test_zero_grads_clears_in_place():
     net = A.AgentNet(rng(8))
     net.flat_grads[:] = 1.0
-    g = net.head_x.grads["weight"]
+    g = net.head.grads["weight"]
     net.zero_grads()
-    assert g is net.head_x.grads["weight"] and not g.any()
+    assert g is net.head.grads["weight"] and not g.any()
 
 
 def test_a_layer_belongs_to_the_last_model_built_from_it():
