@@ -37,7 +37,6 @@ So an agent never samples a masked action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -54,7 +53,6 @@ from .nn import (
     Sequential,
     StateEncoder,
     adam_step,
-    glorot_uniform,
     load_model,
     save_model,
 )
@@ -63,9 +61,11 @@ VARIANTS = ("narration", "subtask", "none", "random")
 AUX_DIM = 128  # state embedding + command embedding
 HIDDEN = 128
 GRAD_CLIP = 40.0  # an update's gradient is scaled down to at most this L2 norm
-_HEAD_WIDTHS = (E.N_ACTIONS, E.GRID, E.GRID, 1)  # the head's column blocks: action-id, x and y logits, value
-_ID, _X, _Y = (slice(end - n, end) for n, end in zip(_HEAD_WIDTHS, accumulate(_HEAD_WIDTHS[:3])))
-_VALUE = sum(_HEAD_WIDTHS) - 1  # the value's column, the last
+# the head's column blocks: action-id, x and y logits, then the value
+_ID = slice(0, E.N_ACTIONS)
+_X = slice(_ID.stop, _ID.stop + E.GRID)
+_Y = slice(_X.stop, _X.stop + E.GRID)
+_VALUE = _Y.stop
 
 
 @dataclass
@@ -121,9 +121,8 @@ class AgentNet(Model):
         self.encoder = StateEncoder(E.OBS_CHANNELS, E.GRID, E.OBS_NONSPATIAL, NONSPATIAL_HIDDEN, rng)
         self.trunk = Sequential([Dense(self.encoder.out_dim + AUX_DIM, HIDDEN, rng), ReLU()])
         self.core = LSTM(HIDDEN, HIDDEN, rng)
-        self.head = Dense(HIDDEN, sum(_HEAD_WIDTHS))
-        if rng is not None:
-            self.head.weight = np.concatenate([glorot_uniform(rng, HIDDEN, n, (HIDDEN, n)) for n in _HEAD_WIDTHS], 1)
+        self.head = Dense(HIDDEN, _VALUE + 1)
+        self.head.weight = np.concatenate([Dense(HIDDEN, n, rng).weight for n in (E.N_ACTIONS, E.GRID, E.GRID, 1)], 1)
         self.layers = [self.encoder, self.trunk, self.core, self.head]
         self._own_params()
 
@@ -174,17 +173,13 @@ class AgentNet(Model):
         legal_mask: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[E.Action, float, tuple[np.ndarray, np.ndarray]]:
-        """Sample one action: (action, value, (h, c)); the x and y heads draw only for builds."""
+        """Sample one action: (action, value, (h, c)); x, then y, are drawn only for builds."""
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
         h, c = self.core.step(x, h, c)
         out = self.head.forward(h)[0]
         kind = sample_from_logits(out[_ID], legal_mask, rng)
-        if kind in E.BUILD_KINDS:
-            ax = sample_from_logits(out[_X], None, rng)
-            action = E.Action(kind, x=ax, y=sample_from_logits(out[_Y], None, rng))
-        else:
-            action = E.Action(kind)
-        return action, float(out[_VALUE]), (h, c)
+        xy = [sample_from_logits(out[s], None, rng) for s in (_X, _Y)] if kind in E.BUILD_KINDS else ()
+        return E.Action(kind, *xy), float(out[_VALUE]), (h, c)
 
     def value_of(self, obs: E.Observation, aux: np.ndarray, h: np.ndarray, c: np.ndarray) -> float:
         x = self._features(obs.spatial[None], obs.nonspatial[None], aux[None])
@@ -291,7 +286,9 @@ def a3c_loss(rollout: Rollout, net: AgentNet, config: AgentConfig) -> tuple[floa
     valid until the net's next backward.
     """
     t_len = len(rollout)
-    returns, advantages = compute_returns(rollout.rewards, rollout.bootstrap, config.gamma, rollout.values)
+    returns, advantages = compute_returns(
+        rollout.rewards, rollout.bootstrap, config.gamma, rollout.values
+    )
     net.zero_grads()
     hs, run_starts = net.restore(rollout.played)  # (T, HIDDEN)
     out = net.head.forward(hs)  # (T, 39)

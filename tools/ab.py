@@ -6,9 +6,9 @@ working tree, in alternating pairs of separate processes.
 The base side is ``git archive`` of ``--base``, unpacked into a temporary
 directory; the change side is this checkout as it stands. Pair ``i`` runs
 ``perfbench/run.py --seed <i-th seed> --trace 0`` once in each tree, one
-process at a time, each at one BLAS thread; the base side runs first in
-even pairs and second in odd ones, so a slow drift of the host's load
-falls on both sides alike. Each run's child CPU time
+process at a time (``run.py`` pins one BLAS thread); the base side runs
+first in even pairs and second in odd ones, so a slow drift of the host's
+load falls on both sides alike. Each run's child CPU time
 (``RUSAGE_CHILDREN``) and wall time are recorded beside its result.
 
 For each end-to-end metric of ``BENCHMARK.json`` the summary gives each
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import statistics
 import subprocess
@@ -73,14 +72,11 @@ def export_tree(rev: str, dest: Path, repo: Path = ROOT) -> str:
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` process in ``tree``: its result line, child CPU seconds and wall seconds."""
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=4 * seconds + 600)
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=4 * seconds + 600)
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if out.returncode != 0:
@@ -89,13 +85,12 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"result": json.loads(out.stdout.strip().splitlines()[-1]), "cpu_s": cpu, "wall_s": wall}
 
 
-def run_pairs(trees: dict[str, Path], workload: str, seeds: list[int], seconds: float,
-              runner=run_one, log=print) -> list[dict]:
-    """One pair per seed, base first in even pairs; each run as ``runner`` returns it, with its pair, side and seed."""
+def run_pairs(trees: dict[str, Path], workload: str, seeds: list[int], seconds: float, log=print) -> list[dict]:
+    """One pair per seed, base first in even pairs; each run as ``run_one`` returns it, with its pair, side and seed."""
     runs = []
     for i, seed in enumerate(seeds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            run = {"pair": i, "side": side, "seed": seed, **runner(trees[side], workload, seed, seconds)}
+            run = {"pair": i, "side": side, "seed": seed, **run_one(trees[side], workload, seed, seconds)}
             runs.append(run)
             log(json.dumps({k: v for k, v in run.items() if k != "result"} | {"metrics": {
                 k: m["value"] for k, m in run["result"]["metrics"].items()}}))
@@ -174,14 +169,14 @@ def report(summary: dict) -> list[str]:
 
 
 def main(argv=None) -> None:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git revision of the base side")
-    p.add_argument("--workload", required=True, choices=("narration-1w", "grounding"))
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
     p.add_argument("--seeds", required=True, help="one pair per seed: 'lo-hi' or 'a,b,c'")
     p.add_argument("--seconds", type=float, default=50)
     p.add_argument("--out", help="JSON record to write")
     args = p.parse_args(argv)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     status = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain"], capture_output=True, text=True).stdout
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         commit = export_tree(args.base, Path(tmp))
