@@ -91,8 +91,8 @@ class AgentConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r} (expected one of {VARIANTS})")
-        if self.variant == "narration" and not self.tau > 0:
-            raise ValueError(f"narration shaping needs a positive distance threshold tau, got {self.tau}")
+        if self.variant == "narration":
+            check_rate("tau", self.tau)
         for name in ("workers", "rollout_len", "total_steps", "eval_interval", "eval_episodes", "horizon"):
             check_int(name, getattr(self, name), 1)
         for name in ("base_seed", "eval_seed"):

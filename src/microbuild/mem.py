@@ -525,9 +525,9 @@ def evaluate_mem(
     Every sample is scored from its observation's state row, and each
     distinct observation among the samples is encoded at most once.
     A ``chunk`` that is not an integer of at least 1, a ``threshold`` that
-    is not positive (NaN included), a ``weight_decay`` that is not finite
-    and non-negative or a command list that misses an id the dataset's
-    samples name raises ``ValueError`` before anything is encoded.
+    is not finite and positive, a ``weight_decay`` that is not finite and
+    non-negative or a command list that misses an id the dataset's samples
+    name raises ``ValueError`` before anything is encoded.
 
     A call encodes only the distinct observations the model's store (below)
     lacks, in blocks of up to ``_ENCODE_BLOCK``: one sample per observation
@@ -574,8 +574,7 @@ def evaluate_mem(
     bytes per sample) grow.
     """
     check_int("chunk", chunk, 1)
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    check_rate("threshold", threshold)
     check_rate("weight_decay", weight_decay, zero_ok=True)
     if sample_idx.size == 0:
         raise ValueError("empty sample set")

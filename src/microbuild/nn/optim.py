@@ -26,9 +26,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
     """Bias-corrected Adam update, in place on ``params``.
 
     A NaN anywhere in ``grads`` aborts the update (parameters and moments
-    untouched, step counter not incremented). Each operation is rounded in
-    the dtype numpy's promotion gives it, so a float64 gradient takes a
-    float64 temporary for the moment updates.
+    untouched, step counter not incremented). Every gradient the program
+    takes is float32, and each intermediate is rounded to float32 in the
+    state's scratch vectors.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
@@ -39,15 +39,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
         raise FloatingPointError(f"adam_step: {bad} non-finite gradient entries")
     state.t += 1
     a, b = state.scratch
-    wide = np.result_type(grads, state.m)
-    d = a if wide == a.dtype else np.empty(grads.shape, wide)
-    np.subtract(grads, state.m, out=d)
-    d *= 1.0 - BETA1
-    state.m += d
-    np.multiply(grads, grads, out=d)
-    d -= state.v
-    d *= 1.0 - BETA2
-    state.v += d
+    np.subtract(grads, state.m, out=a)
+    a *= 1.0 - BETA1
+    state.m += a
+    np.multiply(grads, grads, out=a)
+    a -= state.v
+    a *= 1.0 - BETA2
+    state.v += a
     np.divide(state.m, 1.0 - BETA1**state.t, out=a)  # m_hat
     np.divide(state.v, 1.0 - BETA2**state.t, out=b)  # v_hat
     np.sqrt(b, out=b)

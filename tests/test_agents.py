@@ -987,9 +987,10 @@ def test_config_accepts_numpy_integer_seeds():
     A.AgentConfig(base_seed=np.int64(3), eval_seed=np.uint32(7)).validate()
 
 
-@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
 def test_narration_config_rejects_a_threshold_no_distance_passes(tau):
-    # with tau = nan every distance test fails, so the run would be silently unshaped
+    # with tau = nan every distance test fails, so the run would be silently unshaped;
+    # with tau = inf every one passes, so the bonus would be paid on every step
     built = []
     cfg = A.AgentConfig(variant="narration", tau=tau, workers=1, total_steps=32, eval_episodes=1,
                         env_factory=built.append)

@@ -1,8 +1,8 @@
-"""The committed ``BENCH_*.json`` records that ``tools/bench.py`` writes, and its list of changed files."""
+"""The committed ``BENCH_*.json`` records: one ``tools/timings.py`` and ``tools/fingerprints.py`` run per commit,
+kept as the history of the per-commit records that ``tools/ab.py``'s pairs replaced."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 import re
@@ -38,25 +38,3 @@ def test_bench_record_schema(path):
     assert record["fingerprints"]
     assert all(isinstance(v, str) and v for v in record["fingerprints"].values())
     assert set(header["no-blas"].split()) <= set(record["fingerprints"])
-
-
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_changed_leaves_out_only_untracked_records_of_the_tool():
-    porcelain = "\n".join([
-        "?? BENCH_6ed653a43dde.json",  # a record an earlier run wrote: left out
-        " M BENCH_c27618888550.json",  # a committed record, edited
-        "?? BENCH_6ed653a43dde.json.bak",
-        "?? BENCH_6ed653a43dd.json",
-        "?? tools/BENCH_6ed653a43dde.json",
-        " M src/microbuild/mem.py",
-        "?? notes.txt",
-    ])
-    changed = load_bench().changed
-    assert changed(porcelain) == porcelain.splitlines()[1:]
-    assert changed("") == []

@@ -777,7 +777,7 @@ def test_evaluate_mem_rejects_empty_sample_set(word_emb, commands, small_dataset
     "setting, value",
     [("chunk", 0), ("chunk", -5), ("threshold", 0.0), ("threshold", -1.0), ("threshold", float("nan")),
      ("weight_decay", -1.0), ("chunk", 1.5), ("chunk", 64.5), ("chunk", True),
-     ("weight_decay", float("inf")), ("weight_decay", float("nan"))],
+     ("weight_decay", float("inf")), ("weight_decay", float("nan")), ("threshold", float("inf"))],
 )
 def test_evaluate_mem_rejects_settings_that_cannot_score(word_emb, commands, small_dataset, setting, value):
     model = M.MemModel(word_emb, np.random.default_rng(1))

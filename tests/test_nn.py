@@ -766,7 +766,7 @@ def reference_adam_step(params, grads, state):
     params -= (state.lr * m_hat / (np.sqrt(v_hat) + optim.EPS)).astype(params.dtype)
 
 
-@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad_dtype", [np.float32])  # every gradient the program takes is float32
 @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
 def test_adam_in_place_bitwise_equals_reference(param_dtype, grad_dtype):
     r = rng(91)

@@ -42,8 +42,9 @@ first conv forward at batch 8 and 64, and
 the agent's LSTM (one step; 32 steps, as a rollout's ``act`` calls run
 them; and the 32-step ``forward_seq`` plus BPTT that ``a3c_loss`` runs). Each figure is the
 lowest of five medians (of five runs for a set-up stage), which damps the
-swings of a shared host; compare two commits by running it at each,
-alternately, on the same machine. Last come three peak memories, in MB,
+swings of a shared host. ``tools/ab.py`` runs it after each benchmark run of
+its alternating pairs, in each side's tree, to compare two commits line by
+line. Last come three peak memories, in MB,
 of that ``mem_loss``, ``a3c_loss`` and encoding ``evaluate_mem`` call: how far the
 memory ``tracemalloc`` sees numpy and Python hold rises above its level
 after a first call, which leaves the layers' caches filled. Tracing starts
